@@ -4,18 +4,22 @@ One training step samples a frame pair and a random pose, composites the
 patch into both frames, pushes the result through the (optionally defended)
 estimator on a stage tape, and takes one optimizer step on the patch
 parameters from the reverse pass.  Reference flows are computed once per
-frame pair on the defended clean pair and cached.
+frame pair on the defended clean pair and cached.  `save_patch` writes a
+trained patch's artefacts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ..core.ppm import write_ppm
 from ..core.raster import Image
-from ..defense.pipeline import DefenseConfig, defend, defend_on_tape
+from ..defense.pipeline import DefenseConfig, defend_on_tape, defended_flow
 from ..diff.elementwise import AddWeightedStage, CovMaterializeStage
 from ..diff.stage import StageTape
 from ..errors import DivergenceError
@@ -68,14 +72,26 @@ class TrainResult:
     losses: list[float] = field(default_factory=list)
 
 
-def _reference_flow(
-    estimator: FlowEstimator, pair: tuple[Image, Image], defense: DefenseConfig | None
-) -> np.ndarray:
-    frame1, frame2 = pair
-    if defense is not None:
-        frame1, _ = defend(frame1, defense)
-        frame2, _ = defend(frame2, defense)
-    return estimator.estimate(frame1, frame2).data
+def save_patch(stem: str | Path, patch: Patch, cfg: AttackConfig) -> None:
+    """Write `<stem>.ppm` (an 8-bit preview), `<stem>.npy` (the float64
+    `patch.materialize()` values that evaluation uses) and the `<stem>.txt`
+    sidecar with the patch shape and its training configuration."""
+    write_ppm(patch.to_image(), f"{stem}.ppm")
+    np.save(f"{stem}.npy", patch.materialize())
+    sidecar = {
+        "side": patch.side,
+        "parameterization": patch.parameterization,
+        **dataclasses.asdict(cfg),
+    }
+    Path(f"{stem}.txt").write_text("".join(f"{k}={v}\n" for k, v in sidecar.items()))
+
+
+def _diverged(step: int, what: str, cfg: AttackConfig) -> DivergenceError:
+    return DivergenceError(
+        f"optimization diverged at step {step}: {what} "
+        f"(awareness={cfg.awareness}, optimizer={cfg.optimizer}, "
+        f"lr={cfg.learning_rate})"
+    )
 
 
 def train_patch(
@@ -86,9 +102,9 @@ def train_patch(
     patch_side: int = 100,
     initial_patch: Patch | None = None,
 ) -> TrainResult:
-    """Optimize a patch for `cfg.steps` steps; raises DivergenceError on a
-    non-finite loss.  Deterministic for a fixed config (seeded poses and
-    initialization)."""
+    """Optimize a patch for `cfg.steps` steps; raises DivergenceError in the
+    step whose loss or gradient is non-finite.  Deterministic for a fixed
+    config (seeded poses and initialization)."""
     if not dataset:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(cfg.seed)
@@ -104,7 +120,7 @@ def train_patch(
         idx = int(rng.integers(len(dataset)))
         frame1, frame2 = dataset[idx]
         if idx not in references:
-            references[idx] = _reference_flow(estimator, dataset[idx], defense)
+            references[idx] = defended_flow(estimator, defense, frame1, frame2).data
         pose = sample_pose(rng, patch.side, (frame1.height, frame1.width))
         geometry = placement_geometry(pose, patch.side, (frame1.height, frame1.width))
 
@@ -132,14 +148,13 @@ def train_patch(
 
         value = float(loss.array)
         if not np.isfinite(value):
-            raise DivergenceError(
-                f"optimization diverged at step {step}: loss {value!r} "
-                f"(awareness={cfg.awareness}, optimizer={cfg.optimizer}, "
-                f"lr={cfg.learning_rate})"
-            )
+            raise _diverged(step, f"loss {value!r}", cfg)
         losses.append(value)
 
         tape.backward(loss, 1.0)
-        patch = optimizer_step(patch, tape.grad(param), cfg)
+        gradient = tape.grad(param)
+        if not np.all(np.isfinite(gradient)):
+            raise _diverged(step, "non-finite gradient", cfg)
+        patch = optimizer_step(patch, gradient, cfg)
 
     return TrainResult(patch=patch, losses=losses)

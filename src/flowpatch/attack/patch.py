@@ -38,6 +38,8 @@ class Patch:
         a = np.array(self.param, dtype=np.float64, copy=True)
         if a.shape != (self.side, self.side, 3):
             raise ValueError(f"patch parameter must be {self.side}x{self.side}x3")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("patch parameter must be finite")
         if self.parameterization == CLIP and (a.min() < 0 or a.max() > 1):
             raise ValueError("clip-parameterized values must lie in [0, 1]")
         a.flags.writeable = False

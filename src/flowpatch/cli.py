@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth, flow, defend, attack-train, evaluate, experiment.
-`FLOWPATCH_WORKERS` caps experiment parallelism.  Exit code 0 iff no grid
-cell hard-failed.
+`experiment --workers N` trains grid cells in N processes.  Exit code 0 iff
+no grid cell hard-failed.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from .attack.optimize import AttackConfig, train_patch
-from .attack.patch import Patch
+import numpy as np
+
+from .attack.optimize import AttackConfig, save_patch, train_patch
+from .attack.patch import CLIP, Patch
 from .core.colorize import flow_to_color
 from .core.floio import write_flo
 from .core.ppm import mask_to_image, read_ppm, write_ppm
@@ -120,21 +122,15 @@ def cmd_attack_train(args) -> int:
     result = train_patch(
         _estimator(args), defense, pairs, cfg, patch_side=args.patch_side
     )
-    write_ppm(result.patch.to_image(), args.out)
-    sidecar = Path(args.out).with_suffix(".txt")
-    sidecar.write_text(
-        f"side={result.patch.side}\nparameterization={result.patch.parameterization}\n"
-        f"awareness={cfg.awareness}\noptimizer={cfg.optimizer}\n"
-        f"learning_rate={cfg.learning_rate}\nbox={cfg.box}\nsteps={cfg.steps}\n"
-        f"alpha_penalty={cfg.alpha_penalty}\nseed={cfg.seed}\n"
-    )
+    stem = args.out.removesuffix(".ppm")
+    save_patch(stem, result.patch, cfg)
     if args.log:
         with open(args.log, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "loss"])
             for i, loss in enumerate(result.losses):
                 writer.writerow([i, f"{loss:.8f}"])
-    print(f"trained patch saved to {args.out} (final loss {result.losses[-1]:.4f})")
+    print(f"trained patch saved to {stem}.ppm (final loss {result.losses[-1]:.4f})")
     return 0
 
 
@@ -147,8 +143,11 @@ def cmd_evaluate(args) -> int:
     defense = None if args.defense == "none" else _defense_from_args(args, args.defense)
     patch = None
     if args.patch:
-        image = read_ppm(args.patch)
-        patch = Patch(image.height, "clip", image.data)
+        if args.patch.endswith(".npy"):
+            values = np.load(args.patch)
+        else:
+            values = read_ppm(args.patch).data
+        patch = Patch(values.shape[0], CLIP, values)
     records, agg = evaluate_pipeline(
         _estimator(args),
         defense,
@@ -228,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-penalty", type=float, default=1e-8, dest="alpha_penalty")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--patch-side", type=int, default=24, dest="patch_side")
-    p.add_argument("--out", required=True)
+    p.add_argument(
+        "--out", required=True, help="patch PPM; .npy values and .txt sidecar beside it"
+    )
     p.add_argument("--log", default=None)
     _add_defense_flags(p)
     _add_estimator_flags(p)
@@ -237,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="quality/robustness of a pipeline")
     p.add_argument("--data", required=True)
     p.add_argument("--defense", choices=["none", "lgs", "ilp"], default="none")
-    p.add_argument("--patch", default=None, help="patch PPM from attack-train")
+    p.add_argument(
+        "--patch", default=None, help="patch .npy (evaluated values) or 8-bit .ppm"
+    )
     p.add_argument("--attack-label", default="vanilla", dest="attack_label")
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--out", required=True)

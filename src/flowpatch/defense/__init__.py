@@ -13,7 +13,16 @@ from .voting import (
 )
 from .smoothing import SmoothingFactorStage, DarkenStage, lgs_smooth
 from .inpaint import TeleaInpaintStage, telea_inpaint, telea_inpaint_array
-from .pipeline import DefenseConfig, LGS, ILP, defend, defend_on_tape, lgs_config, ilp_config
+from .pipeline import (
+    DefenseConfig,
+    LGS,
+    ILP,
+    defend,
+    defend_on_tape,
+    defended_flow,
+    lgs_config,
+    ilp_config,
+)
 
 __all__ = [
     "GradientMagnitudeStage",
@@ -36,6 +45,7 @@ __all__ = [
     "ILP",
     "defend",
     "defend_on_tape",
+    "defended_flow",
     "lgs_config",
     "ilp_config",
 ]

@@ -3,15 +3,17 @@
 LGS: first-order gradient map -> normalize -> block vote -> multiplicative
 darkening of voted pixels.  ILP: second-order map -> normalize -> block vote
 -> pixel-wise reevaluation -> fast-marching inpainting of surviving pixels.
+A defended pipeline defends each frame, then estimates flow on the pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.raster import Image, PixelMask
+from ..core.raster import FlowField, Image, PixelMask
 from ..diff.elementwise import ClipStage
 from ..diff.stage import StageTape, TapeValue
+from ..flow.horn_schunck import FlowEstimator
 from .inpaint import TeleaInpaintStage
 from .maps import GradientMagnitudeStage, NormalizeMapStage
 from .smoothing import DarkenStage, SmoothingFactorStage
@@ -82,3 +84,17 @@ def defend(image: Image, cfg: DefenseConfig) -> tuple[Image, PixelMask]:
     tape = StageTape()
     defended, mask = defend_on_tape(tape, tape.source(image.data), cfg)
     return Image(defended.array), PixelMask(mask.array)
+
+
+def defended_flow(
+    estimator: FlowEstimator,
+    defense: DefenseConfig | None,
+    frame1: Image,
+    frame2: Image,
+) -> FlowField:
+    """Flow of a pair through the pipeline: both frames defended (when there
+    is a defense), then the estimator, all outside any tape."""
+    if defense is not None:
+        frame1, _ = defend(frame1, defense)
+        frame2, _ = defend(frame2, defense)
+    return estimator.estimate(frame1, frame2)

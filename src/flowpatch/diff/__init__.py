@@ -1,9 +1,8 @@
-from .stage import Stage, StageTape, TapeValue, run_forward, run_backward, EXACT, BPDA
+from .stage import Stage, StageTape, TapeValue, EXACT, BPDA
 from .check import grad_check, GradCheckReport
 from .elementwise import (
     ScaleStage,
     ClipStage,
-    TanhStage,
     CovMaterializeStage,
     AddWeightedStage,
 )
@@ -12,15 +11,12 @@ __all__ = [
     "Stage",
     "StageTape",
     "TapeValue",
-    "run_forward",
-    "run_backward",
     "EXACT",
     "BPDA",
     "grad_check",
     "GradCheckReport",
     "ScaleStage",
     "ClipStage",
-    "TanhStage",
     "CovMaterializeStage",
     "AddWeightedStage",
 ]

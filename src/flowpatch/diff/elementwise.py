@@ -44,20 +44,6 @@ class ClipStage(Stage):
         return (cotangents[0] * ctx["inside"],)
 
 
-class TanhStage(Stage):
-    """y = tanh(x)."""
-
-    name = "tanh"
-
-    def forward(self, ctx, inputs: Arrays) -> Arrays:
-        y = np.tanh(inputs[0])
-        ctx["y"] = y
-        return (y,)
-
-    def backward(self, ctx, cotangents: Arrays) -> Arrays:
-        return (cotangents[0] * (1.0 - ctx["y"] ** 2),)
-
-
 class CovMaterializeStage(Stage):
     """Change of variables: p = (tanh(w) + 1) / 2, keeping p in (0, 1)."""
 

@@ -17,7 +17,6 @@ only differentiation unit, and all gradient math runs in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -70,18 +69,14 @@ class _Record:
 class StageTape:
     """Ordered record of stage applications for one forward evaluation.
 
-    Constructed with an optional fixed chain of stages for the simple
-    sequential `run_forward`/`run_backward` protocol; `source`/`apply` give
-    the general fan-in/fan-out wiring used by the attack pipeline.
+    `source` registers leaf inputs and `apply` records one stage on earlier
+    values, so any fan-in/fan-out wiring can be recorded.
     """
 
-    def __init__(self, stages: Sequence[Stage] = ()):
-        self.stages = list(stages)
+    def __init__(self):
         self._values: list[np.ndarray] = []
         self._records: list[_Record] = []
         self._grads: dict[int, np.ndarray] | None = None
-        self._chain_input: TapeValue | None = None
-        self._chain_output: TapeValue | None = None
 
     def source(self, array: np.ndarray) -> TapeValue:
         """Register a leaf input value."""
@@ -126,23 +121,3 @@ class StageTape:
         if self._grads is None:
             raise RuntimeError("backward() has not been run on this tape")
         return self._grads.get(value.slot, np.zeros_like(value.array))
-
-
-def run_forward(tape: StageTape, input_array: np.ndarray) -> np.ndarray:
-    """Run the tape's fixed stage chain on one raster, saving contexts."""
-    value = tape.source(input_array)
-    tape._chain_input = value
-    for stage in tape.stages:
-        value = tape.apply(stage, value)
-        if isinstance(value, tuple):
-            raise ValueError(f"chain stage {stage.name} is not single-output")
-    tape._chain_output = value
-    return value.array
-
-
-def run_backward(tape: StageTape, cotangent: np.ndarray) -> np.ndarray:
-    """Reverse the chain recorded by run_forward; returns the input cotangent."""
-    if tape._chain_output is None:
-        raise RuntimeError("run_backward before run_forward")
-    tape.backward(tape._chain_output, cotangent)
-    return tape.grad(tape._chain_input)

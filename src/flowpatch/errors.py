@@ -10,4 +10,4 @@ class PlacementError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Patch optimization produced a non-finite loss."""
+    """Patch optimization produced a non-finite loss or gradient."""

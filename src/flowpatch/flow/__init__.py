@@ -6,7 +6,6 @@ from .horn_schunck import (
     JacobiIterationStage,
     LuminanceStage,
     PackFlowStage,
-    estimator_backward,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "JacobiIterationStage",
     "LuminanceStage",
     "PackFlowStage",
-    "estimator_backward",
 ]

@@ -175,15 +175,3 @@ class HornSchunck:
             tape, tape.source(frame1.data), tape.source(frame2.data)
         )
         return FlowField(flow.array)
-
-
-def estimator_backward(
-    tape: StageTape,
-    flow_value: TapeValue,
-    frame1: TapeValue,
-    frame2: TapeValue,
-    cotangent: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """VJP of a recorded estimator evaluation back to both input frames."""
-    tape.backward(flow_value, cotangent)
-    return tape.grad(frame1), tape.grad(frame2)

@@ -3,10 +3,11 @@ defense x attack matrix, and emit deterministic CSV summaries.
 
 Grid cells are (awareness, optimizer, learning rate, box, seed).  Each cell
 trains one patch against the awareness-matched defense; every trained patch
-is then evaluated against every configured defense.  Diverged cells are
-recorded as "div" and the run continues; unexpected errors mark the cell
-"fail" without touching other cells.  Identical configs (seeds included)
-produce byte-identical CSVs.
+is then evaluated against every configured defense, relative to that
+defense's clean flows, which are computed once per frame and also give the
+quality column.  Diverged cells are recorded as "div" and the run continues;
+unexpected errors mark the cell "fail" without touching other cells.
+Identical configs (seeds included) produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,14 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from ..attack.losses import ILP_AWARE, LGS_AWARE, VANILLA
-from ..attack.optimize import AttackConfig, train_patch
+from ..attack.optimize import AttackConfig, save_patch, train_patch
 from ..attack.patch import Patch
-from ..core.ppm import write_ppm
 from ..core.raster import Image
-from ..defense.pipeline import DefenseConfig, ilp_config, lgs_config
+from ..defense.pipeline import DefenseConfig, defended_flow, ilp_config, lgs_config
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
-from ..metrics import EvalFrame, evaluate_pipeline
+from ..metrics import EvalRecord, aggregate_records, epe, format_metric, robustness_epe
 from .dataset import ingest_dataset, load_frames, synth_dataset
 
 NO_DEFENSE = "none"
@@ -131,12 +130,7 @@ def _train_task(args) -> dict:
             attack_cfg,
             patch_side=cfg.patch_side,
         )
-        return {
-            "status": "ok",
-            "param": result.patch.param,
-            "box": cell.box,
-            "losses": result.losses,
-        }
+        return {"status": "ok", "param": result.patch.param, "attack": attack_cfg}
     except DivergenceError as exc:
         return {"status": "div", "error": str(exc)}
     except Exception as exc:  # noqa: BLE001 - crash isolation per grid cell
@@ -148,10 +142,6 @@ class ExperimentResult:
     output_dir: Path
     hard_failures: int
     report: list[str]
-
-
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.6f}"
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -169,21 +159,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     frames = load_frames(index)
     if not frames:
         raise ValueError("experiment dataset is empty")
-    pairs = [(f.frame1, f.frame2) for f in frames]
-    pair_arrays = [(a.data, b.data) for a, b in pairs]
+    pair_arrays = [(f.frame1.data, f.frame2.data) for f in frames]
     estimator = cfg.make_estimator()
 
-    # Quality of each defended pipeline on unattacked frames (Table-1 axis).
+    # The clean flow of each defended pipeline, once per frame: its quality
+    # (Table-1 axis) and the reference of every patch's robustness.
+    clean = {}
     quality: dict[str, float | None] = {}
     for name in cfg.defenses:
-        gt_frames = [f for f in frames if f.ground_truth is not None]
-        if gt_frames:
-            _, agg = evaluate_pipeline(
-                estimator, cfg.defense_config(name), None, gt_frames
-            )
-            quality[name] = agg.mean_quality
-        else:
-            quality[name] = None
+        defense = cfg.defense_config(name)
+        clean[name] = [
+            defended_flow(estimator, defense, f.frame1, f.frame2) for f in frames
+        ]
+        records = [
+            EvalRecord(f.frame_id, name, "none", epe(f.ground_truth, flow, f.valid), None)
+            for f, flow in zip(frames, clean[name])
+            if f.ground_truth is not None
+        ]
+        quality[name] = aggregate_records(records, name, "none").mean_quality
 
     tasks = [
         (awareness, cell, seed)
@@ -195,9 +188,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         (cfg.to_dict(), awareness, cell, seed, pair_arrays)
         for (awareness, cell, seed) in tasks
     ]
-    workers = int(os.environ.get("FLOWPATCH_WORKERS", cfg.workers))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_train_task, worker_args))
     else:
         outcomes = [_train_task(a) for a in worker_args]
@@ -207,107 +199,104 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     hard_failures = 0
     for (awareness, cell, seed), outcome in zip(tasks, outcomes):
         tag = f"{awareness}_{cell.optimizer}_{cell.learning_rate:g}_{cell.box}_seed{seed}"
-        if outcome["status"] != "ok":
-            report.append(f"{tag}: {outcome['status']} ({outcome.get('error', '')})")
-            if outcome["status"] == "fail":
-                hard_failures += 1
-            for defense in cfg.defenses:
-                per_seed_rows.append(
-                    {
-                        "awareness": awareness,
-                        "cell": cell,
-                        "seed": seed,
-                        "defense": defense,
-                        "status": outcome["status"],
-                        "robustness": None,
-                    }
-                )
-            continue
-        patch = Patch(cfg.patch_side, outcome["box"], outcome["param"])
-        _save_patch(out / "patches" / tag, patch, cfg, awareness, cell, seed)
+        status = outcome["status"]
+        if status == "ok":
+            patch = Patch(cfg.patch_side, cell.box, outcome["param"])
+            save_patch(out / "patches" / tag, patch, outcome["attack"])
+        else:
+            report.append(f"{tag}: {status} ({outcome['error']})")
+            hard_failures += status == "fail"
         for defense in cfg.defenses:
-            try:
-                _, agg = evaluate_pipeline(
-                    estimator,
-                    cfg.defense_config(defense),
-                    patch,
-                    frames,
-                    seed=cfg.eval_seed,
-                    attack_label=awareness,
-                    require_quality=False,
-                )
-                per_seed_rows.append(
-                    {
-                        "awareness": awareness,
-                        "cell": cell,
-                        "seed": seed,
-                        "defense": defense,
-                        "status": "ok",
-                        "robustness": agg.mean_robustness,
-                    }
-                )
-            except Exception as exc:  # noqa: BLE001 - crash isolation
-                hard_failures += 1
-                report.append(f"{tag}/eval/{defense}: {type(exc).__name__}: {exc}")
-                per_seed_rows.append(
-                    {
-                        "awareness": awareness,
-                        "cell": cell,
-                        "seed": seed,
-                        "defense": defense,
-                        "status": "fail",
-                        "robustness": None,
-                    }
-                )
+            row = {
+                "awareness": awareness,
+                "cell": cell,
+                "seed": seed,
+                "defense": defense,
+                "status": status,
+                "robustness": None,
+            }
+            if status == "ok":
+                try:
+                    row["robustness"] = _robustness(
+                        cfg, estimator, defense, awareness, patch, frames, clean[defense]
+                    )
+                except Exception as exc:  # noqa: BLE001 - crash isolation
+                    hard_failures += 1
+                    report.append(f"{tag}/eval/{defense}: {type(exc).__name__}: {exc}")
+                    row["status"] = "fail"
+            per_seed_rows.append(row)
 
-    _write_per_seed(out / "per_seed.csv", per_seed_rows, quality, config_hash)
+    def epe_fields(defense: str, robustness: float | None) -> list[str]:
+        return [format_metric(quality.get(defense)), format_metric(robustness)]
+
     mean_rows = _mean_rows(cfg, per_seed_rows)
-    _write_seed_mean(out / "seed_mean.csv", mean_rows, quality, config_hash)
-    headline = _write_headline(out / "headline.csv", cfg, mean_rows, quality, config_hash)
-    _write_scatter(out / "scatter.csv", cfg, headline, quality)
+    headline = _headline(mean_rows)
+    _write_csv(
+        out / "per_seed.csv",
+        "config,awareness,optimizer,lr,box,seed,defense,status,quality_epe,robustness_epe",
+        [
+            [config_hash, *_cell_fields(r), str(r["seed"]), r["defense"], r["status"]]
+            + epe_fields(r["defense"], r["robustness"])
+            for r in per_seed_rows
+        ],
+    )
+    _write_csv(
+        out / "seed_mean.csv",
+        "config,awareness,optimizer,lr,box,defense,status,n_seeds,quality_epe,robustness_epe",
+        [
+            [config_hash, *_cell_fields(r), r["defense"], r["status"], str(r["n_seeds"])]
+            + epe_fields(r["defense"], r["robustness"])
+            for r in mean_rows
+        ],
+    )
+    _write_csv(
+        out / "headline.csv",
+        "config,defense,attack,optimizer,lr,box,quality_epe,robustness_epe",
+        [
+            [config_hash, defense, *_cell_fields(r)] + epe_fields(defense, r["robustness"])
+            for (defense, _), r in sorted(headline.items())
+        ],
+    )
+    # Full-pipeline points: each defense with the attack aware of it.
+    pipeline_attack = {NO_DEFENSE: VANILLA, "lgs": LGS_AWARE, "ilp": ILP_AWARE}
+    scatter = [(d, headline.get((d, pipeline_attack.get(d)))) for d in cfg.defenses]
+    _write_csv(
+        out / "scatter.csv",
+        "quality_epe,robustness_epe,label",
+        [epe_fields(d, r["robustness"]) + [d] for d, r in scatter if r is not None],
+    )
     if report:
         (out / "report.txt").write_text("\n".join(report) + "\n")
     return ExperimentResult(out, hard_failures, report)
 
 
-def _save_patch(prefix: Path, patch: Patch, cfg, awareness, cell, seed) -> None:
-    write_ppm(patch.to_image(), prefix.with_suffix(".ppm"))
-    sidecar = {
-        "side": patch.side,
-        "parameterization": patch.parameterization,
-        "awareness": awareness,
-        "optimizer": cell.optimizer,
-        "learning_rate": cell.learning_rate,
-        "box": cell.box,
-        "steps": cfg.steps,
-        "alpha_penalty": cfg.alpha_penalty,
-        "seed": seed,
-    }
-    prefix.with_suffix(".txt").write_text(
-        "".join(f"{k}={v}\n" for k, v in sidecar.items())
-    )
-
-
-def _write_per_seed(path, rows, quality, config_hash) -> None:
-    lines = ["config,awareness,optimizer,lr,box,seed,defense,status,quality_epe,robustness_epe"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    config_hash,
-                    r["awareness"],
-                    r["cell"].optimizer,
-                    f"{r['cell'].learning_rate:g}",
-                    r["cell"].box,
-                    str(r["seed"]),
-                    r["defense"],
-                    r["status"],
-                    _fmt(quality.get(r["defense"])),
-                    _fmt(r["robustness"]),
-                ]
-            )
+def _robustness(cfg, estimator, defense, awareness, patch, frames, flows) -> float:
+    """Mean robustness EPE of one patch against one defense; the poses come
+    from a fresh `eval_seed` stream, as in `evaluate_pipeline`."""
+    rng = np.random.default_rng(cfg.eval_seed)
+    defense_cfg = cfg.defense_config(defense)
+    records = [
+        EvalRecord(
+            f.frame_id,
+            defense,
+            awareness,
+            None,
+            robustness_epe(estimator, defense_cfg, patch, f, flow, rng),
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+        for f, flow in zip(frames, flows)
+    ]
+    return aggregate_records(records, defense, awareness).mean_robustness
+
+
+def _cell_fields(row: dict) -> list[str]:
+    cell = row["cell"]
+    return [row["awareness"], cell.optimizer, f"{cell.learning_rate:g}", cell.box]
+
+
+def _write_csv(path: Path, header: str, rows: list[list[str]]) -> None:
+    """Write one of the experiment's CSVs: comma-joined fields without
+    quoting, one row per line."""
+    path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
 
 
 def _mean_rows(cfg, per_seed_rows) -> list[dict]:
@@ -342,29 +331,7 @@ def _mean_rows(cfg, per_seed_rows) -> list[dict]:
     return rows
 
 
-def _write_seed_mean(path, mean_rows, quality, config_hash) -> None:
-    lines = ["config,awareness,optimizer,lr,box,defense,status,n_seeds,quality_epe,robustness_epe"]
-    for r in mean_rows:
-        lines.append(
-            ",".join(
-                [
-                    config_hash,
-                    r["awareness"],
-                    r["cell"].optimizer,
-                    f"{r['cell'].learning_rate:g}",
-                    r["cell"].box,
-                    r["defense"],
-                    r["status"],
-                    str(r["n_seeds"]),
-                    _fmt(quality.get(r["defense"])),
-                    _fmt(r["robustness"]),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_headline(path, cfg, mean_rows, quality, config_hash) -> dict:
+def _headline(mean_rows) -> dict:
     """Per (defense, attack awareness): the grid cell with the largest mean
     robustness, i.e. the strongest adversarial configuration."""
     headline: dict[tuple[str, str], dict] = {}
@@ -374,37 +341,4 @@ def _write_headline(path, cfg, mean_rows, quality, config_hash) -> dict:
         key = (r["defense"], r["awareness"])
         if key not in headline or r["robustness"] > headline[key]["robustness"]:
             headline[key] = r
-    lines = ["config,defense,attack,optimizer,lr,box,quality_epe,robustness_epe"]
-    for (defense, awareness) in sorted(headline):
-        r = headline[(defense, awareness)]
-        lines.append(
-            ",".join(
-                [
-                    config_hash,
-                    defense,
-                    awareness,
-                    r["cell"].optimizer,
-                    f"{r['cell'].learning_rate:g}",
-                    r["cell"].box,
-                    _fmt(quality.get(defense)),
-                    _fmt(r["robustness"]),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
     return headline
-
-
-def _write_scatter(path, cfg, headline, quality) -> None:
-    """Full-pipeline points: each defense with the attack aware of it."""
-    pipeline_attack = {NO_DEFENSE: VANILLA, "lgs": LGS_AWARE, "ilp": ILP_AWARE}
-    lines = ["quality_epe,robustness_epe,label"]
-    for defense in cfg.defenses:
-        attack = pipeline_attack.get(defense)
-        entry = headline.get((defense, attack))
-        if entry is None:
-            continue
-        lines.append(
-            ",".join([_fmt(quality.get(defense)), _fmt(entry["robustness"]), defense])
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

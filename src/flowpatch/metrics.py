@@ -17,7 +17,7 @@ import numpy as np
 from .attack.patch import Patch
 from .attack.placement import place_patch, sample_pose
 from .core.raster import FlowField, Image, PixelMask
-from .defense.pipeline import DefenseConfig, defend
+from .defense.pipeline import DefenseConfig, defended_flow
 from .flow.horn_schunck import FlowEstimator
 
 
@@ -96,11 +96,7 @@ def evaluate_pipeline(
     rng = np.random.default_rng(seed)
     records = []
     for item in dataset:
-        frame1, frame2 = item.frame1, item.frame2
-        if defense is not None:
-            frame1, _ = defend(frame1, defense)
-            frame2, _ = defend(frame2, defense)
-        flow_clean = estimator.estimate(frame1, frame2)
+        flow_clean = defended_flow(estimator, defense, item.frame1, item.frame2)
 
         quality = None
         if item.ground_truth is not None:
@@ -110,20 +106,29 @@ def evaluate_pipeline(
 
         robustness = None
         if patch is not None:
-            pose = sample_pose(rng, patch.side, (item.frame1.height, item.frame1.width))
-            attacked1, attacked2, footprint = place_patch(
-                item.frame1, item.frame2, patch, pose
-            )
-            if defense is not None:
-                attacked1, _ = defend(attacked1, defense)
-                attacked2, _ = defend(attacked2, defense)
-            flow_attacked = estimator.estimate(attacked1, attacked2)
-            robustness = epe_excl(flow_clean, flow_attacked, footprint)
+            robustness = robustness_epe(estimator, defense, patch, item, flow_clean, rng)
 
         records.append(
             EvalRecord(item.frame_id, defense_label, attack_label, quality, robustness)
         )
     return records, aggregate_records(records, defense_label, attack_label)
+
+
+def robustness_epe(
+    estimator: FlowEstimator,
+    defense: DefenseConfig | None,
+    patch: Patch,
+    item: EvalFrame,
+    flow_clean: FlowField,
+    rng: np.random.Generator,
+) -> float:
+    """Robustness EPE of one frame pair: the patch placed at a pose drawn from
+    `rng`, the attacked pair through the pipeline, and its flow compared with
+    the pipeline's clean flow outside the patch footprint."""
+    pose = sample_pose(rng, patch.side, (item.frame1.height, item.frame1.width))
+    attacked1, attacked2, footprint = place_patch(item.frame1, item.frame2, patch, pose)
+    flow_attacked = defended_flow(estimator, defense, attacked1, attacked2)
+    return epe_excl(flow_clean, flow_attacked, footprint)
 
 
 def aggregate_records(
@@ -140,28 +145,6 @@ def aggregate_records(
     )
 
 
-def quality_robustness_table(records: Sequence[EvalRecord]) -> list[dict]:
-    """One row per (defense, attack) cell with arithmetic means and counts."""
-    if not records:
-        raise ValueError("no records to tabulate")
-    cells: dict[tuple[str, str], list[EvalRecord]] = {}
-    for record in records:
-        cells.setdefault((record.defense, record.attack), []).append(record)
-    rows = []
-    for (defense, attack) in sorted(cells):
-        agg = aggregate_records(cells[(defense, attack)], defense, attack)
-        rows.append(
-            {
-                "defense": defense,
-                "attack": attack,
-                "mean_quality": agg.mean_quality,
-                "mean_robustness": agg.mean_robustness,
-                "count": agg.count,
-            }
-        )
-    return rows
-
-
 def write_records_csv(records: Sequence[EvalRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -172,22 +155,12 @@ def write_records_csv(records: Sequence[EvalRecord], path) -> None:
                     r.frame_id,
                     r.defense,
                     r.attack,
-                    _fmt(r.epe_quality),
-                    _fmt(r.epe_robustness),
+                    format_metric(r.epe_quality),
+                    format_metric(r.epe_robustness),
                 ]
             )
 
 
-def write_scatter_csv(rows: Sequence[dict], path) -> None:
-    """Plot-ready (quality, robustness, label) triples; log-log recommended."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quality_epe", "robustness_epe", "label"])
-        for row in rows:
-            writer.writerow(
-                [_fmt(row["mean_quality"]), _fmt(row["mean_robustness"]), row["label"]]
-            )
-
-
-def _fmt(value: float | None) -> str:
+def format_metric(value: float | None) -> str:
+    """A metric as a CSV field: six decimals, empty when missing."""
     return "" if value is None else f"{value:.6f}"

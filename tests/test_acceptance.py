@@ -55,7 +55,6 @@ from flowpatch.flow import (
     HornSchunckConfig,
     JacobiIterationStage,
     LuminanceStage,
-    estimator_backward,
 )
 from flowpatch.harness import (
     ExperimentConfig,
@@ -209,7 +208,8 @@ class TestCriterion1:
         tape = StageTape()
         v1, v2 = tape.source(i1), tape.source(i2)
         flow = est.forward_on_tape(tape, v1, v2)
-        _, g2 = estimator_backward(tape, flow, v1, v2, cot)
+        tape.backward(flow, cot)
+        g2 = tape.grad(v2)
 
         def objective(probe):
             return float(np.sum(cot * est.estimate(Image(i1), Image(probe)).data))

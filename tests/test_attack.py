@@ -20,7 +20,7 @@ from flowpatch.attack import (
     train_patch,
 )
 from flowpatch.core import FlowField, Image, PixelMask
-from flowpatch.diff import StageTape, grad_check
+from flowpatch.diff import Stage, StageTape, grad_check
 from flowpatch.errors import DivergenceError, PlacementError
 from flowpatch.flow import HornSchunck, HornSchunckConfig
 
@@ -57,6 +57,14 @@ class TestPatchModel:
     def test_clip_patch_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Patch(2, "clip", np.full((2, 2, 3), 1.5))
+
+    @pytest.mark.parametrize("box", ["clip", "cov"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_patch_rejects_non_finite(self, box, bad):
+        param = np.full((2, 2, 3), 0.5)
+        param[1, 0, 2] = bad
+        with pytest.raises(ValueError):
+            Patch(2, box, param)
 
     def test_random_patch_in_range_both_boxes(self):
         rng = np.random.default_rng(0)
@@ -342,6 +350,32 @@ class TestTraining:
         with pytest.raises(DivergenceError):
             train_patch(
                 ExplodingEstimator(HornSchunckConfig(iterations=5)),
+                None,
+                tiny_dataset(),
+                cfg,
+                patch_side=8,
+            )
+
+    def test_non_finite_gradient_raises_in_its_step(self):
+        class NanBackwardStage(Stage):
+            name = "nan-backward"
+
+            def forward(self, ctx, inputs):
+                return (inputs[0],)
+
+            def backward(self, ctx, cotangents):
+                return (np.full_like(cotangents[0], np.nan),)
+
+        class NanGradientEstimator(HornSchunck):
+            # finite flow and loss, NaN gradient on the attack pass
+            def forward_on_tape(self, tape, f1, f2):
+                flow = super().forward_on_tape(tape, f1, f2)
+                return tape.apply(NanBackwardStage(), flow)
+
+        cfg = AttackConfig(steps=1, learning_rate=0.1, seed=2)
+        with pytest.raises(DivergenceError, match="step 0: non-finite gradient"):
+            train_patch(
+                NanGradientEstimator(HornSchunckConfig(iterations=5)),
                 None,
                 tiny_dataset(),
                 cfg,

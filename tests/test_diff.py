@@ -6,11 +6,8 @@ from flowpatch.diff import (
     ScaleStage,
     Stage,
     StageTape,
-    TanhStage,
     CovMaterializeStage,
     grad_check,
-    run_backward,
-    run_forward,
 )
 from flowpatch.diff.stencils import (
     diff_x,
@@ -84,45 +81,52 @@ class TestStencilAdjoints:
         assert np.allclose(diff_y_extrapolated(cols), 0.0)
 
 
+def run_chain(stages, x):
+    """Record `stages` applied in sequence to `x`; returns (tape, input, output)."""
+    tape = StageTape()
+    value = source = tape.source(x)
+    for stage in stages:
+        value = tape.apply(stage, value)
+    return tape, source, value
+
+
+def chain_vjp(stages, x, cotangent):
+    tape, source, output = run_chain(stages, x)
+    tape.backward(output, cotangent)
+    return tape.grad(source)
+
+
 class TestTapeChain:
     def test_empty_tape_is_identity(self):
-        tape = StageTape([])
         x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(run_forward(tape, x), x)
+        assert np.array_equal(run_chain([], x)[2].array, x)
         g = np.ones((2, 3))
-        assert np.array_equal(run_backward(tape, g), g)
+        assert np.array_equal(chain_vjp([], x, g), g)
 
     def test_clip_stage_in_range(self):
-        tape = StageTape([ClipStage(0, 1)])
         x = np.full((2, 2), 0.5)
-        assert np.array_equal(run_forward(tape, x), x)
+        assert np.array_equal(run_chain([ClipStage(0, 1)], x)[2].array, x)
 
     def test_two_scale_stages(self):
-        tape = StageTape([ScaleStage(2.0), ScaleStage(3.0)])
-        assert run_forward(tape, np.array(1.0)) == 6.0
+        assert run_chain([ScaleStage(2.0), ScaleStage(3.0)], np.array(1.0))[2].array == 6.0
 
     def test_scale_backward_is_adjoint(self):
-        tape = StageTape([ScaleStage(2.0)])
-        run_forward(tape, np.array(1.0))
-        assert run_backward(tape, np.array(1.0)) == 2.0
+        assert chain_vjp([ScaleStage(2.0)], np.array(1.0), np.array(1.0)) == 2.0
 
     def test_backward_before_forward_raises(self):
-        tape = StageTape([ScaleStage(2.0)])
+        tape, source, _ = run_chain([ScaleStage(2.0)], np.array(1.0))
         with pytest.raises(RuntimeError):
-            run_backward(tape, np.array(1.0))
+            tape.grad(source)
 
     def test_composition_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(0.2, 0.8, (8, 8))
-        stages = [ScaleStage(1.7), TanhStage(), NeighborAverageStage()]
-        tape = StageTape(stages)
-        run_forward(tape, x)
+        stages = [ScaleStage(1.7), CovMaterializeStage(), NeighborAverageStage()]
         u = rng.standard_normal((8, 8))
-        vjp = run_backward(tape, u)
+        vjp = chain_vjp(stages, x, u)
 
         def objective(q):
-            t = StageTape(stages)
-            return float(np.sum(u * run_forward(t, q)))
+            return float(np.sum(u * run_chain(stages, q)[2].array))
 
         h = 1e-4
         max_rel = 0.0
@@ -156,7 +160,7 @@ class TestTapeChain:
 
 class TestGradCheck:
     def test_tanh_passes(self):
-        report = grad_check(TanhStage(), np.full((3, 3), 0.3), h=1e-4, tol=1e-4)
+        report = grad_check(CovMaterializeStage(), np.full((3, 3), 0.3), h=1e-4, tol=1e-4)
         assert report.passed, report
 
     def test_clip_interior_passes(self):
@@ -169,7 +173,7 @@ class TestGradCheck:
         assert report.passed, report
 
     def test_detects_wrong_gradient(self):
-        class Broken(TanhStage):
+        class Broken(CovMaterializeStage):
             def backward(self, ctx, cotangents):
                 return (cotangents[0] * 0.5,)
 

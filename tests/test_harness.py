@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from flowpatch.cli import main
 from flowpatch.core import read_flo, read_ppm
 from flowpatch.harness import (
     ExperimentConfig,
@@ -183,3 +186,54 @@ class TestExperiment:
         for line in headline:
             parts = line.split(",")
             assert np.isclose(float(parts[7]), best[(parts[1], parts[2])])
+
+    def test_every_cell_saves_its_own_patch(self, tmp_path):
+        awareness = ("vanilla", "lgs")
+        grid = (GridCell("ifgsm", 0.1, "clip"), GridCell("ifgsm", 0.1, "cov"))
+        cfg = tiny_config(
+            tmp_path / "run", awareness=awareness, attack_grid=grid, seeds=(0, 1), steps=1
+        )
+        result = run_experiment(cfg)
+        assert result.hard_failures == 0
+        patches = result.output_dir / "patches"
+        tags = [(a, c.box, s) for a in awareness for c in grid for s in cfg.seeds]
+        expected = {
+            f"{a}_ifgsm_0.1_{box}_seed{s}.{ext}"
+            for a, box, s in tags
+            for ext in ("npy", "ppm", "txt")
+        }
+        assert {p.name for p in patches.iterdir()} == expected
+        for a, box, s in tags:
+            sidecar = (patches / f"{a}_ifgsm_0.1_{box}_seed{s}.txt").read_text()
+            fields = dict(line.split("=", 1) for line in sidecar.splitlines())
+            assert (fields["awareness"], fields["box"], fields["seed"]) == (a, box, str(s))
+
+    def test_saved_patch_reproduces_its_row(self, tmp_path, capsys):
+        grid = (GridCell("ifgsm", 0.1, "clip"), GridCell("ifgsm", 0.1, "cov"))
+        cfg = tiny_config(tmp_path / "run", attack_grid=grid)
+        out = run_experiment(cfg).output_dir
+        with open(out / "per_seed.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["defense"] for r in rows} == {"none", "lgs"}
+        for r in rows:
+            stem = f"{r['awareness']}_{r['optimizer']}_{r['lr']}_{r['box']}_seed{r['seed']}"
+            code = main(
+                [
+                    "evaluate",
+                    "--data", str(out / "dataset"),
+                    "--defense", r["defense"],
+                    "--patch", str(out / "patches" / f"{stem}.npy"),
+                    "--seed", str(cfg.eval_seed),
+                    "--iters", str(cfg.estimator["iterations"]),
+                    "--out", str(tmp_path / "eval.csv"),
+                ]
+            )
+            assert code == 0
+            printed = capsys.readouterr().out
+            robustness = float(printed.rsplit("robustness=", 1)[1])
+            assert f"{robustness:.6f}" == r["robustness_epe"], (stem, r["defense"])
+
+    def test_workers_come_from_the_config_only(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FLOWPATCH_WORKERS", "two")
+        result = run_experiment(tiny_config(tmp_path / "run"))
+        assert result.hard_failures == 0

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 from flowpatch.core import FlowField, Image, PixelMask
 from flowpatch.flow import HornSchunck, HornSchunckConfig
 from flowpatch.metrics import (
+    EvalAggregate,
     EvalFrame,
     EvalRecord,
+    aggregate_records,
     epe,
     epe_excl,
     evaluate_pipeline,
-    quality_robustness_table,
 )
 
 
@@ -100,34 +101,28 @@ class TestRecordsAndTable:
             EvalRecord("0", "none", "none", -1.0, None)
 
     def test_single_record_row(self):
-        rows = quality_robustness_table([EvalRecord("0", "lgs", "vanilla", 2.0, 3.0)])
-        assert rows == [
-            {
-                "defense": "lgs",
-                "attack": "vanilla",
-                "mean_quality": 2.0,
-                "mean_robustness": 3.0,
-                "count": 1,
-            }
-        ]
+        agg = aggregate_records(
+            [EvalRecord("0", "lgs", "vanilla", 2.0, 3.0)], "lgs", "vanilla"
+        )
+        assert agg == EvalAggregate(
+            defense="lgs",
+            attack="vanilla",
+            mean_quality=2.0,
+            mean_robustness=3.0,
+            count=1,
+        )
 
     def test_two_records_average(self):
-        rows = quality_robustness_table(
+        agg = aggregate_records(
             [
                 EvalRecord("0", "lgs", "vanilla", 2.0, 3.0),
                 EvalRecord("1", "lgs", "vanilla", 4.0, 5.0),
-            ]
+            ],
+            "lgs",
+            "vanilla",
         )
-        assert rows[0]["mean_quality"] == 3.0
-        assert rows[0]["mean_robustness"] == 4.0
-
-    def test_row_count_matches_cells(self):
-        records = [
-            EvalRecord("0", d, a, 1.0, 1.0)
-            for d in ("none", "lgs", "ilp")
-            for a in ("vanilla", "lgs")
-        ]
-        assert len(quality_robustness_table(records)) == 6
+        assert agg.mean_quality == 3.0
+        assert agg.mean_robustness == 4.0
 
     def test_aggregate_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -135,9 +130,9 @@ class TestRecordsAndTable:
             EvalRecord(str(i), "none", "vanilla", float(q), float(r))
             for i, (q, r) in enumerate(rng.uniform(0, 10, (20, 2)))
         ]
-        rows = quality_robustness_table(records)
+        agg = aggregate_records(records, "none", "vanilla")
         assert np.isclose(
-            rows[0]["mean_quality"], sum(r.epe_quality for r in records) / 20
+            agg.mean_quality, sum(r.epe_quality for r in records) / 20
         )
 
 
