@@ -112,7 +112,6 @@ class PlacePatchStage(Stage):
     """(frame1, frame2, patch values) -> composited frames; exact backward."""
 
     name = "place-patch"
-    n_outputs = 2
 
     def __init__(self, geometry: PlacementGeometry, side: int):
         self.geometry = geometry

@@ -1,7 +1,7 @@
 """Stage-granular reverse pass.
 
-Every pipeline step (gradient map, voting, clip, inpaint, one flow solver
-iteration, bilinear placement, loss, ...) is one `Stage` with a forward map
+Every pipeline step (gradient map, voting, clip, inpaint, the whole flow
+solve, bilinear placement, loss, ...) is one `Stage` with a forward map
 and a vector-Jacobian product.  A `StageTape` records applications of stages
 during one forward evaluation; `backward` replays them in exact reverse order,
 accumulating cotangents for values consumed by several stages.
@@ -31,7 +31,6 @@ class Stage:
 
     name = "stage"
     gradient_kind = EXACT
-    n_outputs = 1
 
     def forward(self, ctx: dict, inputs: Arrays) -> Arrays:
         raise NotImplementedError

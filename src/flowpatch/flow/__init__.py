@@ -3,9 +3,8 @@ from .horn_schunck import (
     FrameDerivativesStage,
     HornSchunck,
     HornSchunckConfig,
-    JacobiIterationStage,
+    HornSchunckSolveStage,
     LuminanceStage,
-    PackFlowStage,
 )
 
 __all__ = [
@@ -13,7 +12,6 @@ __all__ = [
     "FrameDerivativesStage",
     "HornSchunck",
     "HornSchunckConfig",
-    "JacobiIterationStage",
+    "HornSchunckSolveStage",
     "LuminanceStage",
-    "PackFlowStage",
 ]

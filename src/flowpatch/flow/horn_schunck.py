@@ -3,8 +3,9 @@
 The solver runs a fixed number of Jacobi iterations
     u <- ubar - Ix (Ix ubar + Iy vbar + It) / (alpha^2 + Ix^2 + Iy^2)
 (and symmetrically for v), where ubar/vbar are 4-neighbor averages with
-replicate boundary and the flow is initialized at zero.  Every iteration is
-one exact-gradient stage, so the full reverse pass reaches both input frames.
+replicate boundary and the flow is initialized at zero.  All iterations are
+one exact-gradient stage, so the reverse pass reaches both input frames;
+`HornSchunck.estimate` runs them without a tape, keeping one iterate.
 
 Luminance is scaled to [0, 255] before differentiation; the smoothness weight
 is calibrated against 8-bit-scale image gradients and the flow units
@@ -68,7 +69,6 @@ class FrameDerivativesStage(Stage):
     and the temporal difference g2 - g1.  Linear, exact backward."""
 
     name = "frame-derivatives"
-    n_outputs = 3
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         g1, g2 = inputs
@@ -83,60 +83,71 @@ class FrameDerivativesStage(Stage):
         return (spatial - ut, spatial + ut)
 
 
-class JacobiIterationStage(Stage):
-    """One Horn-Schunck update; exact backward to (u, v, Ix, Iy, It)."""
+class HornSchunckSolveStage(Stage):
+    """(Ix, Iy, It) -> HxWx2 flow after `iterations` updates from zero flow.
 
-    name = "jacobi-iteration"
-    n_outputs = 2
+    The forward keeps only (ubar_k, vbar_k) per iteration; the exact backward
+    runs the adjoint updates in reverse, recomputing q_k from them.  It sums
+    the Ix/Iy/It cotangents from the last iteration to the first, as a tape of
+    one record per iteration would, so both give bit-identical gradients.
+    """
 
-    def __init__(self, alpha: float):
+    name = "horn-schunck-solve"
+
+    def __init__(self, alpha: float, iterations: int):
         self.alpha2 = float(alpha) ** 2
+        self.iterations = iterations
+
+    def _denominator(self, ix, iy):
+        return self.alpha2 + ix * ix + iy * iy
+
+    @staticmethod
+    def _residual(ix, iy, it, ubar, vbar, den):
+        return (ix * ubar + iy * vbar + it) / den
+
+    def _iterates(self, ix, iy, it):
+        """Yield (ubar_k, vbar_k, u_k, v_k) for k = 1..iterations."""
+        den = self._denominator(ix, iy)
+        u = v = np.zeros(ix.shape)
+        for _ in range(self.iterations):
+            ubar = stencils.neighbor_average(u)
+            vbar = stencils.neighbor_average(v)
+            q = self._residual(ix, iy, it, ubar, vbar, den)
+            u, v = ubar - ix * q, vbar - iy * q
+            yield ubar, vbar, u, v
+
+    def solve(self, ix, iy, it) -> np.ndarray:
+        """The forward's flow, holding only the current iterate."""
+        for _, _, u, v in self._iterates(ix, iy, it):
+            pass
+        return np.stack([u, v], axis=-1)
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
-        u, v, ix, iy, it = inputs
-        ubar = stencils.neighbor_average(u)
-        vbar = stencils.neighbor_average(v)
-        den = self.alpha2 + ix * ix + iy * iy
-        q = (ix * ubar + iy * vbar + it) / den
-        ctx.update(ix=ix, iy=iy, ubar=ubar, vbar=vbar, den=den, q=q)
-        return (ubar - ix * q, vbar - iy * q)
-
-    def backward(self, ctx, cotangents: Arrays) -> Arrays:
-        gu, gv = cotangents
-        ix, iy = ctx["ix"], ctx["iy"]
-        ubar, vbar, den, q = ctx["ubar"], ctx["vbar"], ctx["den"], ctx["q"]
-
-        g_ubar = gu.copy()
-        g_vbar = gv.copy()
-        g_ix = -q * gu
-        g_iy = -q * gv
-        g_q = -(ix * gu + iy * gv)
-
-        g_num = g_q / den
-        g_den = -q * g_q / den
-        g_ix += ubar * g_num + 2.0 * ix * g_den
-        g_iy += vbar * g_num + 2.0 * iy * g_den
-        g_it = g_num
-        g_ubar += ix * g_num
-        g_vbar += iy * g_num
-
-        g_u = stencils.neighbor_average_adjoint(g_ubar)
-        g_v = stencils.neighbor_average_adjoint(g_vbar)
-        return (g_u, g_v, g_ix, g_iy, g_it)
-
-
-class PackFlowStage(Stage):
-    """(u, v) -> HxWx2 field."""
-
-    name = "pack-flow"
-
-    def forward(self, ctx, inputs: Arrays) -> Arrays:
-        u, v = inputs
+        ix, iy, it = inputs
+        averages = []
+        for ubar, vbar, u, v in self._iterates(ix, iy, it):
+            averages.append((ubar, vbar))
+        ctx.update(ix=ix, iy=iy, it=it, averages=averages)
         return (np.stack([u, v], axis=-1),)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (g,) = cotangents
-        return (g[:, :, 0], g[:, :, 1])
+        ix, iy, it = ctx["ix"], ctx["iy"], ctx["it"]
+        den = self._denominator(ix, iy)
+        gu, gv = g[:, :, 0], g[:, :, 1]
+        sums = None
+        for ubar, vbar in reversed(ctx["averages"]):
+            q = self._residual(ix, iy, it, ubar, vbar, den)
+            g_q = -(ix * gu + iy * gv)
+            g_num = g_q / den
+            g_den = -q * g_q / den
+            g_ix = -q * gu + (ubar * g_num + 2.0 * ix * g_den)
+            g_iy = -q * gv + (vbar * g_num + 2.0 * iy * g_den)
+            terms = (g_ix, g_iy, g_num)
+            sums = terms if sums is None else tuple(a + b for a, b in zip(sums, terms))
+            gu = stencils.neighbor_average_adjoint(gu + ix * g_num)
+            gv = stencils.neighbor_average_adjoint(gv + iy * g_num)
+        return sums
 
 
 class FlowEstimator(Protocol):
@@ -152,6 +163,7 @@ class FlowEstimator(Protocol):
 class HornSchunck:
     def __init__(self, config: HornSchunckConfig | None = None):
         self.config = config or HornSchunckConfig()
+        self._solver = HornSchunckSolveStage(self.config.alpha, self.config.iterations)
 
     def forward_on_tape(
         self, tape: StageTape, frame1: TapeValue, frame2: TapeValue
@@ -161,17 +173,11 @@ class HornSchunck:
         g1 = tape.apply(LuminanceStage(), frame1)
         g2 = tape.apply(LuminanceStage(), frame2)
         ix, iy, it = tape.apply(FrameDerivativesStage(), g1, g2)
-        shape = g1.array.shape
-        u = tape.source(np.zeros(shape))
-        v = tape.source(np.zeros(shape))
-        iterate = JacobiIterationStage(self.config.alpha)
-        for _ in range(self.config.iterations):
-            u, v = tape.apply(iterate, u, v, ix, iy, it)
-        return tape.apply(PackFlowStage(), u, v)
+        return tape.apply(self._solver, ix, iy, it)
 
     def estimate(self, frame1: Image, frame2: Image) -> FlowField:
-        tape = StageTape()
-        flow = self.forward_on_tape(
-            tape, tape.source(frame1.data), tape.source(frame2.data)
-        )
-        return FlowField(flow.array)
+        """The flow of `forward_on_tape`, computed without a tape."""
+        if frame1.data.shape != frame2.data.shape:
+            raise ValueError("frame shapes differ")
+        g1, g2 = LuminanceStage()(frame1.data), LuminanceStage()(frame2.data)
+        return FlowField(self._solver.solve(*FrameDerivativesStage()(g1, g2)))

@@ -96,12 +96,8 @@ class ExperimentConfig:
         return lgs_config(**overrides) if name == "lgs" else ilp_config(**overrides)
 
     def make_estimator(self) -> HornSchunck:
-        return HornSchunck(
-            HornSchunckConfig(
-                alpha=self.estimator.get("alpha", 15.0),
-                iterations=self.estimator.get("iterations", 200),
-            )
-        )
+        """Raises TypeError for a key that is not a `HornSchunckConfig` field."""
+        return HornSchunck(HornSchunckConfig(**self.estimator))
 
 
 def _awareness_defense(cfg: ExperimentConfig, awareness: str) -> DefenseConfig | None:
@@ -145,6 +141,7 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    estimator = cfg.make_estimator()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "patches").mkdir(exist_ok=True)
@@ -160,7 +157,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if not frames:
         raise ValueError("experiment dataset is empty")
     pair_arrays = [(f.frame1.data, f.frame2.data) for f in frames]
-    estimator = cfg.make_estimator()
 
     # The clean flow of each defended pipeline, once per frame: its quality
     # (Table-1 axis) and the reference of every patch's robustness.

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from hs_oracle import JacobiIterationStage
 
 from flowpatch.attack import (
     AcsLossStage,
@@ -53,7 +54,7 @@ from flowpatch.flow import (
     FrameDerivativesStage,
     HornSchunck,
     HornSchunckConfig,
-    JacobiIterationStage,
+    HornSchunckSolveStage,
     LuminanceStage,
 )
 from flowpatch.harness import (
@@ -184,6 +185,13 @@ class TestCriterion1:
                     rng.uniform(-30, 30, (8, 8)),
                     rng.uniform(-30, 30, (8, 8)),
                 ),
+            )
+        )
+        reports.append(
+            grad_check(
+                HornSchunckSolveStage(15.0, 5),
+                # own generator: the composed-solver probe below keeps its draws
+                tuple(np.random.default_rng(43).uniform(-30, 30, (3, 8, 8))),
             )
         )
         stage_ok = all(r.passed for r in reports)

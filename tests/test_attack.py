@@ -334,7 +334,7 @@ class TestTraining:
 
     def test_divergence_guard(self):
         class ExplodingEstimator(HornSchunck):
-            # sane on the first (reference) evaluation, inf on the attack pass
+            # sane on the first training pass, inf from the second on
             calls = 0
 
             def forward_on_tape(self, tape, f1, f2):

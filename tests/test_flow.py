@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hs_oracle import JacobiIterationStage, oracle_flow_on_tape
 
 from flowpatch.core import Image
 from flowpatch.diff import StageTape, grad_check
@@ -7,7 +10,7 @@ from flowpatch.flow import (
     FrameDerivativesStage,
     HornSchunck,
     HornSchunckConfig,
-    JacobiIterationStage,
+    HornSchunckSolveStage,
     LuminanceStage,
 )
 
@@ -49,8 +52,22 @@ class TestForward:
 
     def test_shape_mismatch_rejected(self):
         est = HornSchunck()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="frame shapes differ"):
             est.estimate(Image(np.zeros((4, 4, 3))), Image(np.zeros((4, 5, 3))))
+
+    def test_estimate_keeps_no_iterates(self):
+        # A tape of 200 iterations would hold about 76 MB at this size.
+        rng = np.random.default_rng(8)
+        f1 = Image(rng.uniform(0, 1, (64, 128, 3)))
+        f2 = Image(rng.uniform(0, 1, (64, 128, 3)))
+        est = HornSchunck(HornSchunckConfig(iterations=200))
+        tracemalloc.start()
+        try:
+            est.estimate(f1, f2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -81,6 +98,40 @@ class TestStageGradients:
         )
         report = grad_check(JacobiIterationStage(15.0), inputs)
         assert report.passed, report
+
+    def test_solve_exact(self):
+        rng = np.random.default_rng(9)
+        inputs = tuple(rng.uniform(-30, 30, (5, 5)) for _ in range(3))
+        report = grad_check(HornSchunckSolveStage(15.0, 5), inputs)
+        assert report.passed, report
+
+
+class TestFusedSolveMatchesOracle:
+    """The fused stage against the per-iteration chain of `hs_oracle`."""
+
+    @pytest.mark.parametrize("shape", [(16, 16), (13, 21)])
+    def test_flow_and_gradients_bit_identical(self, shape):
+        rng = np.random.default_rng(10)
+        i1 = rng.uniform(0, 1, shape + (3,))
+        i2 = rng.uniform(0, 1, shape + (3,))
+        cot = rng.standard_normal(shape + (2,))
+        est = HornSchunck(HornSchunckConfig(alpha=15.0, iterations=200))
+
+        results = []
+        for forward in (
+            est.forward_on_tape,
+            lambda tape, a, b: oracle_flow_on_tape(tape, a, b, 15.0, 200),
+        ):
+            tape = StageTape()
+            v1, v2 = tape.source(i1), tape.source(i2)
+            flow = forward(tape, v1, v2)
+            tape.backward(flow, cot)
+            results.append((flow.array, tape.grad(v1), tape.grad(v2)))
+
+        fused, oracle = results
+        for got, want in zip(fused, oracle):
+            assert np.array_equal(got, want)
+        assert np.array_equal(est.estimate(Image(i1), Image(i2)).data, oracle[0])
 
 
 class TestSolverBackward:

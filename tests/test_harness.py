@@ -100,6 +100,12 @@ def tiny_config(out_dir, **overrides) -> ExperimentConfig:
 
 
 class TestExperiment:
+    def test_unknown_estimator_key_rejected_before_writing(self, tmp_path):
+        cfg = tiny_config(tmp_path / "run", estimator={"iters": 50})
+        with pytest.raises(TypeError, match="iters"):
+            run_experiment(cfg)
+        assert not (tmp_path / "run").exists()
+
     def test_single_cell_outputs(self, tmp_path):
         result = run_experiment(tiny_config(tmp_path / "run"))
         assert result.hard_failures == 0
