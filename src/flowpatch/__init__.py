@@ -6,7 +6,7 @@ Horn-Schunck reference estimator), attack (patch model, losses, training),
 metrics (quality/robustness), harness (datasets and experiment grids).
 """
 
-from .core import FlowField, Image, PixelMask, GradientMap
+from .core import FlowField, Image, PixelMask
 
-__all__ = ["FlowField", "Image", "PixelMask", "GradientMap"]
+__all__ = ["FlowField", "Image", "PixelMask"]
 __version__ = "0.1.0"

@@ -20,9 +20,6 @@ from .losses import (
     LGS_AWARE,
     PatchPenaltyStage,
     VANILLA,
-    acs_loss,
-    attack_loss,
-    patch_penalty,
 )
 from .optimize import (
     IFGSM,
@@ -52,9 +49,6 @@ __all__ = [
     "LGS_AWARE",
     "PatchPenaltyStage",
     "VANILLA",
-    "acs_loss",
-    "attack_loss",
-    "patch_penalty",
     "IFGSM",
     "SGD",
     "AttackConfig",

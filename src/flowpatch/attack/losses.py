@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.raster import FlowField, PixelMask
 from ..diff import stencils
 from ..diff.stage import Arrays, Stage
-from .patch import Patch
 
 EPS_NORM = 1e-9
 
@@ -115,31 +113,3 @@ class PatchPenaltyStage(Stage):
                 grad[:, :, ch] = stencils.laplacian_extrapolated_adjoint(sel)
         return (grad,)
 
-
-def acs_loss(flow: FlowField, flow_adv: FlowField, patch_mask: PixelMask) -> float:
-    stage = AcsLossStage(flow.data, patch_mask.data)
-    return float(stage(flow_adv.data))
-
-
-def patch_penalty(patch: Patch, order: str) -> float:
-    stage = PatchPenaltyStage(order, patch.validity)
-    return float(stage(patch.materialize()))
-
-
-def attack_loss(
-    flow: FlowField,
-    flow_adv: FlowField,
-    patch: Patch,
-    patch_mask: PixelMask,
-    awareness: str,
-    alpha_penalty: float,
-) -> float:
-    """vanilla: ACS; lgs: ACS + a*||grad P||; ilp: ACS + a*||lap P||."""
-    base = acs_loss(flow, flow_adv, patch_mask)
-    if awareness == VANILLA:
-        return base
-    if awareness == LGS_AWARE:
-        return base + alpha_penalty * patch_penalty(patch, "first")
-    if awareness == ILP_AWARE:
-        return base + alpha_penalty * patch_penalty(patch, "second")
-    raise ValueError(f"unknown awareness {awareness!r}")

@@ -100,7 +100,6 @@ def train_patch(
     dataset: Sequence[tuple[Image, Image]],
     cfg: AttackConfig,
     patch_side: int = 100,
-    initial_patch: Patch | None = None,
 ) -> TrainResult:
     """Optimize a patch for `cfg.steps` steps; raises DivergenceError in the
     step whose loss or gradient is non-finite.  Deterministic for a fixed
@@ -108,9 +107,7 @@ def train_patch(
     if not dataset:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(cfg.seed)
-    patch = initial_patch or random_patch(patch_side, cfg.box, rng)
-    if patch.parameterization != cfg.box:
-        raise ValueError("patch parameterization does not match cfg.box")
+    patch = random_patch(patch_side, cfg.box, rng)
     validity = patch.validity
 
     references: dict[int, np.ndarray] = {}

@@ -20,43 +20,70 @@ from .attack.patch import CLIP, Patch
 from .core.colorize import flow_to_color
 from .core.floio import write_flo
 from .core.ppm import mask_to_image, read_ppm, write_ppm
-from .defense.pipeline import defend, ilp_config, lgs_config
+from .defense.pipeline import DefenseConfig, defend
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
 from .harness.dataset import ingest_dataset, load_frames, synth_dataset
 from .harness.experiment import ExperimentConfig, run_experiment
-from .metrics import evaluate_pipeline, write_records_csv
+from .metrics import EvalFrame, evaluate_pipeline, write_records_csv
+
+# The DefenseConfig fields each defense reads.  Defense and estimator flags
+# are absent unless given, so their defaults live in the config classes only.
+DEFENSE_FIELDS = {
+    "lgs": ("block", "overlap", "threshold", "b_lgs"),
+    "ilp": ("block", "overlap", "threshold", "s_ilp", "t_ilp", "r_telea"),
+}
+
+
+def _given(args, fields) -> dict:
+    return {f: getattr(args, f) for f in fields if hasattr(args, f)}
 
 
 def _estimator(args) -> HornSchunck:
-    return HornSchunck(HornSchunckConfig(alpha=args.alpha, iterations=args.iters))
+    return HornSchunck(HornSchunckConfig(**_given(args, ("alpha", "iterations"))))
 
 
-def _defense_from_args(args, kind):
-    overrides = {
-        "block": args.k,
-        "overlap": args.o,
-        "threshold": args.t,
-    }
-    if kind == "lgs":
-        overrides["b_lgs"] = args.b_lgs
-        return lgs_config(**overrides)
-    overrides.update(s_ilp=args.s_ilp, t_ilp=args.t_ilp, r_telea=args.r_telea)
-    return ilp_config(**overrides)
+def _defense_from_args(args, kind) -> DefenseConfig:
+    return DefenseConfig(kind=kind, **_given(args, DEFENSE_FIELDS[kind]))
 
 
 def _add_defense_flags(parser):
-    parser.add_argument("--k", type=int, default=16, help="block size K")
-    parser.add_argument("--o", type=int, default=8, help="block overlap O")
-    parser.add_argument("--t", type=float, default=0.15, help="vote threshold t")
-    parser.add_argument("--b-lgs", type=float, default=15.0, dest="b_lgs")
-    parser.add_argument("--s-ilp", type=float, default=15.0, dest="s_ilp")
-    parser.add_argument("--t-ilp", type=float, default=0.5, dest="t_ilp")
-    parser.add_argument("--r-telea", type=int, default=5, dest="r_telea")
+    for flag, dest, kind, help_text in (
+        ("--k", "block", int, "block size K"),
+        ("--o", "overlap", int, "block overlap O"),
+        ("--t", "threshold", float, "vote threshold t"),
+        ("--b-lgs", "b_lgs", float, None),
+        ("--s-ilp", "s_ilp", float, None),
+        ("--t-ilp", "t_ilp", float, None),
+        ("--r-telea", "r_telea", int, None),
+    ):
+        parser.add_argument(
+            flag, type=kind, dest=dest, default=argparse.SUPPRESS, help=help_text
+        )
 
 
 def _add_estimator_flags(parser):
-    parser.add_argument("--alpha", type=float, default=15.0, help="smoothness weight")
-    parser.add_argument("--iters", type=int, default=200, help="solver iterations")
+    parser.add_argument(
+        "--alpha", type=float, default=argparse.SUPPRESS, help="smoothness weight"
+    )
+    parser.add_argument(
+        "--iters",
+        type=int,
+        default=argparse.SUPPRESS,
+        dest="iterations",
+        help="solver iterations",
+    )
+
+
+def _load_pairs(data_dir) -> list[EvalFrame]:
+    """The loadable frame pairs under `data_dir`; the pairs skipped, and an
+    empty result, are reported on stderr."""
+    index = ingest_dataset(data_dir)
+    for line in index.report:
+        print(line, file=sys.stderr)
+    frames = load_frames(index)
+    if not frames:
+        print("no frame pairs found", file=sys.stderr)
+    return frames
 
 
 def cmd_synth(args) -> int:
@@ -66,13 +93,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    index = ingest_dataset(args.in_dir)
-    for line in index.report:
-        print(line, file=sys.stderr)
-    if not index.entries:
-        print("no frame pairs found", file=sys.stderr)
+    frames = _load_pairs(args.in_dir)
+    if not frames:
         return 1
-    frames = load_frames(index)
     estimator = _estimator(args)
     flow = estimator.estimate(frames[0].frame1, frames[0].frame2)
     write_flo(flow, args.out)
@@ -84,27 +107,23 @@ def cmd_flow(args) -> int:
 
 def cmd_defend(args) -> int:
     cfg = _defense_from_args(args, args.defense)
-    index = ingest_dataset(args.in_dir)
-    for line in index.report:
-        print(line, file=sys.stderr)
+    frames = _load_pairs(args.in_dir)
+    if not frames:
+        return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for entry, frame in zip(index.entries, load_frames(index)):
+    for frame in frames:
         for tag, image in (("1", frame.frame1), ("2", frame.frame2)):
             defended, mask = defend(image, cfg)
-            write_ppm(defended, out_dir / f"{entry.frame_id}_{tag}_defended.ppm")
-            write_ppm(mask_to_image(mask), out_dir / f"{entry.frame_id}_{tag}_mask.ppm")
-    print(f"defended {len(index.entries)} pair(s) into {out_dir}")
+            write_ppm(defended, out_dir / f"{frame.frame_id}_{tag}_defended.ppm")
+            write_ppm(mask_to_image(mask), out_dir / f"{frame.frame_id}_{tag}_mask.ppm")
+    print(f"defended {len(frames)} pair(s) into {out_dir}")
     return 0
 
 
 def cmd_attack_train(args) -> int:
-    index = ingest_dataset(args.data)
-    for line in index.report:
-        print(line, file=sys.stderr)
-    frames = load_frames(index)
+    frames = _load_pairs(args.data)
     if not frames:
-        print("no frame pairs found", file=sys.stderr)
         return 1
     pairs = [(f.frame1, f.frame2) for f in frames]
     cfg = AttackConfig(
@@ -135,10 +154,8 @@ def cmd_attack_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    index = ingest_dataset(args.data)
-    frames = load_frames(index)
+    frames = _load_pairs(args.data)
     if not frames:
-        print("no frame pairs found", file=sys.stderr)
         return 1
     defense = None if args.defense == "none" else _defense_from_args(args, args.defense)
     patch = None
@@ -155,7 +172,6 @@ def cmd_evaluate(args) -> int:
         frames,
         seed=args.seed,
         attack_label=args.attack_label,
-        require_quality=False,
     )
     write_records_csv(records, args.out)
     print(

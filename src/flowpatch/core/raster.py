@@ -1,4 +1,4 @@
-"""Dense raster containers: images, flow fields, masks and gradient maps.
+"""Dense raster containers: images, flow fields and masks.
 
 All containers wrap a read-only float64 (or uint8 for masks) numpy array and
 validate their invariants at construction time.  Values are row-major,
@@ -106,28 +106,3 @@ class PixelMask:
 
     def count(self) -> int:
         return int(self.data.sum())
-
-
-@dataclass(frozen=True)
-class GradientMap:
-    """H x W nonnegative map; after normalization min=0, max=1 unless constant."""
-
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = _frozen(self.data, np.float64)
-        if a.ndim != 2:
-            raise ValueError(f"gradient map must be HxW, got {a.shape}")
-        if not np.all(np.isfinite(a)) or np.any(a < 0):
-            raise ValueError("gradient map values must be finite and >= 0")
-        object.__setattr__(self, "data", a)
-
-
-def grayscale(image: np.ndarray) -> np.ndarray:
-    """Reduce an HxWxC array to HxW luminance (Rec.601; identity for C=1)."""
-    if image.ndim == 2:
-        return np.asarray(image, dtype=np.float64)
-    if image.shape[2] == 1:
-        return np.asarray(image[:, :, 0], dtype=np.float64)
-    w = np.asarray(LUMA_WEIGHTS, dtype=np.float64)
-    return image @ w

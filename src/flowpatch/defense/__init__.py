@@ -1,18 +1,7 @@
-from .maps import (
-    GradientMagnitudeStage,
-    NormalizeMapStage,
-    gradient_magnitude,
-    normalize_map,
-)
-from .voting import (
-    BlockVoteStage,
-    IlpReevaluateStage,
-    block_starts,
-    block_vote_mask,
-    ilp_reevaluate,
-)
-from .smoothing import SmoothingFactorStage, DarkenStage, lgs_smooth
-from .inpaint import TeleaInpaintStage, telea_inpaint, telea_inpaint_array
+from .maps import GradientMagnitudeStage, NormalizeMapStage
+from .voting import BlockVoteStage, IlpReevaluateStage, block_starts
+from .smoothing import SmoothingFactorStage, DarkenStage
+from .inpaint import TeleaInpaintStage, telea_inpaint_array
 from .pipeline import (
     DefenseConfig,
     LGS,
@@ -27,18 +16,12 @@ from .pipeline import (
 __all__ = [
     "GradientMagnitudeStage",
     "NormalizeMapStage",
-    "gradient_magnitude",
-    "normalize_map",
     "BlockVoteStage",
     "IlpReevaluateStage",
     "block_starts",
-    "block_vote_mask",
-    "ilp_reevaluate",
     "SmoothingFactorStage",
     "DarkenStage",
-    "lgs_smooth",
     "TeleaInpaintStage",
-    "telea_inpaint",
     "telea_inpaint_array",
     "DefenseConfig",
     "LGS",

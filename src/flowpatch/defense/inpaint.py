@@ -18,7 +18,6 @@ import heapq
 
 import numpy as np
 
-from ..core.raster import Image, PixelMask
 from ..diff.stage import Arrays, BPDA, Stage
 
 _KNOWN, _BAND, _INSIDE = 0, 1, 2
@@ -159,6 +158,3 @@ class TeleaInpaintStage(Stage):
         keep = (ctx["mask"] == 0).astype(np.float64)[:, :, None]
         return (u * keep, np.zeros_like(ctx["mask"], dtype=np.float64))
 
-
-def telea_inpaint(image: Image, mask: PixelMask, radius: int) -> Image:
-    return Image(telea_inpaint_array(image.data, mask.data, radius))

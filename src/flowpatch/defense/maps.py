@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.raster import GradientMap, Image, LUMA_WEIGHTS, grayscale
 from ..diff.stage import Arrays, Stage
 from ..diff import stencils
+from ..flow.horn_schunck import LuminanceStage
 
 
 class GradientMagnitudeStage(Stage):
     """image -> HxW derivative-magnitude map; exact backward.
 
-    order="first": sqrt(Ix^2 + Iy^2); order="second": |Laplacian|.  The
-    subgradient at zero magnitude is taken as 0.
+    order="first": sqrt(Ix^2 + Iy^2); order="second": |Laplacian|, both of
+    the unscaled luminance (`LuminanceStage(1.0)`).  The subgradient at zero
+    magnitude is taken as 0.
     """
 
     def __init__(self, order: str):
@@ -26,11 +27,11 @@ class GradientMagnitudeStage(Stage):
             raise ValueError(f"unknown derivative order {order!r}")
         self.order = order
         self.name = f"gradient-magnitude-{order}"
+        self.luminance = LuminanceStage(1.0)
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
-        (image,) = inputs
-        gray = grayscale(image)
-        ctx["shape"] = image.shape
+        ctx["luminance"] = {}
+        (gray,) = self.luminance.forward(ctx["luminance"], inputs)
         if self.order == "first":
             gx = stencils.diff_x(gray)
             gy = stencils.diff_y(gray)
@@ -53,13 +54,7 @@ class GradientMagnitudeStage(Stage):
             )
         else:
             ugray = stencils.laplacian_adjoint(u * np.sign(ctx["lap"]))
-        shape = ctx["shape"]
-        if len(shape) == 2:
-            return (ugray,)
-        if shape[2] == 1:
-            return (ugray[:, :, None],)
-        w = np.asarray(LUMA_WEIGHTS)
-        return (ugray[:, :, None] * w,)
+        return self.luminance.backward(ctx["luminance"], (ugray,))
 
 
 class NormalizeMapStage(Stage):
@@ -98,11 +93,3 @@ class NormalizeMapStage(Stage):
         grad[ctx["argmax"]] -= weighted / r
         return (grad,)
 
-
-def gradient_magnitude(image: Image, order: str) -> GradientMap:
-    stage = GradientMagnitudeStage(order)
-    return GradientMap(stage(image.data))
-
-
-def normalize_map(gradient_map: GradientMap) -> GradientMap:
-    return GradientMap(NormalizeMapStage()(gradient_map.data))

@@ -7,10 +7,6 @@ zeroes cotangents exactly where it saturated.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.raster import GradientMap, Image, PixelMask
-from ..diff.elementwise import ClipStage
 from ..diff.stage import Arrays, Stage
 
 
@@ -48,8 +44,3 @@ class DarkenStage(Stage):
         d_image = (1.0 - ctx["factor"][:, :, None]) * u
         return (d_factor, d_image)
 
-
-def lgs_smooth(image: Image, gbar: GradientMap, mask: PixelMask, strength: float) -> Image:
-    factor = SmoothingFactorStage(strength)(gbar.data, mask.data.astype(np.float64))
-    clipped = ClipStage(0.0, 1.0)(factor)
-    return Image(DarkenStage()(clipped, image.data))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.raster import GradientMap, PixelMask
 from ..diff.stage import Arrays, BPDA, Stage
 
 
@@ -77,12 +76,3 @@ class IlpReevaluateStage(Stage):
         (u,) = cotangents
         return (u.copy(), np.zeros_like(u))
 
-
-def block_vote_mask(gbar: GradientMap, block: int, overlap: int, threshold: float) -> PixelMask:
-    stage = BlockVoteStage(block, overlap, threshold)
-    return PixelMask(stage(gbar.data))
-
-
-def ilp_reevaluate(mask: PixelMask, gbar: GradientMap, scale: float, threshold: float) -> PixelMask:
-    stage = IlpReevaluateStage(scale, threshold)
-    return PixelMask(stage(mask.data.astype(np.float64), gbar.data))

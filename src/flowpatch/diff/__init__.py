@@ -1,11 +1,6 @@
 from .stage import Stage, StageTape, TapeValue, EXACT, BPDA
 from .check import grad_check, GradCheckReport
-from .elementwise import (
-    ScaleStage,
-    ClipStage,
-    CovMaterializeStage,
-    AddWeightedStage,
-)
+from .elementwise import ClipStage, CovMaterializeStage, AddWeightedStage
 
 __all__ = [
     "Stage",
@@ -15,7 +10,6 @@ __all__ = [
     "BPDA",
     "grad_check",
     "GradCheckReport",
-    "ScaleStage",
     "ClipStage",
     "CovMaterializeStage",
     "AddWeightedStage",

@@ -1,25 +1,10 @@
-"""Small reusable stages: scaling, clipping, tanh change-of-variables, blending."""
+"""Small reusable stages: clipping, tanh change-of-variables, blending."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .stage import Stage, Arrays, EXACT
-
-
-class ScaleStage(Stage):
-    """y = factor * x."""
-
-    name = "scale"
-
-    def __init__(self, factor: float):
-        self.factor = float(factor)
-
-    def forward(self, ctx, inputs: Arrays) -> Arrays:
-        return (self.factor * inputs[0],)
-
-    def backward(self, ctx, cotangents: Arrays) -> Arrays:
-        return (self.factor * cotangents[0],)
+from .stage import Stage, Arrays
 
 
 class ClipStage(Stage):

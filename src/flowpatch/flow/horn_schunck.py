@@ -39,7 +39,8 @@ class HornSchunckConfig:
 
 
 class LuminanceStage(Stage):
-    """HxWxC image -> scaled HxW luminance (linear, exact backward)."""
+    """HxW, HxWx1 or HxWx3 image -> scaled HxW luminance (Rec.601 weights for
+    three channels); linear, exact backward in the input's shape."""
 
     name = "luminance"
 
@@ -48,7 +49,7 @@ class LuminanceStage(Stage):
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         (image,) = inputs
-        ctx["channels"] = image.shape[2] if image.ndim == 3 else 1
+        ctx["shape"] = image.shape
         if image.ndim == 2:
             return (self.scale * image,)
         if image.shape[2] == 1:
@@ -58,7 +59,10 @@ class LuminanceStage(Stage):
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (u,) = cotangents
-        if ctx["channels"] == 1:
+        shape = ctx["shape"]
+        if len(shape) == 2:
+            return (self.scale * u,)
+        if shape[2] == 1:
             return (self.scale * u[:, :, None],)
         w = np.asarray(LUMA_WEIGHTS)
         return (self.scale * u[:, :, None] * w,)

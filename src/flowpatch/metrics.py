@@ -87,11 +87,10 @@ def evaluate_pipeline(
     dataset: Sequence[EvalFrame],
     seed: int = 0,
     attack_label: str = "none",
-    require_quality: bool = True,
 ) -> tuple[list[EvalRecord], EvalAggregate]:
     """Per frame: quality EPE of the defended unattacked flow against ground
-    truth, and (with a patch) robustness EPE of attacked vs unattacked flow
-    outside a seeded random footprint."""
+    truth (None for a frame without it), and (with a patch) robustness EPE
+    of attacked vs unattacked flow outside a seeded random footprint."""
     defense_label = defense.kind if defense is not None else "none"
     rng = np.random.default_rng(seed)
     records = []
@@ -101,8 +100,6 @@ def evaluate_pipeline(
         quality = None
         if item.ground_truth is not None:
             quality = epe(item.ground_truth, flow_clean, item.valid)
-        elif require_quality and patch is None:
-            raise ValueError(f"frame {item.frame_id} has no ground-truth flow")
 
         robustness = None
         if patch is not None:

@@ -21,7 +21,6 @@ from flowpatch.attack import (
     PlacePatchStage,
     circular_validity,
     manual_patch,
-    patch_penalty,
     place_patch,
     placement_geometry,
     random_patch,
@@ -139,7 +138,6 @@ def mean_robustness(defense, patch, dataset, label):
         dataset,
         seed=1234,
         attack_label=label,
-        require_quality=False,
     )
     return agg.mean_robustness
 
@@ -434,8 +432,9 @@ class TestCriterion6:
             for seed in SEEDS:
                 aware = patches[(awareness, seed)]
                 vanilla = patches[("vanilla", seed)]
-                pen_aware = patch_penalty(aware, order)
-                pen_vanilla = patch_penalty(vanilla, order)
+                stage = PatchPenaltyStage(order, aware.validity)
+                pen_aware = float(stage(aware.materialize()))
+                pen_vanilla = float(stage(vanilla.materialize()))
                 frac_aware = masked_fraction(aware, defense_cfg)
                 frac_vanilla = masked_fraction(vanilla, defense_cfg)
                 checks.append(pen_aware < pen_vanilla and frac_aware < frac_vanilla)

@@ -10,7 +10,6 @@ from flowpatch.core import (
     Image,
     PixelMask,
     flow_to_color,
-    grayscale,
     image_to_mask,
     mask_to_image,
     read_flo,
@@ -19,6 +18,7 @@ from flowpatch.core import (
     write_ppm,
 )
 from flowpatch.errors import FormatError
+from flowpatch.flow import LuminanceStage
 
 
 def flo_bytes(width, height, values):
@@ -157,4 +157,4 @@ class TestTypes:
         img = np.zeros((1, 1, 3))
         img[0, 0] = (1.0, 0.5, 0.25)
         expected = 0.299 * 1.0 + 0.587 * 0.5 + 0.114 * 0.25
-        assert np.isclose(grayscale(img)[0, 0], expected)
+        assert np.isclose(LuminanceStage(1.0)(img)[0, 0], expected)

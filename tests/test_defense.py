@@ -2,24 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowpatch.core import GradientMap, Image, PixelMask
+from flowpatch.core import Image
 from flowpatch.defense import (
     BlockVoteStage,
+    DarkenStage,
     DefenseConfig,
     GradientMagnitudeStage,
     IlpReevaluateStage,
     NormalizeMapStage,
+    SmoothingFactorStage,
     block_starts,
-    block_vote_mask,
     defend,
-    gradient_magnitude,
     ilp_config,
-    ilp_reevaluate,
     lgs_config,
-    lgs_smooth,
-    normalize_map,
 )
-from flowpatch.diff import grad_check
+from flowpatch.diff import ClipStage, grad_check
 
 
 def brute_force_vote(gbar, block, overlap, threshold):
@@ -45,15 +42,14 @@ def brute_force_vote(gbar, block, overlap, threshold):
 
 class TestGradientMagnitude:
     def test_constant_image_both_orders(self):
-        img = Image(np.full((5, 5, 3), 0.4))
-        assert np.all(gradient_magnitude(img, "first").data == 0)
-        assert np.all(gradient_magnitude(img, "second").data == 0)
+        img = np.full((5, 5, 3), 0.4)
+        assert np.all(GradientMagnitudeStage("first")(img) == 0)
+        assert np.all(GradientMagnitudeStage("second")(img) == 0)
 
     def test_ramp_first_order_interior(self):
         w = 8
         ramp = np.tile(np.arange(w) / w, (6, 1))
-        img = Image(np.repeat(ramp[:, :, None], 3, axis=2))
-        g = gradient_magnitude(img, "first").data
+        g = GradientMagnitudeStage("first")(np.repeat(ramp[:, :, None], 3, axis=2))
         assert np.allclose(g[:, 1:-1], 1.0 / w)
 
     def test_impulse_second_order_center(self):
@@ -61,7 +57,7 @@ class TestGradientMagnitude:
         a = 0.3
         data = np.zeros((5, 5, 1))
         data[2, 2, 0] = a
-        g = gradient_magnitude(Image(data), "second").data
+        g = GradientMagnitudeStage("second")(data)
         assert np.isclose(g[2, 2], 4 * a)
 
     @pytest.mark.parametrize("order", ["first", "second"])
@@ -72,22 +68,35 @@ class TestGradientMagnitude:
         )
         assert report.passed, report
 
+    @pytest.mark.parametrize("order", ["first", "second"])
+    @pytest.mark.parametrize("shape", [(6, 6), (6, 6, 1)])
+    def test_gray_input_backward_keeps_its_shape(self, order, shape):
+        rng = np.random.default_rng(5)
+        image = rng.uniform(0.1, 0.9, shape)
+        stage = GradientMagnitudeStage(order)
+        ctx = {}
+        stage.forward(ctx, (image,))
+        (back,) = stage.backward(ctx, (rng.standard_normal((6, 6)),))
+        assert back.shape == shape
+        report = grad_check(stage, image)
+        assert report.passed, report
+
 
 class TestNormalizeMap:
     def test_direct_evaluation(self):
-        out = normalize_map(GradientMap(np.array([[0.0, 2.0], [4.0, 8.0]])))
-        assert np.allclose(out.data, [[0.0, 0.25], [0.5, 1.0]])
+        out = NormalizeMapStage()(np.array([[0.0, 2.0], [4.0, 8.0]]))
+        assert np.allclose(out, [[0.0, 0.25], [0.5, 1.0]])
 
     def test_constant_map_to_zeros(self):
-        out = normalize_map(GradientMap(np.full((3, 3), 2.5)))
-        assert np.all(out.data == 0)
+        out = NormalizeMapStage()(np.full((3, 3), 2.5))
+        assert np.all(out == 0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_idempotent(self, seed):
-        g = GradientMap(np.random.default_rng(seed).uniform(0, 5, (4, 5)))
-        once = normalize_map(g)
-        assert np.allclose(normalize_map(once).data, once.data)
+        g = np.random.default_rng(seed).uniform(0, 5, (4, 5))
+        once = NormalizeMapStage()(g)
+        assert np.allclose(NormalizeMapStage()(once), once)
 
     def test_exact_backward(self):
         rng = np.random.default_rng(8)
@@ -97,16 +106,16 @@ class TestNormalizeMap:
 
 class TestBlockVote:
     def test_all_zero_map(self):
-        mask = block_vote_mask(GradientMap(np.zeros((6, 6))), 2, 1, 0.0)
-        assert mask.count() == 0
+        mask = BlockVoteStage(2, 1, 0.0)(np.zeros((6, 6)))
+        assert mask.sum() == 0
 
     def test_single_hot_corner(self):
         g = np.zeros((4, 4))
         g[0, 0] = 1.0
-        mask = block_vote_mask(GradientMap(g), 2, 1, 0.2)
+        mask = BlockVoteStage(2, 1, 0.2)(g)
         expected = np.zeros((4, 4))
         expected[:2, :2] = 1
-        assert np.array_equal(mask.data, expected)
+        assert np.array_equal(mask, expected)
 
     @pytest.mark.parametrize("block,overlap", [(2, 1), (3, 1), (4, 2)])
     def test_matches_brute_force_enumeration(self, block, overlap):
@@ -130,7 +139,7 @@ class TestBlockVote:
 
     def test_block_larger_than_image_is_error(self):
         with pytest.raises(ValueError):
-            block_vote_mask(GradientMap(np.zeros((4, 4))), 8, 4, 0.1)
+            BlockVoteStage(8, 4, 0.1)(np.zeros((4, 4)))
 
     def test_bpda_backward_is_identity(self):
         stage = BlockVoteStage(2, 1, 0.1)
@@ -143,28 +152,21 @@ class TestBlockVote:
 
 class TestIlpReevaluate:
     def test_zero_map_clears_everything(self):
-        out = ilp_reevaluate(
-            PixelMask(np.ones((3, 3), np.uint8)), GradientMap(np.zeros((3, 3))), 15, 0.5
-        )
-        assert out.count() == 0
+        out = IlpReevaluateStage(15, 0.5)(np.ones((3, 3)), np.zeros((3, 3)))
+        assert out.sum() == 0
 
     def test_direct_evaluation(self):
-        out = ilp_reevaluate(
-            PixelMask(np.ones((2, 2), np.uint8)),
-            GradientMap(np.full((2, 2), 0.1)),
-            15,
-            0.5,
-        )
-        assert out.count() == 4  # 1.5 > 0.5 keeps all
+        out = IlpReevaluateStage(15, 0.5)(np.ones((2, 2)), np.full((2, 2), 0.1))
+        assert out.sum() == 4  # 1.5 > 0.5 keeps all
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_output_subset_of_mask(self, seed):
         rng = np.random.default_rng(seed)
-        mask = PixelMask(rng.integers(0, 2, (5, 5)).astype(np.uint8))
-        gbar = GradientMap(rng.uniform(0, 1, (5, 5)))
-        out = ilp_reevaluate(mask, gbar, 15, 0.5)
-        assert np.all(out.data <= mask.data)
+        mask = rng.integers(0, 2, (5, 5)).astype(np.float64)
+        gbar = rng.uniform(0, 1, (5, 5))
+        out = IlpReevaluateStage(15, 0.5)(mask, gbar)
+        assert np.all(out <= mask)
 
     def test_bpda_backward_identity_on_mask_path(self):
         stage = IlpReevaluateStage(15, 0.5)
@@ -178,24 +180,40 @@ class TestIlpReevaluate:
 
 
 class TestLgsSmooth:
+    """The LGS removal step of `defend_on_tape`: factor, clip, darken."""
+
+    @staticmethod
+    def smooth(image, gbar, mask, strength):
+        factor = SmoothingFactorStage(strength)(gbar, mask)
+        return DarkenStage()(ClipStage(0.0, 1.0)(factor), image)
+
     def test_empty_mask_is_identity(self):
         rng = np.random.default_rng(2)
-        img = Image(rng.uniform(0, 1, (4, 4, 3)))
-        gbar = GradientMap(rng.uniform(0, 1, (4, 4)))
-        out = lgs_smooth(img, gbar, PixelMask(np.zeros((4, 4), np.uint8)), 15)
-        assert np.array_equal(out.data, img.data)
+        img = rng.uniform(0, 1, (4, 4, 3))
+        gbar = rng.uniform(0, 1, (4, 4))
+        out = self.smooth(img, gbar, np.zeros((4, 4)), 15)
+        assert np.array_equal(out, img)
 
     def test_saturated_factor_blackens(self):
-        img = Image(np.full((2, 2, 3), 0.7))
-        gbar = GradientMap(np.full((2, 2), 0.5))  # b*G = 7.5 -> clipped to 1
-        out = lgs_smooth(img, gbar, PixelMask(np.ones((2, 2), np.uint8)), 15)
-        assert np.all(out.data == 0)
+        img = np.full((2, 2, 3), 0.7)
+        gbar = np.full((2, 2), 0.5)  # b*G = 7.5 -> clipped to 1
+        out = self.smooth(img, gbar, np.ones((2, 2)), 15)
+        assert np.all(out == 0)
 
     def test_partial_smoothing_value(self):
-        img = Image(np.full((1, 1, 3), 0.5))
-        gbar = GradientMap(np.full((1, 1), 0.04))  # factor 0.6 -> keep 0.4
-        out = lgs_smooth(img, gbar, PixelMask(np.ones((1, 1), np.uint8)), 15)
-        assert np.allclose(out.data, 0.2)
+        img = np.full((1, 1, 3), 0.5)
+        gbar = np.full((1, 1), 0.04)  # factor 0.6 -> keep 0.4
+        out = self.smooth(img, gbar, np.ones((1, 1)), 15)
+        assert np.allclose(out, 0.2)
+
+    def test_is_the_step_defend_runs(self):
+        img = np.random.default_rng(6).uniform(0, 1, (20, 20, 3))
+        cfg = lgs_config(block=4, overlap=2)
+        defended, mask = defend(Image(img), cfg)
+        assert mask.count() > 0
+        gbar = NormalizeMapStage()(GradientMagnitudeStage("first")(img))
+        out = self.smooth(img, gbar, mask.data, cfg.b_lgs)
+        assert np.array_equal(out, defended.data)
 
 
 class TestDefendPipelines:

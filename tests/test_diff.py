@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from flowpatch.diff import (
-    ClipStage,
-    ScaleStage,
-    Stage,
-    StageTape,
-    CovMaterializeStage,
-    grad_check,
-)
+from flowpatch.diff import ClipStage, CovMaterializeStage, Stage, StageTape, grad_check
 from flowpatch.diff.stencils import (
     diff_x,
     diff_x_adjoint,
@@ -27,6 +20,21 @@ from flowpatch.diff.stencils import (
     shift,
     shift_adjoint,
 )
+
+
+class ScaleStage(Stage):
+    """y = factor * x."""
+
+    name = "scale"
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def forward(self, ctx, inputs):
+        return (self.factor * inputs[0],)
+
+    def backward(self, ctx, cotangents):
+        return (self.factor * cotangents[0],)
 
 
 class NeighborAverageStage(Stage):

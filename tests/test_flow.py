@@ -79,6 +79,18 @@ class TestStageGradients:
         rng = np.random.default_rng(1)
         assert grad_check(LuminanceStage(), rng.uniform(0, 1, (5, 5, 3))).passed
 
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 5, 1), (4, 5, 3)])
+    def test_luminance_backward_has_input_shape(self, shape):
+        rng = np.random.default_rng(10)
+        image = rng.uniform(0, 1, shape)
+        stage = LuminanceStage()
+        ctx = {}
+        stage.forward(ctx, (image,))
+        (back,) = stage.backward(ctx, (rng.standard_normal((4, 5)),))
+        assert back.shape == shape
+        report = grad_check(stage, image)
+        assert report.passed, report
+
     def test_frame_derivatives_exact(self):
         rng = np.random.default_rng(2)
         report = grad_check(

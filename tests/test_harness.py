@@ -3,8 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from flowpatch.cli import main
+from flowpatch.cli import _defense_from_args, _estimator, build_parser, main
 from flowpatch.core import read_flo, read_ppm
+from flowpatch.defense import ilp_config, lgs_config
+from flowpatch.flow import HornSchunckConfig
 from flowpatch.harness import (
     ExperimentConfig,
     GridCell,
@@ -81,6 +83,43 @@ class TestIngest:
         index = ingest_dataset(tmp_path)
         assert index.entries == []
         assert any("unreadable" in line for line in index.report)
+
+
+class TestCli:
+    def test_evaluate_reports_skipped_pairs(self, tmp_path, capsys):
+        synth_dataset(2, 32, 48, seed=0, out_dir=tmp_path / "data")
+        (tmp_path / "data" / "0001_2.ppm").unlink()
+        code = main(
+            [
+                "evaluate",
+                "--data", str(tmp_path / "data"),
+                "--iters", "5",
+                "--out", str(tmp_path / "eval.csv"),
+            ]
+        )
+        assert code == 0
+        assert "0001: missing 0001_2.ppm, pair skipped" in capsys.readouterr().err
+
+    def test_defend_without_pairs_fails(self, tmp_path, capsys):
+        code = main(
+            ["defend", "--in", str(tmp_path), "--defense", "lgs", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "no frame pairs found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["attack-train", "evaluate"])
+    def test_flag_defaults_are_the_config_defaults(self, command):
+        args = build_parser().parse_args([command, "--data", "d", "--out", "o"])
+        assert _defense_from_args(args, "lgs") == lgs_config()
+        assert _defense_from_args(args, "ilp") == ilp_config()
+        assert _estimator(args).config == HornSchunckConfig()
+
+    def test_given_flags_reach_the_configs(self):
+        argv = ["evaluate", "--data", "d", "--out", "o", "--k", "8", "--o", "2"]
+        args = build_parser().parse_args(argv + ["--r-telea", "3", "--iters", "7"])
+        assert _defense_from_args(args, "lgs") == lgs_config(block=8, overlap=2)
+        assert _defense_from_args(args, "ilp") == ilp_config(block=8, overlap=2, r_telea=3)
+        assert _estimator(args).config == HornSchunckConfig(iterations=7)
 
 
 def tiny_config(out_dir, **overrides) -> ExperimentConfig:

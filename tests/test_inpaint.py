@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from flowpatch.core import Image, PixelMask
-from flowpatch.defense import TeleaInpaintStage, telea_inpaint
+from flowpatch.defense import TeleaInpaintStage
 from flowpatch.defense.inpaint import _FAR, _eikonal
 
 
@@ -46,65 +45,64 @@ def oracle_single_pixel_fill(image, r, c, radius):
 
 class TestTelea:
     def test_constant_image_any_mask(self):
-        img = Image(np.full((8, 8, 3), 0.42))
-        mask = np.zeros((8, 8), np.uint8)
+        img = np.full((8, 8, 3), 0.42)
+        mask = np.zeros((8, 8))
         mask[2:5, 3:6] = 1
-        out = telea_inpaint(img, PixelMask(mask), 5)
-        assert np.allclose(out.data, 0.42)
+        out = TeleaInpaintStage(5)(img, mask)
+        assert np.allclose(out, 0.42)
 
     def test_unmasked_pixels_bit_identical(self):
         rng = np.random.default_rng(12)
-        img = Image(rng.uniform(0, 1, (10, 12, 3)))
-        mask = np.zeros((10, 12), np.uint8)
+        img = rng.uniform(0, 1, (10, 12, 3))
+        mask = np.zeros((10, 12))
         mask[4:8, 5:9] = 1
-        out = telea_inpaint(img, PixelMask(mask), 4)
+        out = TeleaInpaintStage(4)(img, mask)
         outside = mask == 0
-        assert np.array_equal(out.data[outside], img.data[outside])
+        assert np.array_equal(out[outside], img[outside])
 
     def test_single_pixel_between_halves(self):
         img = left_right_image()
         r, c = 3, 3  # on the boundary column between the two halves
-        mask = np.zeros((7, 7), np.uint8)
+        mask = np.zeros((7, 7))
         mask[r, c] = 1
-        out = telea_inpaint(Image(img), PixelMask(mask), 3)
-        filled = out.data[r, c, 0]
+        out = TeleaInpaintStage(3)(img, mask)
+        filled = out[r, c, 0]
         assert 0.2 < filled < 0.8
         expected = oracle_single_pixel_fill(img, r, c, 3)
-        assert np.allclose(out.data[r, c], expected)
+        assert np.allclose(out[r, c], expected)
 
     def test_filled_values_bounded_by_known_range(self):
         rng = np.random.default_rng(5)
         img = rng.uniform(0.3, 0.7, (12, 12, 3))
-        mask = np.zeros((12, 12), np.uint8)
+        mask = np.zeros((12, 12))
         mask[3:9, 3:9] = 1
-        out = telea_inpaint(Image(img), PixelMask(mask), 5)
+        out = TeleaInpaintStage(5)(img, mask)
         known = img[mask == 0]
-        inside = out.data[mask == 1]
+        inside = out[mask == 1]
         assert inside.min() >= known.min() - 1e-12
         assert inside.max() <= known.max() + 1e-12
 
     def test_mask_touching_border(self):
         rng = np.random.default_rng(6)
         img = rng.uniform(0, 1, (6, 6, 3))
-        mask = np.zeros((6, 6), np.uint8)
+        mask = np.zeros((6, 6))
         mask[0, :3] = 1
-        out = telea_inpaint(Image(img), PixelMask(mask), 2)
-        assert np.all(np.isfinite(out.data))
-        assert np.array_equal(out.data[mask == 0], img[mask == 0])
+        out = TeleaInpaintStage(2)(img, mask)
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out[mask == 0], img[mask == 0])
 
     def test_all_ones_mask_is_error(self):
-        img = Image(np.zeros((4, 4, 3)))
         with pytest.raises(ValueError):
-            telea_inpaint(img, PixelMask(np.ones((4, 4), np.uint8)), 2)
+            TeleaInpaintStage(2)(np.zeros((4, 4, 3)), np.ones((4, 4)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
-        img = Image(rng.uniform(0, 1, (9, 9, 3)))
-        mask = np.zeros((9, 9), np.uint8)
+        img = rng.uniform(0, 1, (9, 9, 3))
+        mask = np.zeros((9, 9))
         mask[2:7, 2:7] = 1
-        a = telea_inpaint(img, PixelMask(mask), 3)
-        b = telea_inpaint(img, PixelMask(mask), 3)
-        assert np.array_equal(a.data, b.data)
+        a = TeleaInpaintStage(3)(img, mask)
+        b = TeleaInpaintStage(3)(img, mask)
+        assert np.array_equal(a, b)
 
     def test_bpda_backward_zeroes_inpainted(self):
         stage = TeleaInpaintStage(3)

@@ -175,10 +175,3 @@ class TestEvaluatePipeline:
         patch = Patch(6, "clip", np.full((6, 6, 3), 0.3))
         records, agg = evaluate_pipeline(est, None, patch, ds, seed=0)
         assert agg.mean_robustness == 0.0
-
-    def test_missing_ground_truth_raises(self):
-        est = HornSchunck(HornSchunckConfig(iterations=5))
-        frame = self._dataset()[0]
-        ds = [EvalFrame("0000", frame.frame1, frame.frame2, None)]
-        with pytest.raises(ValueError):
-            evaluate_pipeline(est, None, None, ds)
