@@ -3,8 +3,9 @@
 One training step samples a frame pair and a random pose, composites the
 patch into both frames, pushes the result through the (optionally defended)
 estimator on a stage tape, and takes one optimizer step on the patch
-parameters from the reverse pass.  Reference flows are computed once per
-frame pair on the defended clean pair and cached.  `save_patch` writes a
+parameters from the reverse pass.  The reference flow of a frame pair is
+its flow through the defended clean pipeline: given by the caller, or
+computed when the pair is first drawn and kept.  `save_patch` writes a
 trained patch's artefacts.
 """
 
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.ppm import write_ppm
-from ..core.raster import Image
+from ..core.raster import FlowField, Image
 from ..defense.pipeline import DefenseConfig, defend_on_tape, defended_flow
 from ..diff.elementwise import AddWeightedStage, CovMaterializeStage
 from ..diff.stage import StageTape
@@ -100,24 +101,28 @@ def train_patch(
     dataset: Sequence[tuple[Image, Image]],
     cfg: AttackConfig,
     patch_side: int = 100,
+    references: Sequence[FlowField] | None = None,
 ) -> TrainResult:
     """Optimize a patch for `cfg.steps` steps; raises DivergenceError in the
     step whose loss or gradient is non-finite.  Deterministic for a fixed
-    config (seeded poses and initialization)."""
+    config (seeded poses and initialization).  `references`, when given,
+    are the defended clean flows of `dataset`, one per pair."""
     if not dataset:
         raise ValueError("dataset is empty")
+    if references is not None and len(references) != len(dataset):
+        raise ValueError(f"{len(references)} reference flows for {len(dataset)} pairs")
     rng = np.random.default_rng(cfg.seed)
     patch = random_patch(patch_side, cfg.box, rng)
     validity = patch.validity
 
-    references: dict[int, np.ndarray] = {}
+    cached = {i: flow.data for i, flow in enumerate(references or ())}
     losses: list[float] = []
 
     for step in range(cfg.steps):
         idx = int(rng.integers(len(dataset)))
         frame1, frame2 = dataset[idx]
-        if idx not in references:
-            references[idx] = defended_flow(estimator, defense, frame1, frame2).data
+        if idx not in cached:
+            cached[idx] = defended_flow(estimator, defense, frame1, frame2).data
         pose = sample_pose(rng, patch.side, (frame1.height, frame1.width))
         geometry = placement_geometry(pose, patch.side, (frame1.height, frame1.width))
 
@@ -137,7 +142,7 @@ def train_patch(
             attacked1, _ = defend_on_tape(tape, attacked1, defense)
             attacked2, _ = defend_on_tape(tape, attacked2, defense)
         flow = estimator.forward_on_tape(tape, attacked1, attacked2)
-        loss = tape.apply(AcsLossStage(references[idx], geometry.mask), flow)
+        loss = tape.apply(AcsLossStage(cached[idx], geometry.mask), flow)
         if cfg.awareness != VANILLA:
             order = "first" if cfg.awareness == LGS_AWARE else "second"
             penalty = tape.apply(PatchPenaltyStage(order, validity), values)

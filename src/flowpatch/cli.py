@@ -24,7 +24,7 @@ from .defense.pipeline import DefenseConfig, defend
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
 from .harness.dataset import ingest_dataset, load_frames, synth_dataset
 from .harness.experiment import ExperimentConfig, run_experiment
-from .metrics import EvalFrame, evaluate_pipeline, write_records_csv
+from .metrics import EvalFrame, clean_flows, evaluate_pipeline, write_records_csv
 
 # The DefenseConfig fields each defense reads.  Defense and estimator flags
 # are absent unless given, so their defaults live in the config classes only.
@@ -165,11 +165,13 @@ def cmd_evaluate(args) -> int:
         else:
             values = read_ppm(args.patch).data
         patch = Patch(values.shape[0], CLIP, values)
+    estimator = _estimator(args)
     records, agg = evaluate_pipeline(
-        _estimator(args),
+        estimator,
         defense,
         patch,
         frames,
+        clean_flows(estimator, defense, frames),
         seed=args.seed,
         attack_label=args.attack_label,
     )

@@ -3,11 +3,13 @@ defense x attack matrix, and emit deterministic CSV summaries.
 
 Grid cells are (awareness, optimizer, learning rate, box, seed).  Each cell
 trains one patch against the awareness-matched defense; every trained patch
-is then evaluated against every configured defense, relative to that
-defense's clean flows, which are computed once per frame and also give the
-quality column.  Diverged cells are recorded as "div" and the run continues;
-unexpected errors mark the cell "fail" without touching other cells.
-Identical configs (seeds included) produce byte-identical CSVs.
+is then evaluated against every configured defense.  A defense's clean flows,
+computed once per frame, give its quality column, the reference of every
+robustness value and the target of the cells trained against it.  Unknown
+names fail before anything is written.  Diverged cells are recorded as "div"
+and the run continues; unexpected errors mark the cell "fail" without
+touching other cells.  Identical configs (seeds included) produce
+byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -25,13 +27,16 @@ from ..attack.losses import ILP_AWARE, LGS_AWARE, VANILLA
 from ..attack.optimize import AttackConfig, save_patch, train_patch
 from ..attack.patch import Patch
 from ..core.raster import Image
-from ..defense.pipeline import DefenseConfig, defended_flow, ilp_config, lgs_config
+from ..defense.pipeline import DefenseConfig, ilp_config, lgs_config
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
-from ..metrics import EvalRecord, aggregate_records, epe, format_metric, robustness_epe
+from ..metrics import clean_flows, evaluate_pipeline, format_metric
 from .dataset import ingest_dataset, load_frames, synth_dataset
 
 NO_DEFENSE = "none"
+# The defense each attack awareness trains against; its inverse pairs each
+# defense with the attack aware of it in scatter.csv.
+AWARENESS_DEFENSE = {VANILLA: NO_DEFENSE, LGS_AWARE: "lgs", ILP_AWARE: "ilp"}
 
 
 @dataclass(frozen=True)
@@ -90,9 +95,14 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
     def defense_config(self, name: str) -> DefenseConfig | None:
-        if name == NO_DEFENSE:
-            return None
+        """The named defense with its overrides, None for "none".  Raises
+        ValueError for an unknown name or overrides of "none", TypeError for
+        an unknown field."""
         overrides = self.defense_overrides.get(name, {})
+        if name == NO_DEFENSE and not overrides:
+            return None
+        if name not in ("lgs", "ilp"):
+            raise ValueError(f"{name!r} is not one of the configurable defenses lgs, ilp")
         return lgs_config(**overrides) if name == "lgs" else ilp_config(**overrides)
 
     def make_estimator(self) -> HornSchunck:
@@ -100,13 +110,9 @@ class ExperimentConfig:
         return HornSchunck(HornSchunckConfig(**self.estimator))
 
 
-def _awareness_defense(cfg: ExperimentConfig, awareness: str) -> DefenseConfig | None:
-    return cfg.defense_config(NO_DEFENSE if awareness == VANILLA else awareness)
-
-
 def _train_task(args) -> dict:
     """Worker for one training cell; returns a plain picklable result."""
-    (cfg_dict, awareness, cell, seed, pair_arrays) = args
+    (cfg_dict, awareness, cell, seed, pair_arrays, defense, references) = args
     cfg = ExperimentConfig.from_dict(cfg_dict)
     pairs = [(Image(a), Image(b)) for a, b in pair_arrays]
     try:
@@ -121,10 +127,11 @@ def _train_task(args) -> dict:
         )
         result = train_patch(
             cfg.make_estimator(),
-            _awareness_defense(cfg, awareness),
+            defense,
             pairs,
             attack_cfg,
             patch_side=cfg.patch_side,
+            references=references,
         )
         return {"status": "ok", "param": result.patch.param, "attack": attack_cfg}
     except DivergenceError as exc:
@@ -142,6 +149,13 @@ class ExperimentResult:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     estimator = cfg.make_estimator()
+    unknown = [a for a in cfg.awareness if a not in AWARENESS_DEFENSE]
+    if unknown:
+        raise ValueError(f"unknown awareness {unknown[0]!r}")
+    # The defenses evaluated or trained against, built (with the overridden
+    # ones, so that a misspelt override fails) before anything is written.
+    used = dict.fromkeys([*cfg.defenses, *(AWARENESS_DEFENSE[a] for a in cfg.awareness)])
+    defenses = {name: cfg.defense_config(name) for name in [*used, *cfg.defense_overrides]}
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "patches").mkdir(exist_ok=True)
@@ -159,20 +173,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     pair_arrays = [(f.frame1.data, f.frame2.data) for f in frames]
 
     # The clean flow of each defended pipeline, once per frame: its quality
-    # (Table-1 axis) and the reference of every patch's robustness.
-    clean = {}
-    quality: dict[str, float | None] = {}
+    # (Table-1 axis), the reference of every robustness value and the target
+    # of the cells trained against it.
+    clean = {name: clean_flows(estimator, defenses[name], frames) for name in used}
+    quality = {}
     for name in cfg.defenses:
-        defense = cfg.defense_config(name)
-        clean[name] = [
-            defended_flow(estimator, defense, f.frame1, f.frame2) for f in frames
-        ]
-        records = [
-            EvalRecord(f.frame_id, name, "none", epe(f.ground_truth, flow, f.valid), None)
-            for f, flow in zip(frames, clean[name])
-            if f.ground_truth is not None
-        ]
-        quality[name] = aggregate_records(records, name, "none").mean_quality
+        _, agg = evaluate_pipeline(estimator, defenses[name], None, frames, clean[name])
+        quality[name] = agg.mean_quality
 
     tasks = [
         (awareness, cell, seed)
@@ -182,6 +189,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ]
     worker_args = [
         (cfg.to_dict(), awareness, cell, seed, pair_arrays)
+        + (defenses[AWARENESS_DEFENSE[awareness]], clean[AWARENESS_DEFENSE[awareness]])
         for (awareness, cell, seed) in tasks
     ]
     if cfg.workers > 1:
@@ -213,9 +221,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             }
             if status == "ok":
                 try:
-                    row["robustness"] = _robustness(
-                        cfg, estimator, defense, awareness, patch, frames, clean[defense]
+                    _, agg = evaluate_pipeline(
+                        estimator, defenses[defense], patch, frames, clean[defense],
+                        seed=cfg.eval_seed, attack_label=awareness,
                     )
+                    row["robustness"] = agg.mean_robustness
                 except Exception as exc:  # noqa: BLE001 - crash isolation
                     hard_failures += 1
                     report.append(f"{tag}/eval/{defense}: {type(exc).__name__}: {exc}")
@@ -254,8 +264,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ],
     )
     # Full-pipeline points: each defense with the attack aware of it.
-    pipeline_attack = {NO_DEFENSE: VANILLA, "lgs": LGS_AWARE, "ilp": ILP_AWARE}
-    scatter = [(d, headline.get((d, pipeline_attack.get(d)))) for d in cfg.defenses]
+    defense_attack = {d: a for a, d in AWARENESS_DEFENSE.items()}
+    scatter = [(d, headline.get((d, defense_attack[d]))) for d in cfg.defenses]
     _write_csv(
         out / "scatter.csv",
         "quality_epe,robustness_epe,label",
@@ -264,24 +274,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if report:
         (out / "report.txt").write_text("\n".join(report) + "\n")
     return ExperimentResult(out, hard_failures, report)
-
-
-def _robustness(cfg, estimator, defense, awareness, patch, frames, flows) -> float:
-    """Mean robustness EPE of one patch against one defense; the poses come
-    from a fresh `eval_seed` stream, as in `evaluate_pipeline`."""
-    rng = np.random.default_rng(cfg.eval_seed)
-    defense_cfg = cfg.defense_config(defense)
-    records = [
-        EvalRecord(
-            f.frame_id,
-            defense,
-            awareness,
-            None,
-            robustness_epe(estimator, defense_cfg, patch, f, flow, rng),
-        )
-        for f, flow in zip(frames, flows)
-    ]
-    return aggregate_records(records, defense, awareness).mean_robustness
 
 
 def _cell_fields(row: dict) -> list[str]:

@@ -3,7 +3,8 @@
 Quality compares a method's unattacked prediction to the ground truth over
 all (valid) pixels; robustness compares the unattacked and attacked
 predictions of the same defended method over the pixels outside the patch
-footprint.  Lower is better for both.
+footprint.  Lower is better for both.  Both start from the pipeline's
+`clean_flows`, which the caller computes once and passes in.
 """
 
 from __future__ import annotations
@@ -80,52 +81,46 @@ class EvalAggregate:
     count: int
 
 
+def clean_flows(
+    estimator: FlowEstimator, defense: DefenseConfig | None, frames: Sequence[EvalFrame]
+) -> list[FlowField]:
+    """The pipeline's clean (unattacked) flow of each frame pair: the
+    reference of its quality, its robustness and defence-aware training."""
+    return [defended_flow(estimator, defense, f.frame1, f.frame2) for f in frames]
+
+
 def evaluate_pipeline(
     estimator: FlowEstimator,
     defense: DefenseConfig | None,
     patch: Patch | None,
     dataset: Sequence[EvalFrame],
+    clean: Sequence[FlowField],
     seed: int = 0,
     attack_label: str = "none",
 ) -> tuple[list[EvalRecord], EvalAggregate]:
-    """Per frame: quality EPE of the defended unattacked flow against ground
-    truth (None for a frame without it), and (with a patch) robustness EPE
-    of attacked vs unattacked flow outside a seeded random footprint."""
+    """Per frame, given the pipeline's `clean_flows` of `dataset`: quality EPE
+    of the clean flow against ground truth (None for a frame without it) and,
+    with a patch, robustness EPE outside the footprint between the clean flow
+    and the flow of the pair attacked at a pose drawn from a `seed` stream."""
     defense_label = defense.kind if defense is not None else "none"
     rng = np.random.default_rng(seed)
     records = []
-    for item in dataset:
-        flow_clean = defended_flow(estimator, defense, item.frame1, item.frame2)
-
+    for item, flow_clean in zip(dataset, clean, strict=True):
         quality = None
         if item.ground_truth is not None:
             quality = epe(item.ground_truth, flow_clean, item.valid)
 
         robustness = None
         if patch is not None:
-            robustness = robustness_epe(estimator, defense, patch, item, flow_clean, rng)
+            pose = sample_pose(rng, patch.side, (item.frame1.height, item.frame1.width))
+            attacked1, attacked2, footprint = place_patch(item.frame1, item.frame2, patch, pose)
+            flow_attacked = defended_flow(estimator, defense, attacked1, attacked2)
+            robustness = epe_excl(flow_clean, flow_attacked, footprint)
 
         records.append(
             EvalRecord(item.frame_id, defense_label, attack_label, quality, robustness)
         )
     return records, aggregate_records(records, defense_label, attack_label)
-
-
-def robustness_epe(
-    estimator: FlowEstimator,
-    defense: DefenseConfig | None,
-    patch: Patch,
-    item: EvalFrame,
-    flow_clean: FlowField,
-    rng: np.random.Generator,
-) -> float:
-    """Robustness EPE of one frame pair: the patch placed at a pose drawn from
-    `rng`, the attacked pair through the pipeline, and its flow compared with
-    the pipeline's clean flow outside the patch footprint."""
-    pose = sample_pose(rng, patch.side, (item.frame1.height, item.frame1.width))
-    attacked1, attacked2, footprint = place_patch(item.frame1, item.frame2, patch, pose)
-    flow_attacked = defended_flow(estimator, defense, attacked1, attacked2)
-    return epe_excl(flow_clean, flow_attacked, footprint)
 
 
 def aggregate_records(

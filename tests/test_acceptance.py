@@ -64,7 +64,7 @@ from flowpatch.harness import (
     run_experiment,
     synth_dataset,
 )
-from flowpatch.metrics import epe, epe_excl, evaluate_pipeline
+from flowpatch.metrics import clean_flows, epe, epe_excl, evaluate_pipeline
 
 ESTIMATOR = HornSchunck(HornSchunckConfig(alpha=15.0, iterations=200))
 PATCH_SIDE = 24
@@ -130,12 +130,13 @@ def trained(dataset):
     return {"patches": patches, "timings": timings, "dataset": dataset}
 
 
-def mean_robustness(defense, patch, dataset, label):
+def mean_robustness(defense, patch, dataset, clean, label):
     _, agg = evaluate_pipeline(
         ESTIMATOR,
         defense,
         patch,
         dataset,
+        clean,
         seed=1234,
         attack_label=label,
     )
@@ -381,14 +382,15 @@ class TestCriterion5:
     def test_trained_patch_beats_random_3x(self, trained):
         t0 = time.monotonic()
         dataset = trained["dataset"]
+        clean = clean_flows(ESTIMATOR, None, dataset)
         trained_rob = []
         random_rob = []
         for seed in SEEDS:
             trained_rob.append(
-                mean_robustness(None, trained["patches"][("vanilla", seed)], dataset, "vanilla")
+                mean_robustness(None, trained["patches"][("vanilla", seed)], dataset, clean, "vanilla")
             )
             rand = random_patch(PATCH_SIDE, "clip", np.random.default_rng(seed + 100))
-            random_rob.append(mean_robustness(None, rand, dataset, "random"))
+            random_rob.append(mean_robustness(None, rand, dataset, clean, "random"))
         ratio = float(np.mean(trained_rob) / np.mean(random_rob))
         elapsed = trained["timings"]["vanilla"] + (time.monotonic() - t0)
         announce(
@@ -463,14 +465,17 @@ class TestCriterion6:
 class TestCriterion7:
     def test_lgs_aware_at_least_as_strong_on_defended(self, trained):
         dataset = trained["dataset"]
+        clean = clean_flows(ESTIMATOR, lgs_config(), dataset)
         aware = []
         vanilla = []
         for seed in SEEDS:
             aware.append(
-                mean_robustness(lgs_config(), trained["patches"][("lgs", seed)], dataset, "lgs")
+                mean_robustness(lgs_config(), trained["patches"][("lgs", seed)], dataset, clean, "lgs")
             )
             vanilla.append(
-                mean_robustness(lgs_config(), trained["patches"][("vanilla", seed)], dataset, "vanilla")
+                mean_robustness(
+                    lgs_config(), trained["patches"][("vanilla", seed)], dataset, clean, "vanilla"
+                )
             )
         per_seed_wins = sum(a >= v for a, v in zip(aware, vanilla))
         mean_holds = float(np.mean(aware)) >= float(np.mean(vanilla))
@@ -493,7 +498,9 @@ class TestCriterion8:
     def test_defenses_degrade_benign_quality(self, dataset):
         quality = {}
         for name, cfg in (("none", None), ("lgs", lgs_config()), ("ilp", ilp_config())):
-            _, agg = evaluate_pipeline(ESTIMATOR, cfg, None, dataset)
+            _, agg = evaluate_pipeline(
+                ESTIMATOR, cfg, None, dataset, clean_flows(ESTIMATOR, cfg, dataset)
+            )
             quality[name] = agg.mean_quality
         announce(
             8,

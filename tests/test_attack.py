@@ -19,9 +19,11 @@ from flowpatch.attack import (
     train_patch,
 )
 from flowpatch.core import Image
+from flowpatch.defense import lgs_config
 from flowpatch.diff import AddWeightedStage, Stage, grad_check
 from flowpatch.errors import DivergenceError, PlacementError
 from flowpatch.flow import HornSchunck, HornSchunckConfig
+from flowpatch.metrics import EvalFrame, clean_flows
 
 
 def flat_frames(h=32, w=48, value=0.5):
@@ -344,6 +346,29 @@ class TestTraining:
         result = train_patch(self.ESTIMATOR, None, tiny_dataset(), cfg, patch_side=8)
         assert len(result.losses) == 40
         assert min(result.losses) < result.losses[0]
+
+    def test_given_references_equal_computed_ones(self):
+        pairs = tiny_dataset()
+        frames = [EvalFrame(str(i), a, b) for i, (a, b) in enumerate(pairs)]
+        defense = lgs_config()
+        references = clean_flows(self.ESTIMATOR, defense, frames)
+        cfg = AttackConfig(awareness="lgs", steps=4, learning_rate=0.1, seed=5)
+        computed = train_patch(self.ESTIMATOR, defense, pairs, cfg, patch_side=8)
+        given = train_patch(
+            self.ESTIMATOR, defense, pairs, cfg, patch_side=8, references=references
+        )
+        assert given.losses == computed.losses
+        assert np.array_equal(given.patch.param, computed.patch.param)
+        # the given flows are the ones trained against
+        undefended = clean_flows(self.ESTIMATOR, None, frames)
+        other = train_patch(
+            self.ESTIMATOR, defense, pairs, cfg, patch_side=8, references=undefended
+        )
+        assert other.losses != computed.losses
+        with pytest.raises(ValueError, match="1 reference flows for 2 pairs"):
+            train_patch(
+                self.ESTIMATOR, defense, pairs, cfg, patch_side=8, references=references[:1]
+            )
 
     def test_seeded_determinism(self):
         cfg = AttackConfig(steps=5, learning_rate=0.1, seed=11)

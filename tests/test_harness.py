@@ -1,12 +1,13 @@
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from flowpatch.cli import _defense_from_args, _estimator, build_parser, main
 from flowpatch.core import read_flo, read_ppm
-from flowpatch.defense import ilp_config, lgs_config
-from flowpatch.flow import HornSchunckConfig
+from flowpatch.defense import defend, ilp_config, lgs_config
+from flowpatch.flow import HornSchunck, HornSchunckConfig
 from flowpatch.harness import (
     ExperimentConfig,
     GridCell,
@@ -144,6 +145,52 @@ class TestExperiment:
         with pytest.raises(TypeError, match="iters"):
             run_experiment(cfg)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, error, name",
+        [
+            ({"defenses": ("none", "lgs-typo")}, ValueError, "lgs-typo"),
+            ({"defense_overrides": {"LGS": {"block": 8}}}, ValueError, "LGS"),
+            ({"defense_overrides": {"lgs": {"blok": 8}}}, TypeError, "blok"),
+            ({"defense_overrides": {"none": {"block": 8}}}, ValueError, "none"),
+            ({"awareness": ("vanilla", "lgs-aware")}, ValueError, "lgs-aware"),
+        ],
+        ids=["defense", "override-key", "override-field", "override-none", "awareness"],
+    )
+    def test_unknown_names_rejected_before_writing(self, tmp_path, overrides, error, name):
+        cfg = tiny_config(tmp_path / "run", **overrides)
+        with pytest.raises(error, match=name):
+            run_experiment(cfg)
+        assert not (tmp_path / "run").exists()
+
+    def test_each_clean_flow_computed_once(self, tmp_path, monkeypatch):
+        cfg = tiny_config(
+            tmp_path / "run",
+            synthetic={"count": 2, "height": 32, "width": 48, "seed": 2},
+            awareness=("vanilla", "lgs", "ilp"),
+        )
+        scenes = synth_dataset(out_dir=tmp_path / "scenes", **cfg.synthetic)
+        clean = {}  # frame bytes of each clean (defended) pair -> (defense, frame)
+        for name in ("none", "lgs", "ilp"):
+            defense = cfg.defense_config(name)
+            for f in load_frames(ingest_dataset(scenes)):
+                pair = (f.frame1, f.frame2)
+                if defense is not None:
+                    pair = tuple(defend(frame, defense)[0] for frame in pair)
+                clean[pair[0].data.tobytes() + pair[1].data.tobytes()] = (name, f.frame_id)
+        assert len(clean) == 6
+        calls = Counter()
+        estimate = HornSchunck.estimate
+
+        def counted(self, frame1, frame2):
+            key = clean.get(frame1.data.tobytes() + frame2.data.tobytes())
+            if key is not None:
+                calls[key] += 1
+            return estimate(self, frame1, frame2)
+
+        monkeypatch.setattr(HornSchunck, "estimate", counted)
+        assert run_experiment(cfg).hard_failures == 0
+        assert calls == Counter(dict.fromkeys(clean.values(), 1))
 
     def test_single_cell_outputs(self, tmp_path):
         result = run_experiment(tiny_config(tmp_path / "run"))

@@ -9,6 +9,7 @@ from flowpatch.metrics import (
     EvalFrame,
     EvalRecord,
     aggregate_records,
+    clean_flows,
     epe,
     epe_excl,
     evaluate_pipeline,
@@ -155,10 +156,13 @@ class TestEvaluatePipeline:
 
     def test_no_patch_quality_only(self):
         est = HornSchunck(HornSchunckConfig(iterations=30))
-        records, agg = evaluate_pipeline(est, None, None, self._dataset())
+        ds = self._dataset()
+        records, agg = evaluate_pipeline(est, None, None, ds, clean_flows(est, None, ds))
         assert agg.mean_robustness is None
         assert agg.mean_quality is not None and agg.mean_quality >= 0
         assert records[0].epe_robustness is None
+        with pytest.raises(ValueError):  # one clean flow per frame
+            evaluate_pipeline(est, None, None, ds, [])
 
     def test_noop_patch_zero_robustness(self):
         # patch content identical to the frame content underneath -> f_D^A = f_D
@@ -173,5 +177,5 @@ class TestEvaluatePipeline:
         constant = Image(np.full((20, 28, 3), 0.3))
         ds = [EvalFrame("0000", constant, constant, FlowField(np.zeros((20, 28, 2))))]
         patch = Patch(6, "clip", np.full((6, 6, 3), 0.3))
-        records, agg = evaluate_pipeline(est, None, patch, ds, seed=0)
+        records, agg = evaluate_pipeline(est, None, patch, ds, clean_flows(est, None, ds), seed=0)
         assert agg.mean_robustness == 0.0
