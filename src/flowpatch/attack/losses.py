@@ -4,21 +4,25 @@ The cosine loss averages the per-pixel similarity between the reference and
 adversarial flows over pixels outside the patch footprint; minimizing it
 drives the adversarial flow toward the inverse of the reference (-1).  The
 penalties sum per-channel derivative magnitudes over the valid patch disk and
-give the optimizer signal where BPDA zeroes the flow-loss gradient.
+give the optimizer signal where BPDA zeroes the flow-loss gradient; they use
+the same derivative-magnitude operator as the defense maps, with the
+extrapolate pad instead of the replicate one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..defense.pipeline import ILP, LGS
 from ..diff import stencils
 from ..diff.stage import Arrays, Stage
 
 EPS_NORM = 1e-9
 
 VANILLA = "vanilla"
-LGS_AWARE = "lgs"
-ILP_AWARE = "ilp"
+# A defense-aware attack is named after the defense it trains against.
+LGS_AWARE = LGS
+ILP_AWARE = ILP
 
 
 class AcsLossStage(Stage):
@@ -67,49 +71,25 @@ class AcsLossStage(Stage):
 class PatchPenaltyStage(Stage):
     """patch values -> scalar sum of per-channel derivative magnitudes over the
     valid disk.  order="first" uses the gradient magnitude, order="second" the
-    absolute Laplacian; borders are linearly extrapolated so ramps have zero
-    curvature.  Subgradient 0 at zero magnitude."""
+    absolute Laplacian (`stencils.derivative_magnitude` on all channels at
+    once); the extrapolate pad continues the borders linearly, so ramps have
+    zero curvature.  Subgradient 0 at zero magnitude."""
 
     def __init__(self, order: str, validity: np.ndarray):
-        if order not in ("first", "second"):
-            raise ValueError(f"unknown derivative order {order!r}")
-        self.order = order
+        self.order = stencils.check_order(order)
         self.validity = validity.astype(np.float64)
         self.name = f"patch-penalty-{order}"
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         (values,) = inputs
-        total = 0.0
-        ctx["per_channel"] = []
-        for ch in range(values.shape[2]):
-            plane = values[:, :, ch]
-            if self.order == "first":
-                gx = stencils.diff_x_extrapolated(plane)
-                gy = stencils.diff_y_extrapolated(plane)
-                mag = np.sqrt(gx * gx + gy * gy)
-                ctx["per_channel"].append((gx, gy, mag))
-            else:
-                lap = stencils.laplacian_extrapolated(plane)
-                mag = np.abs(lap)
-                ctx["per_channel"].append((lap, mag))
-            total += float((mag * self.validity).sum())
+        mag, ctx["saved"] = stencils.derivative_magnitude(values, self.order, "extrapolate")
+        # One sum per channel, added in channel order: a single sum over all
+        # three axes would round differently.
+        total = sum(float((mag[:, :, ch] * self.validity).sum()) for ch in range(mag.shape[2]))
         return (np.asarray(total),)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (u,) = cotangents
-        scale = float(u)
-        grad = np.zeros(ctx["per_channel"][0][0].shape + (len(ctx["per_channel"]),))
-        for ch, saved in enumerate(ctx["per_channel"]):
-            if self.order == "first":
-                gx, gy, mag = saved
-                safe = np.where(mag > 0, mag, 1.0)
-                sel = scale * self.validity * (mag > 0) / safe
-                grad[:, :, ch] = stencils.diff_x_extrapolated_adjoint(
-                    sel * gx
-                ) + stencils.diff_y_extrapolated_adjoint(sel * gy)
-            else:
-                lap, _ = saved
-                sel = scale * self.validity * np.sign(lap)
-                grad[:, :, ch] = stencils.laplacian_extrapolated_adjoint(sel)
-        return (grad,)
-
+        weight = float(u) * self.validity[:, :, None]
+        saved = ctx["saved"]
+        return (stencils.derivative_magnitude_adjoint(weight, self.order, "extrapolate", saved),)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.ppm import write_ppm
 from ..core.raster import FlowField, Image
-from ..defense.pipeline import DefenseConfig, defend_on_tape, defended_flow
+from ..defense.pipeline import DERIVATIVE_ORDER, DefenseConfig, defend_on_tape, defended_flow
 from ..diff.elementwise import AddWeightedStage, CovMaterializeStage
 from ..diff.stage import StageTape
 from ..errors import DivergenceError
@@ -144,7 +144,7 @@ def train_patch(
         flow = estimator.forward_on_tape(tape, attacked1, attacked2)
         loss = tape.apply(AcsLossStage(cached[idx], geometry.mask), flow)
         if cfg.awareness != VANILLA:
-            order = "first" if cfg.awareness == LGS_AWARE else "second"
+            order = DERIVATIVE_ORDER[cfg.awareness]
             penalty = tape.apply(PatchPenaltyStage(order, validity), values)
             loss = tape.apply(AddWeightedStage(cfg.alpha_penalty), loss, penalty)
 

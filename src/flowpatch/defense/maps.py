@@ -1,8 +1,9 @@
 """Gradient-magnitude maps and per-image normalization.
 
-Both defenses score anomalies on a scalar map: luminance is differentiated
-with central differences (first order) or the 5-point Laplacian (second
-order), replicate boundaries, then min-max normalized per image.
+Both defenses score anomalies on a scalar map: the derivative magnitude
+(`stencils.derivative_magnitude`) of the luminance, first order (central
+differences) for LGS and second order (the 5-point Laplacian) for ILP, with
+the replicate pad as boundary, then min-max normalized per image.
 """
 
 from __future__ import annotations
@@ -23,37 +24,19 @@ class GradientMagnitudeStage(Stage):
     """
 
     def __init__(self, order: str):
-        if order not in ("first", "second"):
-            raise ValueError(f"unknown derivative order {order!r}")
-        self.order = order
+        self.order = stencils.check_order(order)
         self.name = f"gradient-magnitude-{order}"
         self.luminance = LuminanceStage(1.0)
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         ctx["luminance"] = {}
         (gray,) = self.luminance.forward(ctx["luminance"], inputs)
-        if self.order == "first":
-            gx = stencils.diff_x(gray)
-            gy = stencils.diff_y(gray)
-            g = np.sqrt(gx * gx + gy * gy)
-            ctx["gx"], ctx["gy"], ctx["g"] = gx, gy, g
-        else:
-            lap = stencils.laplacian(gray)
-            g = np.abs(lap)
-            ctx["lap"] = lap
+        g, ctx["saved"] = stencils.derivative_magnitude(gray, self.order, "replicate")
         return (g,)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (u,) = cotangents
-        if self.order == "first":
-            g = ctx["g"]
-            safe = np.where(g > 0, g, 1.0)
-            scale = np.where(g > 0, u / safe, 0.0)
-            ugray = stencils.diff_x_adjoint(scale * ctx["gx"]) + stencils.diff_y_adjoint(
-                scale * ctx["gy"]
-            )
-        else:
-            ugray = stencils.laplacian_adjoint(u * np.sign(ctx["lap"]))
+        ugray = stencils.derivative_magnitude_adjoint(u, self.order, "replicate", ctx["saved"])
         return self.luminance.backward(ctx["luminance"], (ugray,))
 
 
@@ -88,7 +71,6 @@ class NormalizeMapStage(Stage):
         total = float(u.sum())
         weighted = float((u * ctx["out"]).sum())
         grad = u / r
-        grad = grad.copy()
         grad[ctx["argmin"]] += (weighted - total) / r
         grad[ctx["argmax"]] -= weighted / r
         return (grad,)

@@ -21,6 +21,9 @@ from .voting import BlockVoteStage, IlpReevaluateStage
 
 LGS = "lgs"
 ILP = "ilp"
+# The derivative order each defense scores on; an attack aware of a defense
+# penalizes its patch with the same order.
+DERIVATIVE_ORDER = {LGS: "first", ILP: "second"}
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,7 @@ def defend_on_tape(tape: StageTape, image: TapeValue, cfg: DefenseConfig):
 
     Returns (defended image value, final mask value).
     """
-    order = "first" if cfg.kind == LGS else "second"
-    gmap = tape.apply(GradientMagnitudeStage(order), image)
+    gmap = tape.apply(GradientMagnitudeStage(DERIVATIVE_ORDER[cfg.kind]), image)
     gbar = tape.apply(NormalizeMapStage(), gmap)
     mask = tape.apply(BlockVoteStage(cfg.block, cfg.overlap, cfg.threshold), gbar)
     if cfg.kind == LGS:

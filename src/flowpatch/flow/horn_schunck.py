@@ -76,14 +76,16 @@ class FrameDerivativesStage(Stage):
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         g1, g2 = inputs
-        ix = 0.5 * (stencils.diff_x(g1) + stencils.diff_x(g2))
-        iy = 0.5 * (stencils.diff_y(g1) + stencils.diff_y(g2))
+        ix = 0.5 * (stencils.diff_x(g1, "replicate") + stencils.diff_x(g2, "replicate"))
+        iy = 0.5 * (stencils.diff_y(g1, "replicate") + stencils.diff_y(g2, "replicate"))
         it = g2 - g1
         return (ix, iy, it)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         ux, uy, ut = cotangents
-        spatial = 0.5 * (stencils.diff_x_adjoint(ux) + stencils.diff_y_adjoint(uy))
+        spatial = 0.5 * (
+            stencils.diff_x_adjoint(ux, "replicate") + stencils.diff_y_adjoint(uy, "replicate")
+        )
         return (spatial - ut, spatial + ut)
 
 

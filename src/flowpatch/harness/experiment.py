@@ -27,7 +27,7 @@ from ..attack.losses import ILP_AWARE, LGS_AWARE, VANILLA
 from ..attack.optimize import AttackConfig, save_patch, train_patch
 from ..attack.patch import Patch
 from ..core.raster import Image
-from ..defense.pipeline import DefenseConfig, ilp_config, lgs_config
+from ..defense.pipeline import ILP, LGS, DefenseConfig
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
 from ..metrics import clean_flows, evaluate_pipeline, format_metric
@@ -36,7 +36,7 @@ from .dataset import ingest_dataset, load_frames, synth_dataset
 NO_DEFENSE = "none"
 # The defense each attack awareness trains against; its inverse pairs each
 # defense with the attack aware of it in scatter.csv.
-AWARENESS_DEFENSE = {VANILLA: NO_DEFENSE, LGS_AWARE: "lgs", ILP_AWARE: "ilp"}
+AWARENESS_DEFENSE = {VANILLA: NO_DEFENSE, LGS_AWARE: LGS, ILP_AWARE: ILP}
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ExperimentConfig:
         default_factory=lambda: {"count": 3, "height": 64, "width": 128, "seed": 7}
     )
     estimator: dict = field(default_factory=lambda: {"alpha": 15.0, "iterations": 200})
-    defenses: tuple[str, ...] = (NO_DEFENSE, "lgs", "ilp")
+    defenses: tuple[str, ...] = (NO_DEFENSE, LGS, ILP)
     defense_overrides: dict = field(default_factory=dict)
     awareness: tuple[str, ...] = (VANILLA, LGS_AWARE, ILP_AWARE)
     attack_grid: tuple[GridCell, ...] = (GridCell("ifgsm", 0.1, "clip"),)
@@ -101,9 +101,9 @@ class ExperimentConfig:
         overrides = self.defense_overrides.get(name, {})
         if name == NO_DEFENSE and not overrides:
             return None
-        if name not in ("lgs", "ilp"):
-            raise ValueError(f"{name!r} is not one of the configurable defenses lgs, ilp")
-        return lgs_config(**overrides) if name == "lgs" else ilp_config(**overrides)
+        if name not in (LGS, ILP):
+            raise ValueError(f"{name!r} is not one of the configurable defenses {LGS}, {ILP}")
+        return DefenseConfig(name, **overrides)
 
     def make_estimator(self) -> HornSchunck:
         """Raises TypeError for a key that is not a `HornSchunckConfig` field."""

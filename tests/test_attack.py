@@ -233,6 +233,10 @@ class TestPatchPenalty:
             manual_patch(side, 2), "second"
         )
 
+    def test_unknown_order_rejected(self):
+        with pytest.raises(ValueError, match="derivative order"):
+            PatchPenaltyStage("third", np.ones((6, 6)))
+
     @pytest.mark.parametrize("order", ["first", "second"])
     def test_exact_gradient(self, order):
         rng = np.random.default_rng(8)

@@ -60,6 +60,10 @@ class TestGradientMagnitude:
         g = GradientMagnitudeStage("second")(data)
         assert np.isclose(g[2, 2], 4 * a)
 
+    def test_unknown_order_rejected(self):
+        with pytest.raises(ValueError, match="derivative order"):
+            GradientMagnitudeStage("third")
+
     @pytest.mark.parametrize("order", ["first", "second"])
     def test_exact_backward(self, order):
         rng = np.random.default_rng(4)

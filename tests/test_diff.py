@@ -5,21 +5,24 @@ from flowpatch.diff import ClipStage, CovMaterializeStage, Stage, StageTape, gra
 from flowpatch.diff.stencils import (
     diff_x,
     diff_x_adjoint,
-    diff_x_extrapolated,
-    diff_x_extrapolated_adjoint,
     diff_y,
     diff_y_adjoint,
-    diff_y_extrapolated,
-    diff_y_extrapolated_adjoint,
     laplacian,
     laplacian_adjoint,
-    laplacian_extrapolated,
-    laplacian_extrapolated_adjoint,
     neighbor_average,
     neighbor_average_adjoint,
-    shift,
-    shift_adjoint,
 )
+
+
+def shift(x, axis, step):
+    """Forward oracle: out[i] = x[clip(i + step, 0, n-1)] along `axis`."""
+    n = x.shape[axis]
+    idx = np.clip(np.arange(n) + step, 0, n - 1)
+    return np.take(x, idx, axis=axis)
+
+
+def shift_neighbor_sum(x):
+    return shift(x, 0, 1) + shift(x, 0, -1) + shift(x, 1, 1) + shift(x, 1, -1)
 
 
 class ScaleStage(Stage):
@@ -58,35 +61,71 @@ def materialize_jacobian(fn, shape):
     return np.stack(cols, axis=1)
 
 
+STENCILS = [(diff_x, diff_x_adjoint), (diff_y, diff_y_adjoint), (laplacian, laplacian_adjoint)]
+
+
+def in_mode(fn, mode):
+    return lambda x: fn(x, mode)
+
+
 class TestStencilAdjoints:
     """<A x, y> == <x, A^T y> for every linear stencil, by explicit matrices."""
 
+    # (forward, adjoint, boundary mode); an id names the stencil and, for the
+    # extrapolate pad, the boundary.
     PAIRS = [
-        (lambda x: shift(x, 0, 1), lambda g: shift_adjoint(g, 0, 1)),
-        (lambda x: shift(x, 0, -1), lambda g: shift_adjoint(g, 0, -1)),
-        (lambda x: shift(x, 1, 1), lambda g: shift_adjoint(g, 1, 1)),
-        (lambda x: shift(x, 1, -1), lambda g: shift_adjoint(g, 1, -1)),
-        (diff_x, diff_x_adjoint),
-        (diff_y, diff_y_adjoint),
-        (laplacian, laplacian_adjoint),
-        (neighbor_average, neighbor_average_adjoint),
-        (diff_x_extrapolated, diff_x_extrapolated_adjoint),
-        (diff_y_extrapolated, diff_y_extrapolated_adjoint),
-        (laplacian_extrapolated, laplacian_extrapolated_adjoint),
+        pytest.param(
+            in_mode(fn, mode), in_mode(adj, mode), mode,
+            id=f"{fn.__name__}{suffix}-{fn.__name__}{suffix}_adjoint",
+        )
+        for mode, suffix in [("replicate", ""), ("extrapolate", "_extrapolated")]
+        for fn, adj in STENCILS
+    ] + [
+        pytest.param(
+            neighbor_average, neighbor_average_adjoint, "replicate",
+            id="neighbor_average-neighbor_average_adjoint",
+        )
     ]
+    # Extrapolation reads two pixels per axis; the replicate pad also
+    # covers single rows and columns.
+    SHAPES = {
+        "replicate": [(4, 5), (4, 5, 3), (1, 5), (5, 1)],
+        "extrapolate": [(4, 5), (4, 5, 3)],
+    }
 
-    @pytest.mark.parametrize("fwd,adj", PAIRS)
-    def test_adjoint_is_transpose(self, fwd, adj):
-        shape = (4, 5)
-        A = materialize_jacobian(fwd, shape)
-        At = materialize_jacobian(adj, shape)
-        assert np.allclose(At, A.T, atol=1e-12)
+    @pytest.mark.parametrize("fwd,adj,mode", PAIRS)
+    def test_adjoint_is_transpose(self, fwd, adj, mode):
+        for shape in self.SHAPES[mode]:
+            A = materialize_jacobian(fwd, shape)
+            At = materialize_jacobian(adj, shape)
+            assert np.allclose(At, A.T, atol=1e-12), shape
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="boundary mode"):
+            diff_x(np.zeros((3, 3)), "wrap")
+        with pytest.raises(ValueError, match="boundary mode"):
+            diff_x_adjoint(np.zeros((3, 3)), "wrap")
+
+    @pytest.mark.parametrize(
+        "stencil,oracle",
+        [
+            (in_mode(diff_x, "replicate"), lambda x: 0.5 * (shift(x, 1, 1) - shift(x, 1, -1))),
+            (in_mode(diff_y, "replicate"), lambda x: 0.5 * (shift(x, 0, 1) - shift(x, 0, -1))),
+            (in_mode(laplacian, "replicate"), lambda x: shift_neighbor_sum(x) - 4.0 * x),
+            (neighbor_average, lambda x: 0.25 * shift_neighbor_sum(x)),
+        ],
+        ids=["diff_x", "diff_y", "laplacian", "neighbor_average"],
+    )
+    @pytest.mark.parametrize("shape", [(13, 21), (13, 21, 3)], ids=["13x21", "13x21x3"])
+    def test_replicate_forward_equals_shift_oracle(self, stencil, oracle, shape):
+        x = np.random.default_rng(3).standard_normal(shape)
+        assert np.array_equal(stencil(x), oracle(x))
 
     def test_extrapolated_ramp_properties(self):
         cols = np.tile(np.arange(6.0), (5, 1))
-        assert np.allclose(diff_x_extrapolated(cols), 1.0)
-        assert np.allclose(laplacian_extrapolated(cols), 0.0)
-        assert np.allclose(diff_y_extrapolated(cols), 0.0)
+        assert np.allclose(diff_x(cols, mode="extrapolate"), 1.0)
+        assert np.allclose(laplacian(cols, mode="extrapolate"), 0.0)
+        assert np.allclose(diff_y(cols, mode="extrapolate"), 0.0)
 
 
 def run_chain(stages, x):
