@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from telea_oracle import _FAR, _eikonal, telea_oracle
 
-from flowpatch.defense import TeleaInpaintStage
-from flowpatch.defense.inpaint import _FAR, _eikonal
+from flowpatch.defense import TeleaInpaintStage, defend, ilp_config, telea_inpaint_array
+from flowpatch.harness import ingest_dataset, load_frames, synth_dataset
 
 
 def left_right_image(width=7, height=7, a=0.2, b=0.8):
@@ -95,6 +96,18 @@ class TestTelea:
         with pytest.raises(ValueError):
             TeleaInpaintStage(2)(np.zeros((4, 4, 3)), np.ones((4, 4)))
 
+    def test_image_smaller_than_mask_is_error(self):
+        with pytest.raises(ValueError, match="does not match mask"):
+            telea_inpaint_array(np.zeros((4, 5, 3)), np.eye(5), 2)
+
+    def test_image_larger_than_mask_is_error(self):
+        with pytest.raises(ValueError, match="does not match mask"):
+            telea_inpaint_array(np.zeros((6, 5, 3)), np.eye(5), 2)
+
+    def test_2d_image_is_error(self):
+        with pytest.raises(ValueError, match="does not match mask"):
+            telea_inpaint_array(np.zeros((5, 5)), np.eye(5), 2)
+
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 1, (9, 9, 3))
@@ -117,3 +130,80 @@ class TestTelea:
         assert np.array_equal(img_cot[mask == 0], u[mask == 0])
         assert np.all(img_cot[mask == 1] == 0)
         assert np.all(mask_cot == 0)
+
+
+def bit_identical(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def oracle_case(i, rng):
+    """Case `i` of the seeded oracle comparison: (image, mask, radius, kind).
+
+    Radius and channel count cycle fastest, so every mask kind meets every
+    radius 1-6 with 1 and 3 channels; border rectangles cycle through the
+    four edges and four corners.
+    """
+    radius = 1 + i % 6
+    channels = (1, 3)[(i // 6) % 2]
+    kind = ("random", "border", "single", "islands")[(i // 12) % 4]
+    h, w = (int(n) for n in rng.integers(2, 17, size=2))
+    image = rng.uniform(0.0, 1.0, (h, w, channels))
+    mask = np.zeros((h, w))
+
+    def band(n, at_start, at_end):
+        lo, hi = sorted(rng.choice(n + 1, size=2, replace=False))
+        return slice(0 if at_start else lo, n if at_end else hi)
+
+    if kind == "random":
+        mask[rng.uniform(size=(h, w)) < rng.uniform(0.1, 0.8)] = 1
+    elif kind == "border":
+        edge = ("t", "b", "l", "r", "tl", "tr", "bl", "br")[i % 8]
+        mask[band(h, "t" in edge, "b" in edge), band(w, "l" in edge, "r" in edge)] = 1
+    elif kind == "single":
+        mask[rng.integers(h), rng.integers(w)] = 1
+    else:  # one-pixel known islands in a masked field
+        mask[:] = 1
+        step = int(rng.integers(2, 5))
+        mask[rng.integers(step) :: step, rng.integers(step) :: step] = 0
+    if mask.all():
+        mask[h // 2, w // 2] = 0
+    return image, mask, radius, kind
+
+
+class TestTeleaOracle:
+    """`telea_inpaint_array` against the scalar loop of `telea_oracle`, bit for bit."""
+
+    def test_seeded_random_cases(self):
+        rng = np.random.default_rng(20240)
+        combos, touched = set(), set()
+        for i in range(240):
+            image, mask, radius, kind = oracle_case(i, rng)
+            combos.add((kind, radius, image.shape[2]))
+            borders = {"t": mask[0], "b": mask[-1], "l": mask[:, 0], "r": mask[:, -1],
+                       "tl": mask[0, 0], "tr": mask[0, -1], "bl": mask[-1, 0], "br": mask[-1, -1]}
+            touched.update(name for name, pixels in borders.items() if np.any(pixels))
+            fast = telea_inpaint_array(image, mask, radius)
+            assert bit_identical(fast, telea_oracle(image, mask, radius)), (
+                f"case {i}: {kind} mask {mask.shape}, radius {radius}, {image.shape[2]} channels"
+            )
+        assert len(combos) == 4 * 6 * 2
+        assert touched == {"t", "b", "l", "r", "tl", "tr", "bl", "br"}
+
+    def test_negative_zero_window(self):
+        # A window whose known values are all -0.0 sums to +0.0 in the
+        # scalar loop, which starts its sum at +0.0.
+        image = np.full((6, 7, 2), -0.0)
+        image[..., 1] = np.linspace(0.1, 0.9, 42).reshape(6, 7)
+        mask = np.zeros((6, 7))
+        mask[2:4, 2:5] = 1
+        assert bit_identical(telea_inpaint_array(image, mask, 3), telea_oracle(image, mask, 3))
+
+    @pytest.mark.parametrize("size", [(32, 64), (64, 128)])
+    def test_ilp_masks_of_benchmark_scene(self, tmp_path, size):
+        frames = load_frames(ingest_dataset(synth_dataset(1, *size, 7, tmp_path)))
+        cfg = ilp_config()
+        for frame in (frames[0].frame1, frames[0].frame2):
+            mask = defend(frame, cfg)[1].data
+            assert mask.any()
+            fast = telea_inpaint_array(frame.data, mask, cfg.r_telea)
+            assert bit_identical(fast, telea_oracle(frame.data, mask, cfg.r_telea))
