@@ -22,7 +22,7 @@ from .core.floio import write_flo
 from .core.ppm import mask_to_image, read_ppm, write_ppm
 from .defense.pipeline import DefenseConfig, defend
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
-from .harness.dataset import ingest_dataset, load_frames, synth_dataset
+from .harness.dataset import ingest_dataset, synth_dataset
 from .harness.experiment import ExperimentConfig, run_experiment
 from .metrics import EvalFrame, clean_flows, evaluate_pipeline, write_records_csv
 
@@ -80,10 +80,9 @@ def _load_pairs(data_dir) -> list[EvalFrame]:
     index = ingest_dataset(data_dir)
     for line in index.report:
         print(line, file=sys.stderr)
-    frames = load_frames(index)
-    if not frames:
+    if not index.frames:
         print("no frame pairs found", file=sys.stderr)
-    return frames
+    return index.frames
 
 
 def cmd_synth(args) -> int:
@@ -173,7 +172,7 @@ def cmd_evaluate(args) -> int:
         frames,
         clean_flows(estimator, defense, frames),
         seed=args.seed,
-        attack_label=args.attack_label,
+        attack_label=args.attack_label if patch is not None else "none",
     )
     write_records_csv(records, args.out)
     print(
@@ -259,7 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--patch", default=None, help="patch .npy (evaluated values) or 8-bit .ppm"
     )
-    p.add_argument("--attack-label", default="vanilla", dest="attack_label")
+    p.add_argument(
+        "--attack-label", default="vanilla", dest="attack_label",
+        help="attack name of the --patch rows (unattacked rows are labelled none)",
+    )
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--out", required=True)
     _add_defense_flags(p)

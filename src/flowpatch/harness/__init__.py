@@ -1,5 +1,4 @@
 from .dataset import (
-    DatasetEntry,
     DatasetIndex,
     ingest_dataset,
     load_frames,
@@ -8,7 +7,6 @@ from .dataset import (
 from .experiment import ExperimentConfig, ExperimentResult, GridCell, run_experiment
 
 __all__ = [
-    "DatasetEntry",
     "DatasetIndex",
     "ingest_dataset",
     "load_frames",

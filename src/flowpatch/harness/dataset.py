@@ -24,24 +24,16 @@ from ..metrics import EvalFrame
 _FRAME1_RE = re.compile(r"^(\d+)_1\.ppm$")
 
 
-@dataclass(frozen=True)
-class DatasetEntry:
-    frame_id: str
-    frame1: Path
-    frame2: Path
-    ground_truth: Path | None = None
-    valid: Path | None = None
-
-
 @dataclass
 class DatasetIndex:
-    entries: list[DatasetEntry] = field(default_factory=list)
+    frames: list[EvalFrame] = field(default_factory=list)
     report: list[str] = field(default_factory=list)
 
 
 def ingest_dataset(root) -> DatasetIndex:
-    """Index frame pairs under `root`; orphan or unparsable pairs are skipped
-    and listed in the report."""
+    """Load the frame pairs under `root`, reading each file once; a pair
+    whose files are missing, do not parse or disagree in size is skipped and
+    listed in the report."""
     root = Path(root)
     index = DatasetIndex()
     frame1_files = sorted(p for p in root.glob("*_1.ppm") if _FRAME1_RE.match(p.name))
@@ -57,38 +49,23 @@ def ingest_dataset(root) -> DatasetIndex:
         gt = root / f"{frame_id}.flo"
         valid = root / f"{frame_id}_valid.ppm"
         try:
-            read_ppm(frame1)
-            read_ppm(frame2)
-            if gt.exists():
-                read_flo(gt)
+            index.frames.append(
+                EvalFrame(
+                    frame_id,
+                    read_ppm(frame1),
+                    read_ppm(frame2),
+                    read_flo(gt) if gt.exists() else None,
+                    image_to_mask(read_ppm(valid)) if valid.exists() else None,
+                )
+            )
         except Exception as exc:  # noqa: BLE001 - report and skip bad pairs
             index.report.append(f"{frame_id}: unreadable ({exc}), pair skipped")
-            continue
-        index.entries.append(
-            DatasetEntry(
-                frame_id,
-                frame1,
-                frame2,
-                gt if gt.exists() else None,
-                valid if valid.exists() else None,
-            )
-        )
     return index
 
 
 def load_frames(index: DatasetIndex) -> list[EvalFrame]:
-    frames = []
-    for entry in index.entries:
-        frames.append(
-            EvalFrame(
-                entry.frame_id,
-                read_ppm(entry.frame1),
-                read_ppm(entry.frame2),
-                read_flo(entry.ground_truth) if entry.ground_truth else None,
-                image_to_mask(read_ppm(entry.valid)) if entry.valid else None,
-            )
-        )
-    return frames
+    """The frames `ingest_dataset` loaded."""
+    return index.frames
 
 
 def _scene(height: int, width: int, rng: np.random.Generator):

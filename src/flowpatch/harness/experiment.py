@@ -6,7 +6,8 @@ trains one patch against the awareness-matched defense; every trained patch
 is then evaluated against every configured defense.  A defense's clean flows,
 computed once per frame, give its quality column, the reference of every
 robustness value and the target of the cells trained against it.  Unknown
-names fail before anything is written.  Diverged cells are recorded as "div"
+names, empty or repeated grid axes and a given dataset without a loadable
+pair fail before anything is written.  Diverged cells are recorded as "div"
 and the run continues; unexpected errors mark the cell "fail" without
 touching other cells.  Identical configs (seeds included) produce
 byte-identical CSVs.
@@ -26,12 +27,11 @@ import numpy as np
 from ..attack.losses import ILP_AWARE, LGS_AWARE, VANILLA
 from ..attack.optimize import AttackConfig, save_patch, train_patch
 from ..attack.patch import Patch
-from ..core.raster import Image
 from ..defense.pipeline import ILP, LGS, DefenseConfig
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
 from ..metrics import clean_flows, evaluate_pipeline, format_metric
-from .dataset import ingest_dataset, load_frames, synth_dataset
+from .dataset import DatasetIndex, ingest_dataset, synth_dataset
 
 NO_DEFENSE = "none"
 # The defense each attack awareness trains against; its inverse pairs each
@@ -69,9 +69,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["attack_grid"] = [dataclasses.asdict(c) for c in self.attack_grid]
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -112,9 +110,7 @@ class ExperimentConfig:
 
 def _train_task(args) -> dict:
     """Worker for one training cell; returns a plain picklable result."""
-    (cfg_dict, awareness, cell, seed, pair_arrays, defense, references) = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    pairs = [(Image(a), Image(b)) for a, b in pair_arrays]
+    (cfg, awareness, cell, seed, pairs, defense, references) = args
     try:
         attack_cfg = AttackConfig(
             awareness=awareness,
@@ -149,6 +145,10 @@ class ExperimentResult:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     estimator = cfg.make_estimator()
+    for axis in ("defenses", "awareness", "attack_grid", "seeds"):
+        values = getattr(cfg, axis)
+        if not values or len(set(values)) != len(values):
+            raise ValueError(f"{axis} must be non-empty without repeats, got {values!r}")
     unknown = [a for a in cfg.awareness if a not in AWARENESS_DEFENSE]
     if unknown:
         raise ValueError(f"unknown awareness {unknown[0]!r}")
@@ -156,21 +156,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # ones, so that a misspelt override fails) before anything is written.
     used = dict.fromkeys([*cfg.defenses, *(AWARENESS_DEFENSE[a] for a in cfg.awareness)])
     defenses = {name: cfg.defense_config(name) for name in [*used, *cfg.defense_overrides]}
+    # A given dataset is loaded before anything is written; synthetic scenes
+    # are written under the output directory.
+    index = None if cfg.data_dir is None else _load_dataset(cfg.data_dir)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "patches").mkdir(exist_ok=True)
     config_hash = cfg.config_hash()
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
-
-    if cfg.data_dir is not None:
-        index = ingest_dataset(cfg.data_dir)
-    else:
-        index = ingest_dataset(synth_dataset(out_dir=out / "dataset", **cfg.synthetic))
+    if index is None:
+        index = _load_dataset(synth_dataset(out_dir=out / "dataset", **cfg.synthetic))
     report = list(index.report)
-    frames = load_frames(index)
-    if not frames:
-        raise ValueError("experiment dataset is empty")
-    pair_arrays = [(f.frame1.data, f.frame2.data) for f in frames]
+    frames = index.frames
+    pairs = [(f.frame1, f.frame2) for f in frames]
 
     # The clean flow of each defended pipeline, once per frame: its quality
     # (Table-1 axis), the reference of every robustness value and the target
@@ -188,7 +186,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for seed in cfg.seeds
     ]
     worker_args = [
-        (cfg.to_dict(), awareness, cell, seed, pair_arrays)
+        (cfg, awareness, cell, seed, pairs)
         + (defenses[AWARENESS_DEFENSE[awareness]], clean[AWARENESS_DEFENSE[awareness]])
         for (awareness, cell, seed) in tasks
     ]
@@ -276,6 +274,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(out, hard_failures, report)
 
 
+def _load_dataset(root) -> DatasetIndex:
+    index = ingest_dataset(root)
+    if not index.frames:
+        raise ValueError("; ".join([f"experiment dataset {root} is empty", *index.report]))
+    return index
+
+
 def _cell_fields(row: dict) -> list[str]:
     cell = row["cell"]
     return [row["awareness"], cell.optimizer, f"{cell.learning_rate:g}", cell.box]
@@ -304,7 +309,7 @@ def _mean_rows(cfg, per_seed_rows) -> list[dict]:
                     status = "ok" if len(ok) == len(group) else "partial"
                     robustness = float(np.mean([r["robustness"] for r in ok]))
                 else:
-                    status = group[0]["status"] if group else "fail"
+                    status = group[0]["status"]
                     robustness = None
                 rows.append(
                     {

@@ -63,13 +63,22 @@ class EvalRecord:
 
 @dataclass(frozen=True)
 class EvalFrame:
-    """One dataset item for evaluation."""
+    """One dataset item for evaluation.  Raises ValueError unless both frames
+    have one shape and the ground truth and validity mask their size."""
 
     frame_id: str
     frame1: Image
     frame2: Image
     ground_truth: FlowField | None = None
     valid: PixelMask | None = None
+
+    def __post_init__(self):
+        shape = self.frame1.data.shape
+        if self.frame2.data.shape != shape:
+            raise ValueError(f"frame2 is {self.frame2.data.shape}, frame1 {shape}")
+        for name, item in (("ground truth", self.ground_truth), ("validity mask", self.valid)):
+            if item is not None and item.data.shape[:2] != shape[:2]:
+                raise ValueError(f"{name} is {item.data.shape[:2]}, frames {shape[:2]}")
 
 
 @dataclass

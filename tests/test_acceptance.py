@@ -60,7 +60,6 @@ from flowpatch.harness import (
     ExperimentConfig,
     GridCell,
     ingest_dataset,
-    load_frames,
     run_experiment,
     synth_dataset,
 )
@@ -87,7 +86,7 @@ def announce(number: int, passed: bool, detail: str) -> None:
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_data")
     synth_dataset(3, 64, 128, seed=7, out_dir=root)
-    return load_frames(ingest_dataset(root))
+    return ingest_dataset(root).frames
 
 
 @pytest.fixture(scope="session")

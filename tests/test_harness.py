@@ -1,21 +1,43 @@
 import csv
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowpatch.cli import _defense_from_args, _estimator, build_parser, main
-from flowpatch.core import read_flo, read_ppm
+from flowpatch.core import FlowField, Image, PixelMask, mask_to_image, write_flo, write_ppm
 from flowpatch.defense import defend, ilp_config, lgs_config
 from flowpatch.flow import HornSchunck, HornSchunckConfig
 from flowpatch.harness import (
     ExperimentConfig,
     GridCell,
+    dataset,
     ingest_dataset,
     load_frames,
     run_experiment,
     synth_dataset,
 )
+
+
+def write_valid(path, height, width):
+    write_ppm(mask_to_image(PixelMask(np.ones((height, width)))), path)
+
+
+# The ways a pair's files can be malformed; each rewrites one file of pair
+# `frame_id` under `root`.
+SPOILERS = {
+    "corrupt-valid": lambda root, frame_id: (root / f"{frame_id}_valid.ppm").write_bytes(
+        b"P6\nnot a ppm"
+    ),
+    "frame2-size": lambda root, frame_id: write_ppm(
+        Image(np.full((16, 16, 3), 0.5)), root / f"{frame_id}_2.ppm"
+    ),
+    "flo-size": lambda root, frame_id: write_flo(
+        FlowField(np.zeros((16, 16, 2))), root / f"{frame_id}.flo"
+    ),
+    "valid-size": lambda root, frame_id: write_valid(root / f"{frame_id}_valid.ppm", 16, 16),
+}
 
 
 class TestSynth:
@@ -27,9 +49,8 @@ class TestSynth:
     def test_ground_truth_constant_for_global_shift(self, tmp_path):
         # scenes with zero blobs reduce to a pure background translation
         synth_dataset(4, 32, 48, seed=3, out_dir=tmp_path)
-        for entry in ingest_dataset(tmp_path).entries:
-            flow = read_flo(entry.ground_truth)
-            gt = flow.data
+        for frame in ingest_dataset(tmp_path).frames:
+            gt = frame.ground_truth.data
             background = gt[0, 0]
             outside_blobs = np.all(gt == background, axis=2)
             # background region is constant by construction
@@ -54,7 +75,7 @@ class TestSynth:
 
     def test_frames_in_unit_range(self, tmp_path):
         synth_dataset(2, 32, 48, seed=5, out_dir=tmp_path)
-        for f in load_frames(ingest_dataset(tmp_path)):
+        for f in ingest_dataset(tmp_path).frames:
             for img in (f.frame1, f.frame2):
                 assert img.data.min() >= 0.0 and img.data.max() <= 1.0
 
@@ -62,28 +83,57 @@ class TestSynth:
 class TestIngest:
     def test_empty_directory(self, tmp_path):
         index = ingest_dataset(tmp_path)
-        assert index.entries == []
+        assert index.frames == []
         assert any("warning" in line for line in index.report)
 
     def test_complete_pair_with_gt(self, tmp_path):
         synth_dataset(1, 32, 48, seed=0, out_dir=tmp_path)
         index = ingest_dataset(tmp_path)
-        assert len(index.entries) == 1
-        assert index.entries[0].ground_truth is not None
+        assert len(index.frames) == 1
+        assert index.frames[0].ground_truth is not None
 
     def test_orphan_pair_skipped_with_report(self, tmp_path):
         synth_dataset(2, 32, 48, seed=0, out_dir=tmp_path)
         (tmp_path / "0001_2.ppm").unlink()
         index = ingest_dataset(tmp_path)
-        assert len(index.entries) == 1
+        assert len(index.frames) == 1
         assert any("0001" in line for line in index.report)
 
     def test_unreadable_pair_skipped(self, tmp_path):
         synth_dataset(1, 32, 48, seed=0, out_dir=tmp_path)
         (tmp_path / "0000_2.ppm").write_bytes(b"P5\nnot a ppm")
         index = ingest_dataset(tmp_path)
-        assert index.entries == []
+        assert index.frames == []
         assert any("unreadable" in line for line in index.report)
+
+    @pytest.mark.parametrize("kind", SPOILERS)
+    def test_malformed_pair_skipped_with_one_report_line(self, tmp_path, kind):
+        synth_dataset(3, 32, 48, seed=0, out_dir=tmp_path)
+        write_valid(tmp_path / "0000_valid.ppm", 32, 48)
+        SPOILERS[kind](tmp_path, "0001")
+        index = ingest_dataset(tmp_path)
+        assert [f.frame_id for f in index.frames] == ["0000", "0002"]
+        assert index.frames[0].valid.count() == 32 * 48
+        assert len(index.report) == 1
+        assert index.report[0].startswith("0001: ")
+
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch):
+        synth_dataset(2, 32, 48, seed=0, out_dir=tmp_path)
+        write_valid(tmp_path / "0000_valid.ppm", 32, 48)
+        calls = Counter()
+
+        def counted(read):
+            def wrapper(path):
+                calls[Path(path).name] += 1
+                return read(path)
+
+            return wrapper
+
+        for name in ("read_ppm", "read_flo"):
+            monkeypatch.setattr(dataset, name, counted(getattr(dataset, name)))
+        frames = load_frames(ingest_dataset(tmp_path))
+        assert [f.frame_id for f in frames] == ["0000", "0001"]
+        assert calls == Counter({p.name: 1 for p in tmp_path.iterdir()})
 
 
 class TestCli:
@@ -100,6 +150,36 @@ class TestCli:
         )
         assert code == 0
         assert "0001: missing 0001_2.ppm, pair skipped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["flow", "defend", "evaluate"])
+    def test_commands_run_on_the_pairs_left(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        synth_dataset(len(SPOILERS) + 1, 32, 48, seed=0, out_dir=data)
+        for i, spoil in enumerate(SPOILERS.values()):
+            spoil(data, f"{i:04d}")
+        out = tmp_path / "out"
+        argv = {
+            "flow": ["flow", "--in", str(data), "--iters", "5", "--out", str(out)],
+            "defend": ["defend", "--in", str(data), "--defense", "lgs", "--out", str(out)],
+            "evaluate": ["evaluate", "--data", str(data), "--iters", "5", "--out", str(out)],
+        }[command]
+        assert main(argv) == 0
+        skipped = capsys.readouterr().err.splitlines()
+        assert [line[:6] for line in skipped] == [f"{i:04d}: " for i in range(len(SPOILERS))]
+        if command == "defend":
+            assert {p.name[:4] for p in out.iterdir()} == {"0004"}
+        if command == "evaluate":
+            with open(out, newline="") as fh:
+                assert [r["frame"] for r in csv.DictReader(fh)] == ["0004"]
+
+    @pytest.mark.parametrize("label", [[], ["--attack-label", "lgs"]], ids=["default", "given"])
+    def test_unattacked_rows_labelled_none(self, tmp_path, label):
+        synth_dataset(1, 32, 48, seed=0, out_dir=tmp_path / "data")
+        out = tmp_path / "eval.csv"
+        argv = ["evaluate", "--data", str(tmp_path / "data"), "--iters", "5", "--out", str(out)]
+        assert main(argv + label) == 0
+        with open(out, newline="") as fh:
+            assert [r["attack"] for r in csv.DictReader(fh)] == ["none"]
 
     def test_defend_without_pairs_fails(self, tmp_path, capsys):
         code = main(
@@ -154,12 +234,47 @@ class TestExperiment:
             ({"defense_overrides": {"lgs": {"blok": 8}}}, TypeError, "blok"),
             ({"defense_overrides": {"none": {"block": 8}}}, ValueError, "none"),
             ({"awareness": ("vanilla", "lgs-aware")}, ValueError, "lgs-aware"),
+            ({"seeds": ()}, ValueError, "seeds"),
+            ({"seeds": (0, 0)}, ValueError, "seeds"),
+            ({"awareness": ()}, ValueError, "awareness"),
+            ({"awareness": ("vanilla", "vanilla")}, ValueError, "awareness"),
+            ({"attack_grid": ()}, ValueError, "attack_grid"),
+            ({"attack_grid": (GridCell("ifgsm", 0.1, "clip"),) * 2}, ValueError, "attack_grid"),
+            ({"defenses": ()}, ValueError, "defenses"),
+            ({"defenses": ("none", "lgs", "none")}, ValueError, "defenses"),
         ],
-        ids=["defense", "override-key", "override-field", "override-none", "awareness"],
+        ids=[
+            "defense",
+            "override-key",
+            "override-field",
+            "override-none",
+            "awareness",
+            "seeds-empty",
+            "seeds-repeated",
+            "awareness-empty",
+            "awareness-repeated",
+            "attack-grid-empty",
+            "attack-grid-repeated",
+            "defenses-empty",
+            "defenses-repeated",
+        ],
     )
     def test_unknown_names_rejected_before_writing(self, tmp_path, overrides, error, name):
         cfg = tiny_config(tmp_path / "run", **overrides)
         with pytest.raises(error, match=name):
+            run_experiment(cfg)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("spoil", [False, True], ids=["empty", "malformed"])
+    def test_data_without_loadable_pair_rejected_before_writing(self, tmp_path, spoil):
+        data = tmp_path / "data"
+        data.mkdir()
+        if spoil:
+            synth_dataset(len(SPOILERS), 32, 48, seed=0, out_dir=data)
+            for i, spoil_pair in enumerate(SPOILERS.values()):
+                spoil_pair(data, f"{i:04d}")
+        cfg = tiny_config(tmp_path / "run", data_dir=str(data))
+        with pytest.raises(ValueError, match="empty"):
             run_experiment(cfg)
         assert not (tmp_path / "run").exists()
 
@@ -173,7 +288,7 @@ class TestExperiment:
         clean = {}  # frame bytes of each clean (defended) pair -> (defense, frame)
         for name in ("none", "lgs", "ilp"):
             defense = cfg.defense_config(name)
-            for f in load_frames(ingest_dataset(scenes)):
+            for f in ingest_dataset(scenes).frames:
                 pair = (f.frame1, f.frame2)
                 if defense is not None:
                     pair = tuple(defend(frame, defense)[0] for frame in pair)

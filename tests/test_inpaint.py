@@ -3,7 +3,7 @@ import pytest
 from telea_oracle import _FAR, _eikonal, telea_oracle
 
 from flowpatch.defense import TeleaInpaintStage, defend, ilp_config, telea_inpaint_array
-from flowpatch.harness import ingest_dataset, load_frames, synth_dataset
+from flowpatch.harness import ingest_dataset, synth_dataset
 
 
 def left_right_image(width=7, height=7, a=0.2, b=0.8):
@@ -200,7 +200,7 @@ class TestTeleaOracle:
 
     @pytest.mark.parametrize("size", [(32, 64), (64, 128)])
     def test_ilp_masks_of_benchmark_scene(self, tmp_path, size):
-        frames = load_frames(ingest_dataset(synth_dataset(1, *size, 7, tmp_path)))
+        frames = ingest_dataset(synth_dataset(1, *size, 7, tmp_path)).frames
         cfg = ilp_config()
         for frame in (frames[0].frame1, frames[0].frame2):
             mask = defend(frame, cfg)[1].data

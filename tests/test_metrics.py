@@ -137,6 +137,29 @@ class TestRecordsAndTable:
         )
 
 
+class TestEvalFrame:
+    @pytest.mark.parametrize(
+        "frame2, ground_truth, valid, name",
+        [
+            ((8, 12, 1), None, None, "frame2"),
+            ((8, 10, 3), None, None, "frame2"),
+            ((8, 12, 3), (8, 10), None, "ground truth"),
+            ((8, 12, 3), None, (12, 8), "validity mask"),
+        ],
+        ids=["frame2-channels", "frame2-size", "ground-truth", "valid"],
+    )
+    def test_mismatched_shapes_rejected(self, frame2, ground_truth, valid, name):
+        frame1 = Image(np.zeros((8, 12, 3)))
+        with pytest.raises(ValueError, match=name):
+            EvalFrame(
+                "0000",
+                frame1,
+                Image(np.zeros(frame2)),
+                None if ground_truth is None else FlowField(np.zeros((*ground_truth, 2))),
+                None if valid is None else PixelMask(np.ones(valid)),
+            )
+
+
 class TestEvaluatePipeline:
     def _dataset(self):
         h, w = 20, 28

@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from flowpatch.defense import defend, ilp_config, telea_inpaint_array  # noqa: E402
-from flowpatch.harness import ingest_dataset, load_frames, synth_dataset  # noqa: E402
+from flowpatch.harness import ingest_dataset, synth_dataset  # noqa: E402
 from telea_oracle import telea_oracle  # noqa: E402
 
 SIZES = ((32, 64), (64, 128), (128, 256))
@@ -68,7 +68,7 @@ def machine() -> dict:
 
 def bench_size(h: int, w: int, radius: int, repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        frames = load_frames(ingest_dataset(synth_dataset(1, h, w, SCENE_SEED, tmp)))
+        frames = ingest_dataset(synth_dataset(1, h, w, SCENE_SEED, tmp)).frames
     pair = (frames[0].frame1, frames[0].frame2)
     images = [frame.data for frame in pair]
     masks = [defend(frame, ilp_config())[1].data for frame in pair]
