@@ -115,6 +115,8 @@ def _render(height, width, base, slope_x, slope_y, blobs, tints, shift_bg, shift
 
 def synth_dataset(count: int, height: int, width: int, seed: int, out_dir) -> Path:
     """Write `count` deterministic scenes with exact ground-truth flow."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if height < 24 or width < 24:
         raise ValueError("frames must be at least 24x24 to leave patch margin")
     out_dir = Path(out_dir)

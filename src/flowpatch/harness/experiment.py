@@ -2,14 +2,18 @@
 defense x attack matrix, and emit deterministic CSV summaries.
 
 Grid cells are (awareness, optimizer, learning rate, box, seed).  Each cell
-trains one patch against the awareness-matched defense; every trained patch
-is then evaluated against every configured defense.  A defense's clean flows,
-computed once per frame, give its quality column, the reference of every
-robustness value and the target of the cells trained against it.  Unknown
-names, empty or repeated grid axes and a given dataset without a loadable
-pair fail before anything is written.  Diverged cells are recorded as "div"
-and the run continues; unexpected errors mark the cell "fail" without
-touching other cells.  Identical configs (seeds included) produce
+trains one patch against the awareness-matched defense and saves it; every
+trained patch is then evaluated against every configured defense.  A
+defense's clean flows, computed once per frame, give its quality column, the
+reference of every robustness value and the target of the cells trained
+against it.  A cell's CSV fields are formatted once and also name its patch
+files.  Each seed's result is grouped by (cell fields, defense) in
+seed_mean.csv's order, so one pass over the groups gives the seed means and
+the headline maxima.  Unknown names, empty or repeated grid axes, cells whose
+fields coincide, an invalid synthetic block and a given dataset without a
+loadable pair fail before anything is written.  Diverged cells are recorded
+as "div" and the run continues; unexpected errors mark the cell "fail"
+without touching other cells.  Identical configs (seeds included) produce
 byte-identical CSVs.
 """
 
@@ -108,9 +112,10 @@ class ExperimentConfig:
         return HornSchunck(HornSchunckConfig(**self.estimator))
 
 
-def _train_task(args) -> dict:
-    """Worker for one training cell; returns a plain picklable result."""
-    (cfg, awareness, cell, seed, pairs, defense, references) = args
+def _train_task(args) -> tuple[str, Patch | str]:
+    """Worker for one training cell: trains its patch and saves it under
+    `stem`.  Returns ("ok", patch), or ("div" | "fail", error text)."""
+    (cfg, awareness, cell, seed, stem, pairs, defense, references) = args
     try:
         attack_cfg = AttackConfig(
             awareness=awareness,
@@ -121,19 +126,20 @@ def _train_task(args) -> dict:
             alpha_penalty=cfg.alpha_penalty,
             seed=seed,
         )
-        result = train_patch(
+        patch = train_patch(
             cfg.make_estimator(),
             defense,
             pairs,
             attack_cfg,
             patch_side=cfg.patch_side,
             references=references,
-        )
-        return {"status": "ok", "param": result.patch.param, "attack": attack_cfg}
+        ).patch
+        save_patch(stem, patch, attack_cfg)
+        return "ok", patch
     except DivergenceError as exc:
-        return {"status": "div", "error": str(exc)}
+        return "div", str(exc)
     except Exception as exc:  # noqa: BLE001 - crash isolation per grid cell
-        return {"status": "fail", "error": f"{type(exc).__name__}: {exc}"}
+        return "fail", f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -145,8 +151,15 @@ class ExperimentResult:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     estimator = cfg.make_estimator()
-    for axis in ("defenses", "awareness", "attack_grid", "seeds"):
-        values = getattr(cfg, axis)
+    # A grid cell's CSV fields, which also name its patch files, so two
+    # cells whose fields coincide count as a repeat.
+    names = [(c.optimizer, f"{c.learning_rate:g}", c.box) for c in cfg.attack_grid]
+    for axis, values in (
+        ("defenses", cfg.defenses),
+        ("awareness", cfg.awareness),
+        ("attack_grid", names),
+        ("seeds", cfg.seeds),
+    ):
         if not values or len(set(values)) != len(values):
             raise ValueError(f"{axis} must be non-empty without repeats, got {values!r}")
     unknown = [a for a in cfg.awareness if a not in AWARENESS_DEFENSE]
@@ -156,16 +169,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # ones, so that a misspelt override fails) before anything is written.
     used = dict.fromkeys([*cfg.defenses, *(AWARENESS_DEFENSE[a] for a in cfg.awareness)])
     defenses = {name: cfg.defense_config(name) for name in [*used, *cfg.defense_overrides]}
-    # A given dataset is loaded before anything is written; synthetic scenes
-    # are written under the output directory.
-    index = None if cfg.data_dir is None else _load_dataset(cfg.data_dir)
+    # A given dataset is loaded, or the synthetic scenes are written under
+    # the output directory, before anything else is written.
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "patches").mkdir(exist_ok=True)
+    index = _load_dataset(
+        synth_dataset(out_dir=out / "dataset", **cfg.synthetic)
+        if cfg.data_dir is None
+        else cfg.data_dir
+    )
+    (out / "patches").mkdir(parents=True, exist_ok=True)
     config_hash = cfg.config_hash()
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
-    if index is None:
-        index = _load_dataset(synth_dataset(out_dir=out / "dataset", **cfg.synthetic))
     report = list(index.report)
     frames = index.frames
     pairs = [(f.frame1, f.frame2) for f in frames]
@@ -177,18 +191,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     quality = {}
     for name in cfg.defenses:
         _, agg = evaluate_pipeline(estimator, defenses[name], None, frames, clean[name])
-        quality[name] = agg.mean_quality
+        quality[name] = format_metric(agg.mean_quality)
 
     tasks = [
-        (awareness, cell, seed)
+        ((awareness, *name), cell, seed)
         for awareness in cfg.awareness
-        for cell in cfg.attack_grid
+        for cell, name in zip(cfg.attack_grid, names)
         for seed in cfg.seeds
     ]
+    stems = ["_".join(fields) + f"_seed{seed}" for fields, _, seed in tasks]
     worker_args = [
-        (cfg, awareness, cell, seed, pairs)
-        + (defenses[AWARENESS_DEFENSE[awareness]], clean[AWARENESS_DEFENSE[awareness]])
-        for (awareness, cell, seed) in tasks
+        (cfg, fields[0], cell, seed, out / "patches" / stem, pairs)
+        + (defenses[AWARENESS_DEFENSE[fields[0]]], clean[AWARENESS_DEFENSE[fields[0]]])
+        for (fields, cell, seed), stem in zip(tasks, stems)
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -196,78 +211,75 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         outcomes = [_train_task(a) for a in worker_args]
 
-    # Robustness of every trained patch against every configured defense.
-    per_seed_rows: list[dict] = []
+    # Robustness of every trained patch against every configured defense;
+    # each seed's (status, robustness) is grouped by (cell fields, defense),
+    # in the order of seed_mean.csv.
+    per_seed = []
+    groups: dict[tuple, list[tuple[str, float | None]]] = {}
     hard_failures = 0
-    for (awareness, cell, seed), outcome in zip(tasks, outcomes):
-        tag = f"{awareness}_{cell.optimizer}_{cell.learning_rate:g}_{cell.box}_seed{seed}"
-        status = outcome["status"]
-        if status == "ok":
-            patch = Patch(cfg.patch_side, cell.box, outcome["param"])
-            save_patch(out / "patches" / tag, patch, outcome["attack"])
-        else:
-            report.append(f"{tag}: {status} ({outcome['error']})")
+    for (fields, _, seed), stem, (status, outcome) in zip(tasks, stems, outcomes):
+        if status != "ok":
+            report.append(f"{stem}: {status} ({outcome})")
             hard_failures += status == "fail"
         for defense in cfg.defenses:
-            row = {
-                "awareness": awareness,
-                "cell": cell,
-                "seed": seed,
-                "defense": defense,
-                "status": status,
-                "robustness": None,
-            }
+            row_status, robustness = status, None
             if status == "ok":
                 try:
                     _, agg = evaluate_pipeline(
-                        estimator, defenses[defense], patch, frames, clean[defense],
-                        seed=cfg.eval_seed, attack_label=awareness,
+                        estimator, defenses[defense], outcome, frames, clean[defense],
+                        seed=cfg.eval_seed, attack_label=fields[0],
                     )
-                    row["robustness"] = agg.mean_robustness
+                    robustness = agg.mean_robustness
                 except Exception as exc:  # noqa: BLE001 - crash isolation
                     hard_failures += 1
-                    report.append(f"{tag}/eval/{defense}: {type(exc).__name__}: {exc}")
-                    row["status"] = "fail"
-            per_seed_rows.append(row)
+                    report.append(f"{stem}/eval/{defense}: {type(exc).__name__}: {exc}")
+                    row_status = "fail"
+            groups.setdefault((fields, defense), []).append((row_status, robustness))
+            per_seed.append(
+                [config_hash, *fields, str(seed), defense, row_status, quality[defense],
+                 format_metric(robustness)]
+            )
 
-    def epe_fields(defense: str, robustness: float | None) -> list[str]:
-        return [format_metric(quality.get(defense)), format_metric(robustness)]
-
-    mean_rows = _mean_rows(cfg, per_seed_rows)
-    headline = _headline(mean_rows)
+    # Seed means, and per (defense, attack awareness) the first cell with the
+    # largest mean robustness, i.e. the strongest adversarial configuration.
+    seed_mean = []
+    strongest: dict[tuple[str, str], tuple[float, tuple]] = {}
+    for (fields, defense), results in groups.items():
+        ok = [robustness for status, robustness in results if status == "ok"]
+        robustness = float(np.mean(ok)) if ok else None
+        status = ("ok" if len(ok) == len(results) else "partial") if ok else results[0][0]
+        seed_mean.append(
+            [config_hash, *fields, defense, status, str(len(ok)), quality[defense],
+             format_metric(robustness)]
+        )
+        key = (defense, fields[0])
+        if ok and (key not in strongest or robustness > strongest[key][0]):
+            strongest[key] = (robustness, fields)
     _write_csv(
         out / "per_seed.csv",
         "config,awareness,optimizer,lr,box,seed,defense,status,quality_epe,robustness_epe",
-        [
-            [config_hash, *_cell_fields(r), str(r["seed"]), r["defense"], r["status"]]
-            + epe_fields(r["defense"], r["robustness"])
-            for r in per_seed_rows
-        ],
+        per_seed,
     )
     _write_csv(
         out / "seed_mean.csv",
         "config,awareness,optimizer,lr,box,defense,status,n_seeds,quality_epe,robustness_epe",
-        [
-            [config_hash, *_cell_fields(r), r["defense"], r["status"], str(r["n_seeds"])]
-            + epe_fields(r["defense"], r["robustness"])
-            for r in mean_rows
-        ],
+        seed_mean,
     )
     _write_csv(
         out / "headline.csv",
         "config,defense,attack,optimizer,lr,box,quality_epe,robustness_epe",
         [
-            [config_hash, defense, *_cell_fields(r)] + epe_fields(defense, r["robustness"])
-            for (defense, _), r in sorted(headline.items())
+            [config_hash, defense, *fields, quality[defense], format_metric(robustness)]
+            for (defense, _), (robustness, fields) in sorted(strongest.items())
         ],
     )
     # Full-pipeline points: each defense with the attack aware of it.
     defense_attack = {d: a for a, d in AWARENESS_DEFENSE.items()}
-    scatter = [(d, headline.get((d, defense_attack[d]))) for d in cfg.defenses]
+    scatter = [(d, strongest.get((d, defense_attack[d]))) for d in cfg.defenses]
     _write_csv(
         out / "scatter.csv",
         "quality_epe,robustness_epe,label",
-        [epe_fields(d, r["robustness"]) + [d] for d, r in scatter if r is not None],
+        [[quality[d], format_metric(s[0]), d] for d, s in scatter if s is not None],
     )
     if report:
         (out / "report.txt").write_text("\n".join(report) + "\n")
@@ -281,57 +293,7 @@ def _load_dataset(root) -> DatasetIndex:
     return index
 
 
-def _cell_fields(row: dict) -> list[str]:
-    cell = row["cell"]
-    return [row["awareness"], cell.optimizer, f"{cell.learning_rate:g}", cell.box]
-
-
 def _write_csv(path: Path, header: str, rows: list[list[str]]) -> None:
     """Write one of the experiment's CSVs: comma-joined fields without
     quoting, one row per line."""
     path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
-
-
-def _mean_rows(cfg, per_seed_rows) -> list[dict]:
-    rows = []
-    for awareness in cfg.awareness:
-        for cell in cfg.attack_grid:
-            for defense in cfg.defenses:
-                group = [
-                    r
-                    for r in per_seed_rows
-                    if r["awareness"] == awareness
-                    and r["cell"] == cell
-                    and r["defense"] == defense
-                ]
-                ok = [r for r in group if r["status"] == "ok"]
-                if ok:
-                    status = "ok" if len(ok) == len(group) else "partial"
-                    robustness = float(np.mean([r["robustness"] for r in ok]))
-                else:
-                    status = group[0]["status"]
-                    robustness = None
-                rows.append(
-                    {
-                        "awareness": awareness,
-                        "cell": cell,
-                        "defense": defense,
-                        "status": status,
-                        "n_seeds": len(ok),
-                        "robustness": robustness,
-                    }
-                )
-    return rows
-
-
-def _headline(mean_rows) -> dict:
-    """Per (defense, attack awareness): the grid cell with the largest mean
-    robustness, i.e. the strongest adversarial configuration."""
-    headline: dict[tuple[str, str], dict] = {}
-    for r in mean_rows:
-        if r["robustness"] is None:
-            continue
-        key = (r["defense"], r["awareness"])
-        if key not in headline or r["robustness"] > headline[key]["robustness"]:
-            headline[key] = r
-    return headline

@@ -1,4 +1,5 @@
 import csv
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -8,11 +9,13 @@ import pytest
 from flowpatch.cli import _defense_from_args, _estimator, build_parser, main
 from flowpatch.core import FlowField, Image, PixelMask, mask_to_image, write_flo, write_ppm
 from flowpatch.defense import defend, ilp_config, lgs_config
+from flowpatch.errors import DivergenceError
 from flowpatch.flow import HornSchunck, HornSchunckConfig
 from flowpatch.harness import (
     ExperimentConfig,
     GridCell,
     dataset,
+    experiment,
     ingest_dataset,
     load_frames,
     run_experiment,
@@ -203,14 +206,18 @@ class TestCli:
         assert _estimator(args).config == HornSchunckConfig(iterations=7)
 
 
+CELL = GridCell("ifgsm", 0.1, "clip")
+SYNTHETIC = {"count": 1, "height": 32, "width": 48, "seed": 2}
+
+
 def tiny_config(out_dir, **overrides) -> ExperimentConfig:
     base = dict(
         output_dir=str(out_dir),
-        synthetic={"count": 1, "height": 32, "width": 48, "seed": 2},
+        synthetic=SYNTHETIC,
         estimator={"alpha": 15.0, "iterations": 25},
         defenses=("none", "lgs"),
         awareness=("vanilla",),
-        attack_grid=(GridCell("ifgsm", 0.1, "clip"),),
+        attack_grid=(CELL,),
         steps=4,
         patch_side=10,
         seeds=(0,),
@@ -242,6 +249,15 @@ class TestExperiment:
             ({"attack_grid": (GridCell("ifgsm", 0.1, "clip"),) * 2}, ValueError, "attack_grid"),
             ({"defenses": ()}, ValueError, "defenses"),
             ({"defenses": ("none", "lgs", "none")}, ValueError, "defenses"),
+            # 0.1 and 0.1000001 both print as 0.1 in the lr field
+            (
+                {"attack_grid": (CELL, GridCell("ifgsm", 0.1000001, "clip"))},
+                ValueError,
+                "attack_grid",
+            ),
+            ({"synthetic": {**SYNTHETIC, "hieght": 32}}, TypeError, "hieght"),
+            ({"synthetic": {**SYNTHETIC, "height": 16}}, ValueError, "24x24"),
+            ({"synthetic": {**SYNTHETIC, "count": 0}}, ValueError, "count"),
         ],
         ids=[
             "defense",
@@ -257,6 +273,10 @@ class TestExperiment:
             "attack-grid-repeated",
             "defenses-empty",
             "defenses-repeated",
+            "attack-grid-same-fields",
+            "synthetic-key",
+            "synthetic-size",
+            "synthetic-count",
         ],
     )
     def test_unknown_names_rejected_before_writing(self, tmp_path, overrides, error, name):
@@ -277,6 +297,15 @@ class TestExperiment:
         with pytest.raises(ValueError, match="empty"):
             run_experiment(cfg)
         assert not (tmp_path / "run").exists()
+
+    def test_data_dir_run_makes_output_dir(self, tmp_path):
+        data = synth_dataset(out_dir=tmp_path / "data", **SYNTHETIC)
+        result = run_experiment(tiny_config(tmp_path / "new" / "run", data_dir=str(data)))
+        assert result.hard_failures == 0
+        assert sorted(p.name for p in result.output_dir.iterdir()) == [
+            "config.json", "headline.csv", "patches", "per_seed.csv", "scatter.csv",
+            "seed_mean.csv",
+        ]
 
     def test_each_clean_flow_computed_once(self, tmp_path, monkeypatch):
         cfg = tiny_config(
@@ -444,3 +473,78 @@ class TestExperiment:
         monkeypatch.setenv("FLOWPATCH_WORKERS", "two")
         result = run_experiment(tiny_config(tmp_path / "run"))
         assert result.hard_failures == 0
+
+    def test_div_partial_and_fail_rows(self, tmp_path, monkeypatch):
+        # Training diverges for seed 1 and for lr 0.05; evaluating the
+        # lgs-aware patch under lgs raises.
+        train_patch = experiment.train_patch
+        evaluate_pipeline = experiment.evaluate_pipeline
+
+        def diverging(estimator, defense, pairs, attack_cfg, **kwargs):
+            if attack_cfg.seed == 1 or attack_cfg.learning_rate == 0.05:
+                raise DivergenceError("diverged on purpose")
+            return train_patch(estimator, defense, pairs, attack_cfg, **kwargs)
+
+        def failing(estimator, defense, patch, frames, clean, **kwargs):
+            if patch is not None and defense is not None and kwargs["attack_label"] == "lgs":
+                raise RuntimeError("evaluation failed on purpose")
+            return evaluate_pipeline(estimator, defense, patch, frames, clean, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_patch", diverging)
+        monkeypatch.setattr(experiment, "evaluate_pipeline", failing)
+        cfg = tiny_config(
+            tmp_path / "run",
+            awareness=("vanilla", "lgs"),
+            attack_grid=(CELL, GridCell("ifgsm", 0.05, "clip")),
+            seeds=(0, 1),
+        )
+        result = run_experiment(cfg)
+        assert result.hard_failures == 1
+
+        def table(name, *keys):
+            with open(result.output_dir / name, newline="") as fh:
+                return {tuple(r[k] for k in keys): r for r in csv.DictReader(fh)}
+
+        per_seed = table("per_seed.csv", "awareness", "lr", "seed", "defense")
+        assert {k: r["status"] for k, r in per_seed.items()} == {
+            (a, lr, s, d): "div" if s == "1" or lr == "0.05" else
+            "fail" if (a, d) == ("lgs", "lgs") else "ok"
+            for a in cfg.awareness for lr in ("0.1", "0.05") for s in ("0", "1")
+            for d in cfg.defenses
+        }
+        assert per_seed["lgs", "0.1", "0", "lgs"]["robustness_epe"] == ""
+        mean = table("seed_mean.csv", "awareness", "lr", "defense")
+        assert [(r["status"], r["n_seeds"]) for r in mean.values()] == [
+            ("partial", "1"), ("partial", "1"), ("div", "0"), ("div", "0"),
+            ("partial", "1"), ("fail", "0"), ("div", "0"), ("div", "0"),
+        ]
+        for (a, lr, d), r in mean.items():
+            survivor = per_seed[a, lr, "0", d]["robustness_epe"]
+            assert r["robustness_epe"] == (survivor if r["status"] == "partial" else "")
+        # Cells without a mean (lr 0.05, and the lgs-aware patch under lgs)
+        # are left out of the headline, and with them lgs from the scatter.
+        headline = table("headline.csv", "defense", "attack", "lr")
+        assert sorted(headline) == [
+            ("lgs", "vanilla", "0.1"), ("none", "lgs", "0.1"), ("none", "vanilla", "0.1")
+        ]
+        assert list(table("scatter.csv", "label")) == [("none",)]
+        assert {line.split(":")[0] for line in result.report} == {
+            *(f"{a}_ifgsm_{lr}_clip_seed{s}" for a in cfg.awareness
+              for lr, s in (("0.1", 1), ("0.05", 0), ("0.05", 1))),
+            "lgs_ifgsm_0.1_clip_seed0/eval/lgs",
+        }
+
+    def test_experiment_command(self, tmp_path):
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(tiny_config(tmp_path / "a").to_dict()))
+        assert main(["experiment", "--config", str(config)]) == 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["experiment", "--config", str(a / "config.json"), "--out", str(b)]) == 0
+        names = ["per_seed.csv", "seed_mean.csv", "headline.csv", "scatter.csv"]
+        names += [f"patches/{p.name}" for p in (a / "patches").iterdir()]
+        assert len(names) == 4 + 3
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        failing = tiny_config(tmp_path / "c", attack_grid=(GridCell("ifgsm", -1.0, "clip"),))
+        config.write_text(json.dumps(failing.to_dict()))
+        assert main(["experiment", "--config", str(config)]) == 1
