@@ -114,15 +114,6 @@ def laplacian_adjoint(g: np.ndarray, mode: str) -> np.ndarray:
     return _neighbor_sum_adjoint(g, mode) - 4.0 * g
 
 
-def neighbor_average(x: np.ndarray) -> np.ndarray:
-    """4-neighbour mean with replicated boundary (the Horn-Schunck update)."""
-    return 0.25 * _neighbor_sum(pad(x, "replicate"))
-
-
-def neighbor_average_adjoint(g: np.ndarray) -> np.ndarray:
-    return 0.25 * _neighbor_sum_adjoint(g, "replicate")
-
-
 def check_order(order: str) -> str:
     """`order` if it is a derivative order this module knows, else ValueError."""
     if order not in ("first", "second"):

@@ -4,8 +4,11 @@ The solver runs a fixed number of Jacobi iterations
     u <- ubar - Ix (Ix ubar + Iy vbar + It) / (alpha^2 + Ix^2 + Iy^2)
 (and symmetrically for v), where ubar/vbar are 4-neighbor averages with
 replicate boundary and the flow is initialized at zero.  All iterations are
-one exact-gradient stage, so the reverse pass reaches both input frames;
-`HornSchunck.estimate` runs them without a tape, keeping one iterate.
+one exact-gradient stage, fused in place on a stacked, padded u/v state, so
+the reverse pass reaches both input frames; its adjoint gathers from a
+zero-bordered padded cotangent.  `HornSchunck.estimate` runs the same loop
+without a tape, keeping one iterate.  `tests/hs_oracle.py` records the
+iterations one stage each and must agree with the fused stage bit for bit.
 
 Luminance is scaled to [0, 255] before differentiation; the smoothness weight
 is calibrated against 8-bit-scale image gradients and the flow units
@@ -89,12 +92,27 @@ class FrameDerivativesStage(Stage):
         return (spatial - ut, spatial + ut)
 
 
+def _residual(q, t, ix, iy, it, den, ubar, vbar):
+    """q = (Ix ubar + Iy vbar + It) / den in place, with `t` as scratch; the
+    forward and the backward's recomputation share this order."""
+    np.multiply(ix, ubar, out=q)
+    np.multiply(iy, vbar, out=t)
+    q += t
+    q += it
+    q /= den
+
+
 class HornSchunckSolveStage(Stage):
     """(Ix, Iy, It) -> HxWx2 flow after `iterations` updates from zero flow.
 
-    The forward keeps only (ubar_k, vbar_k) per iteration; the exact backward
-    runs the adjoint updates in reverse, recomputing q_k from them.  It sums
-    the Ix/Iy/It cotangents from the last iteration to the first, as a tape of
+    The updates run in place on one stacked (2, H+2, W+2) u/v state whose
+    replicate border is refreshed by four slice copies, so an iteration
+    allocates nothing but, on a tape, the stacked (ubar_k, vbar_k) it keeps
+    (16 B/px).  The exact backward runs the adjoint updates in reverse,
+    recomputing q_k from those averages.  Its neighbour-average adjoint
+    gathers from a zero-bordered padded cotangent in the order in which a
+    scatter into a zero pad adds, then folds the border back.  It sums the
+    Ix/Iy/It cotangents from the last iteration to the first, as a tape of
     one record per iteration would, so both give bit-identical gradients.
     """
 
@@ -107,53 +125,99 @@ class HornSchunckSolveStage(Stage):
     def _denominator(self, ix, iy):
         return self.alpha2 + ix * ix + iy * iy
 
-    @staticmethod
-    def _residual(ix, iy, it, ubar, vbar, den):
-        return (ix * ubar + iy * vbar + it) / den
-
-    def _iterates(self, ix, iy, it):
-        """Yield (ubar_k, vbar_k, u_k, v_k) for k = 1..iterations."""
+    def _run(self, ix, iy, it, averages: list | None = None) -> np.ndarray:
+        """The flow.  Each iteration's stacked (ubar, vbar) is appended to
+        `averages` if it is given, and overwritten otherwise."""
+        h, w = ix.shape
         den = self._denominator(ix, iy)
-        u = v = np.zeros(ix.shape)
+        state = np.zeros((2, h + 2, w + 2))
+        u, v = state[:, 1:-1, 1:-1]
+        bar = np.empty((2, h, w))
+        q, t = np.empty((2, h, w))
         for _ in range(self.iterations):
-            ubar = stencils.neighbor_average(u)
-            vbar = stencils.neighbor_average(v)
-            q = self._residual(ix, iy, it, ubar, vbar, den)
-            u, v = ubar - ix * q, vbar - iy * q
-            yield ubar, vbar, u, v
+            state[:, 0, 1:-1] = state[:, 1, 1:-1]
+            state[:, -1, 1:-1] = state[:, -2, 1:-1]
+            state[:, 1:-1, 0] = state[:, 1:-1, 1]
+            state[:, 1:-1, -1] = state[:, 1:-1, -2]
+            if averages is not None:
+                bar = np.empty((2, h, w))
+                averages.append(bar)
+            np.add(state[:, 2:, 1:-1], state[:, :-2, 1:-1], out=bar)
+            bar += state[:, 1:-1, 2:]
+            bar += state[:, 1:-1, :-2]
+            bar *= 0.25
+            ubar, vbar = bar
+            _residual(q, t, ix, iy, it, den, ubar, vbar)
+            np.multiply(ix, q, out=t)
+            np.subtract(ubar, t, out=u)
+            np.multiply(iy, q, out=t)
+            np.subtract(vbar, t, out=v)
+        return np.stack([u, v], axis=-1)
 
     def solve(self, ix, iy, it) -> np.ndarray:
         """The forward's flow, holding only the current iterate."""
-        for _, _, u, v in self._iterates(ix, iy, it):
-            pass
-        return np.stack([u, v], axis=-1)
+        return self._run(ix, iy, it)
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         ix, iy, it = inputs
         averages = []
-        for ubar, vbar, u, v in self._iterates(ix, iy, it):
-            averages.append((ubar, vbar))
+        flow = self._run(ix, iy, it, averages)
         ctx.update(ix=ix, iy=iy, it=it, averages=averages)
-        return (np.stack([u, v], axis=-1),)
+        return (flow,)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (g,) = cotangents
         ix, iy, it = ctx["ix"], ctx["iy"], ctx["it"]
+        h, w = ix.shape
         den = self._denominator(ix, iy)
-        gu, gv = g[:, :, 0], g[:, :, 1]
-        sums = None
+        ix2, iy2 = 2.0 * ix, 2.0 * iy
+        grad = np.moveaxis(g, -1, 0).copy()
+        gu, gv = grad
+        padded = np.zeros((2, h + 2, w + 2))
+        inner = padded[:, 1:-1, 1:-1]
+        # -0 is the exact additive identity: the first iteration's terms
+        # enter the sums unchanged, zero signs included.
+        sums = np.full((3, h, w), -0.0)
+        q, s, r, g_den, t, term = np.empty((6, h, w))
         for ubar, vbar in reversed(ctx["averages"]):
-            q = self._residual(ix, iy, it, ubar, vbar, den)
-            g_q = -(ix * gu + iy * gv)
-            g_num = g_q / den
-            g_den = -q * g_q / den
-            g_ix = -q * gu + (ubar * g_num + 2.0 * ix * g_den)
-            g_iy = -q * gv + (vbar * g_num + 2.0 * iy * g_den)
-            terms = (g_ix, g_iy, g_num)
-            sums = terms if sums is None else tuple(a + b for a, b in zip(sums, terms))
-            gu = stencils.neighbor_average_adjoint(gu + ix * g_num)
-            gv = stencils.neighbor_average_adjoint(gv + iy * g_num)
-        return sums
+            _residual(q, t, ix, iy, it, den, ubar, vbar)
+            # With s = Ix gu + Iy gv, the chain rule's g_q = -s,
+            # g_num = g_q / den = -r and g_den = -q g_q / den = q s / den.
+            # Negation is exact, so every term below is its term bit for bit.
+            np.multiply(ix, gu, out=s)
+            np.multiply(iy, gv, out=t)
+            s += t
+            np.divide(s, den, out=r)
+            np.multiply(q, s, out=g_den)
+            g_den /= den
+            # g_Ix = -q gu + (ubar g_num + 2 Ix g_den), and g_Iy likewise.
+            for total, cot, avg, i2 in ((sums[0], gu, ubar, ix2), (sums[1], gv, vbar, iy2)):
+                np.multiply(i2, g_den, out=term)
+                np.multiply(avg, r, out=t)
+                term -= t
+                np.multiply(q, cot, out=t)
+                term -= t
+                total += term
+            sums[2] -= r
+            # The (ubar, vbar) cotangent (gu, gv) + (Ix, Iy) g_num, gathered
+            # from the zero-bordered pad in the order ((up + down) + left) +
+            # right in which the zero-pad scatter adds, then the border folds.
+            np.multiply(ix, r, out=t)
+            np.subtract(gu, t, out=inner[0])
+            np.multiply(iy, r, out=t)
+            np.subtract(gv, t, out=inner[1])
+            np.add(padded[:, :-2, 1:-1], padded[:, 2:, 1:-1], out=grad)
+            grad += padded[:, 1:-1, :-2]
+            grad += padded[:, 1:-1, 2:]
+            grad[:, 0] += inner[:, 0]
+            grad[:, -1] += inner[:, -1]
+            grad[:, :, 0] += inner[:, :, 0]
+            grad[:, :, -1] += inner[:, :, -1]
+            # The scatter starts each pixel at +0, so where all its terms are
+            # -0 it holds +0; adding +0 gives the gather the same zero sign.
+            grad += 0.0
+            grad *= 0.25
+        return tuple(sums)
 
 
 class FlowEstimator(Protocol):

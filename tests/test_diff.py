@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hs_oracle import neighbor_average, neighbor_average_adjoint
 
 from flowpatch.diff import ClipStage, CovMaterializeStage, Stage, StageTape, grad_check
 from flowpatch.diff.stencils import (
@@ -9,8 +10,6 @@ from flowpatch.diff.stencils import (
     diff_y_adjoint,
     laplacian,
     laplacian_adjoint,
-    neighbor_average,
-    neighbor_average_adjoint,
 )
 
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hs_oracle import JacobiIterationStage, oracle_flow_on_tape
+from hs_oracle import JacobiIterationStage, oracle_flow_on_tape, oracle_solve_on_tape
 
 from flowpatch.core import Image
 from flowpatch.diff import StageTape, grad_check
@@ -118,32 +118,98 @@ class TestStageGradients:
         assert report.passed, report
 
 
+def same_bits(got, want):
+    """Equal values, shapes and zero signs."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestFusedSolveMatchesOracle:
     """The fused stage against the per-iteration chain of `hs_oracle`."""
 
-    @pytest.mark.parametrize("shape", [(16, 16), (13, 21)])
+    @staticmethod
+    def _both(inputs, cot, run, oracle):
+        """(output, input gradients) of `run` and of `oracle` on one tape each."""
+        results = []
+        for forward in (run, oracle):
+            tape = StageTape()
+            sources = [tape.source(x) for x in inputs]
+            out = forward(tape, *sources)
+            tape.backward(out, cot)
+            results.append([out.array] + [tape.grad(v) for v in sources])
+        return results
+
+    @pytest.mark.parametrize("shape", [(16, 16), (13, 21), (1, 7), (7, 1), (1, 1), (2, 3)])
     def test_flow_and_gradients_bit_identical(self, shape):
         rng = np.random.default_rng(10)
         i1 = rng.uniform(0, 1, shape + (3,))
         i2 = rng.uniform(0, 1, shape + (3,))
         cot = rng.standard_normal(shape + (2,))
         est = HornSchunck(HornSchunckConfig(alpha=15.0, iterations=200))
-
-        results = []
-        for forward in (
-            est.forward_on_tape,
+        fused, oracle = self._both(
+            (i1, i2), cot, est.forward_on_tape,
             lambda tape, a, b: oracle_flow_on_tape(tape, a, b, 15.0, 200),
-        ):
-            tape = StageTape()
-            v1, v2 = tape.source(i1), tape.source(i2)
-            flow = forward(tape, v1, v2)
-            tape.backward(flow, cot)
-            results.append((flow.array, tape.grad(v1), tape.grad(v2)))
-
-        fused, oracle = results
+        )
         for got, want in zip(fused, oracle):
-            assert np.array_equal(got, want)
-        assert np.array_equal(est.estimate(Image(i1), Image(i2)).data, oracle[0])
+            assert same_bits(got, want)
+        assert same_bits(est.estimate(Image(i1), Image(i2)).data, oracle[0])
+
+    def test_non_contiguous_cotangent(self):
+        rng = np.random.default_rng(11)
+        shape = (9, 14)
+        i1 = rng.uniform(0, 1, shape + (3,))
+        i2 = rng.uniform(0, 1, shape + (3,))
+        cot = rng.standard_normal((2, 14, 9)).T
+        assert not cot.flags.c_contiguous
+        est = HornSchunck(HornSchunckConfig(alpha=15.0, iterations=50))
+        fused, oracle = self._both(
+            (i1, i2), cot, est.forward_on_tape,
+            lambda tape, a, b: oracle_flow_on_tape(tape, a, b, 15.0, 50),
+        )
+        for got, want in zip(fused, oracle):
+            assert same_bits(got, want)
+
+    def test_negative_zero_cotangent_keeps_zero_signs(self):
+        # Away from the one nonzero cotangent, every adjoint term is a signed
+        # zero; the oracle's zero-pad scatter turns an all -0 sum into +0.
+        shape = (6, 9)
+        ix, iy, it = np.ones(shape), -np.ones(shape), np.zeros(shape)
+        cot = np.full(shape + (2,), -0.0)
+        cot[0, 0] = 1.0
+        stage = HornSchunckSolveStage(15.0, 3)
+        fused, oracle = self._both(
+            (ix, iy, it), cot, lambda tape, *xs: tape.apply(stage, *xs),
+            lambda tape, *xs: oracle_solve_on_tape(tape, *xs, 15.0, 3),
+        )
+        assert np.signbit(oracle[3]).any()
+        for got, want in zip(fused, oracle):
+            assert same_bits(got, want)
+
+
+class TestSolveMemory:
+    """What the fused stage holds: 16 B/px per iteration, nothing more."""
+
+    def test_tape_and_backward_memory(self):
+        shape, iterations = (64, 128), 200
+        rng = np.random.default_rng(12)
+        ix, iy, it = (rng.uniform(-30, 30, shape) for _ in range(3))
+        cot = rng.standard_normal(shape + (2,))
+        stage = HornSchunckSolveStage(15.0, iterations)
+        ctx = {}
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            outputs = stage.forward(ctx, (ix, iy, it))
+            held = tracemalloc.get_traced_memory()[0] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            grads = stage.backward(ctx, (cot,))
+            extra = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(outputs) == 1 and len(grads) == 3
+        mib = 2**20
+        assert held <= iterations * 16 * ix.size + mib, held / mib
+        assert extra <= 2 * mib, extra / mib
 
 
 class TestSolverBackward:
