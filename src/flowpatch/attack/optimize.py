@@ -50,8 +50,8 @@ class AttackConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.box not in (CLIP, COV):
             raise ValueError(f"unknown box constraint {self.box!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not self.learning_rate >= 0:  # NaN too
+            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 

@@ -8,7 +8,6 @@ no grid cell hard-failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -24,7 +23,9 @@ from .defense.pipeline import DefenseConfig, defend
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
 from .harness.dataset import ingest_dataset, synth_dataset
 from .harness.experiment import ExperimentConfig, run_experiment
-from .metrics import EvalFrame, clean_flows, evaluate_pipeline, write_records_csv
+from .metrics import (
+    EvalFrame, clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
+)
 
 # The DefenseConfig fields each defense reads.  Defense and estimator flags
 # are absent unless given, so their defaults live in the config classes only.
@@ -143,11 +144,8 @@ def cmd_attack_train(args) -> int:
     stem = args.out.removesuffix(".ppm")
     save_patch(stem, result.patch, cfg)
     if args.log:
-        with open(args.log, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "loss"])
-            for i, loss in enumerate(result.losses):
-                writer.writerow([i, f"{loss:.8f}"])
+        losses = ([i, f"{loss:.8f}"] for i, loss in enumerate(result.losses))
+        write_csv(args.log, "step,loss", losses)
     print(f"trained patch saved to {stem}.ppm (final loss {result.losses[-1]:.4f})")
     return 0
 
@@ -165,19 +163,21 @@ def cmd_evaluate(args) -> int:
             values = read_ppm(args.patch).data
         patch = Patch(values.shape[0], CLIP, values)
     estimator = _estimator(args)
-    records, agg = evaluate_pipeline(
-        estimator,
-        defense,
-        patch,
-        frames,
-        clean_flows(estimator, defense, frames),
-        seed=args.seed,
-        attack_label=args.attack_label if patch is not None else "none",
+    scores = evaluate_pipeline(
+        estimator, defense, patch, frames, clean_flows(estimator, defense, frames), seed=args.seed
     )
-    write_records_csv(records, args.out)
+    attack = args.attack_label if patch is not None else "none"
+    write_csv(
+        args.out,
+        "frame,defense,attack,quality_epe,robustness_epe",
+        (
+            [f.frame_id, args.defense, attack, format_metric(q), format_metric(r)]
+            for f, (q, r) in zip(frames, scores)
+        ),
+    )
     print(
-        f"defense={agg.defense} attack={agg.attack} "
-        f"quality={agg.mean_quality} robustness={agg.mean_robustness}"
+        f"defense={args.defense} attack={attack} quality={mean_epe(q for q, _ in scores)} "
+        f"robustness={mean_epe(r for _, r in scores)}"
     )
     return 0
 

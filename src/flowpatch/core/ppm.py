@@ -38,6 +38,8 @@ def read_ppm(path) -> Image:
             maxval = int(_read_token(fh))
         except ValueError as exc:
             raise FormatError(f"{path}: malformed header") from exc
+        if width < 1 or height < 1:
+            raise FormatError(f"{path}: bad dimensions {width}x{height}")
         if maxval != 255:
             raise FormatError(f"{path}: unsupported maxval {maxval}")
         payload = fh.read(3 * width * height)

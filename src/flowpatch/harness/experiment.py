@@ -10,11 +10,11 @@ against it.  A cell's CSV fields are formatted once and also name its patch
 files.  Each seed's result is grouped by (cell fields, defense) in
 seed_mean.csv's order, so one pass over the groups gives the seed means and
 the headline maxima.  Unknown names, empty or repeated grid axes, cells whose
-fields coincide, an invalid synthetic block and a given dataset without a
-loadable pair fail before anything is written.  Diverged cells are recorded
-as "div" and the run continues; unexpected errors mark the cell "fail"
-without touching other cells.  Identical configs (seeds included) produce
-byte-identical CSVs.
+fields coincide, a negative or NaN learning rate, `steps` below 1, an
+invalid synthetic block and a given dataset without a loadable pair fail
+before anything is written.  Diverged cells are recorded as "div" and the run
+continues; unexpected errors mark the cell "fail" without touching other
+cells.  Identical configs (seeds included) produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -26,15 +26,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from ..attack.losses import ILP_AWARE, LGS_AWARE, VANILLA
 from ..attack.optimize import AttackConfig, save_patch, train_patch
 from ..attack.patch import Patch
 from ..defense.pipeline import ILP, LGS, DefenseConfig
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
-from ..metrics import clean_flows, evaluate_pipeline, format_metric
+from ..metrics import clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
 from .dataset import DatasetIndex, ingest_dataset, synth_dataset
 
 NO_DEFENSE = "none"
@@ -115,17 +113,8 @@ class ExperimentConfig:
 def _train_task(args) -> tuple[str, Patch | str]:
     """Worker for one training cell: trains its patch and saves it under
     `stem`.  Returns ("ok", patch), or ("div" | "fail", error text)."""
-    (cfg, awareness, cell, seed, stem, pairs, defense, references) = args
+    (cfg, attack_cfg, stem, pairs, defense, references) = args
     try:
-        attack_cfg = AttackConfig(
-            awareness=awareness,
-            optimizer=cell.optimizer,
-            learning_rate=cell.learning_rate,
-            box=cell.box,
-            steps=cfg.steps,
-            alpha_penalty=cfg.alpha_penalty,
-            seed=seed,
-        )
         patch = train_patch(
             cfg.make_estimator(),
             defense,
@@ -162,9 +151,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ):
         if not values or len(set(values)) != len(values):
             raise ValueError(f"{axis} must be non-empty without repeats, got {values!r}")
-    unknown = [a for a in cfg.awareness if a not in AWARENESS_DEFENSE]
-    if unknown:
-        raise ValueError(f"unknown awareness {unknown[0]!r}")
+    # Each (awareness, cell, seed)'s training config, so that an unknown
+    # awareness, optimizer or box, a negative or NaN learning rate or `steps`
+    # below 1 fails before anything is written.
+    tasks = [
+        (
+            (awareness, *name),
+            AttackConfig(
+                awareness=awareness, **dataclasses.asdict(cell), steps=cfg.steps,
+                alpha_penalty=cfg.alpha_penalty, seed=seed,
+            ),
+        )
+        for awareness in cfg.awareness
+        for cell, name in zip(cfg.attack_grid, names)
+        for seed in cfg.seeds
+    ]
     # The defenses evaluated or trained against, built (with the overridden
     # ones, so that a misspelt override fails) before anything is written.
     used = dict.fromkeys([*cfg.defenses, *(AWARENESS_DEFENSE[a] for a in cfg.awareness)])
@@ -188,22 +189,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # (Table-1 axis), the reference of every robustness value and the target
     # of the cells trained against it.
     clean = {name: clean_flows(estimator, defenses[name], frames) for name in used}
-    quality = {}
-    for name in cfg.defenses:
-        _, agg = evaluate_pipeline(estimator, defenses[name], None, frames, clean[name])
-        quality[name] = format_metric(agg.mean_quality)
+    quality = {
+        name: format_metric(mean_epe(
+            q for q, _ in evaluate_pipeline(estimator, defenses[name], None, frames, clean[name])
+        ))
+        for name in cfg.defenses
+    }
 
-    tasks = [
-        ((awareness, *name), cell, seed)
-        for awareness in cfg.awareness
-        for cell, name in zip(cfg.attack_grid, names)
-        for seed in cfg.seeds
-    ]
-    stems = ["_".join(fields) + f"_seed{seed}" for fields, _, seed in tasks]
+    stems = ["_".join(fields) + f"_seed{attack.seed}" for fields, attack in tasks]
     worker_args = [
-        (cfg, fields[0], cell, seed, out / "patches" / stem, pairs)
+        (cfg, attack, out / "patches" / stem, pairs)
         + (defenses[AWARENESS_DEFENSE[fields[0]]], clean[AWARENESS_DEFENSE[fields[0]]])
-        for (fields, cell, seed), stem in zip(tasks, stems)
+        for (fields, attack), stem in zip(tasks, stems)
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -217,7 +214,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     per_seed = []
     groups: dict[tuple, list[tuple[str, float | None]]] = {}
     hard_failures = 0
-    for (fields, _, seed), stem, (status, outcome) in zip(tasks, stems, outcomes):
+    for (fields, attack), stem, (status, outcome) in zip(tasks, stems, outcomes):
         if status != "ok":
             report.append(f"{stem}: {status} ({outcome})")
             hard_failures += status == "fail"
@@ -225,18 +222,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             row_status, robustness = status, None
             if status == "ok":
                 try:
-                    _, agg = evaluate_pipeline(
+                    robustness = mean_epe(r for _, r in evaluate_pipeline(
                         estimator, defenses[defense], outcome, frames, clean[defense],
-                        seed=cfg.eval_seed, attack_label=fields[0],
-                    )
-                    robustness = agg.mean_robustness
+                        seed=cfg.eval_seed,
+                    ))
                 except Exception as exc:  # noqa: BLE001 - crash isolation
                     hard_failures += 1
                     report.append(f"{stem}/eval/{defense}: {type(exc).__name__}: {exc}")
                     row_status = "fail"
             groups.setdefault((fields, defense), []).append((row_status, robustness))
             per_seed.append(
-                [config_hash, *fields, str(seed), defense, row_status, quality[defense],
+                [config_hash, *fields, str(attack.seed), defense, row_status, quality[defense],
                  format_metric(robustness)]
             )
 
@@ -246,7 +242,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     strongest: dict[tuple[str, str], tuple[float, tuple]] = {}
     for (fields, defense), results in groups.items():
         ok = [robustness for status, robustness in results if status == "ok"]
-        robustness = float(np.mean(ok)) if ok else None
+        robustness = mean_epe(ok)
         status = ("ok" if len(ok) == len(results) else "partial") if ok else results[0][0]
         seed_mean.append(
             [config_hash, *fields, defense, status, str(len(ok)), quality[defense],
@@ -255,17 +251,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         key = (defense, fields[0])
         if ok and (key not in strongest or robustness > strongest[key][0]):
             strongest[key] = (robustness, fields)
-    _write_csv(
+    write_csv(
         out / "per_seed.csv",
         "config,awareness,optimizer,lr,box,seed,defense,status,quality_epe,robustness_epe",
         per_seed,
     )
-    _write_csv(
+    write_csv(
         out / "seed_mean.csv",
         "config,awareness,optimizer,lr,box,defense,status,n_seeds,quality_epe,robustness_epe",
         seed_mean,
     )
-    _write_csv(
+    write_csv(
         out / "headline.csv",
         "config,defense,attack,optimizer,lr,box,quality_epe,robustness_epe",
         [
@@ -276,7 +272,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # Full-pipeline points: each defense with the attack aware of it.
     defense_attack = {d: a for a, d in AWARENESS_DEFENSE.items()}
     scatter = [(d, strongest.get((d, defense_attack[d]))) for d in cfg.defenses]
-    _write_csv(
+    write_csv(
         out / "scatter.csv",
         "quality_epe,robustness_epe,label",
         [[quality[d], format_metric(s[0]), d] for d, s in scatter if s is not None],
@@ -292,8 +288,3 @@ def _load_dataset(root) -> DatasetIndex:
         raise ValueError("; ".join([f"experiment dataset {root} is empty", *index.report]))
     return index
 
-
-def _write_csv(path: Path, header: str, rows: list[list[str]]) -> None:
-    """Write one of the experiment's CSVs: comma-joined fields without
-    quoting, one row per line."""
-    path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")

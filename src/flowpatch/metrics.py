@@ -1,17 +1,23 @@
-"""Endpoint-error metrics and pipeline evaluation.
+"""Endpoint-error metrics, pipeline evaluation and the CSV writer.
 
 Quality compares a method's unattacked prediction to the ground truth over
 all (valid) pixels; robustness compares the unattacked and attacked
 predictions of the same defended method over the pixels outside the patch
 footprint.  Lower is better for both.  Both start from the pipeline's
 `clean_flows`, which the caller computes once and passes in.
+`evaluate_pipeline` returns one (quality, robustness) pair per frame, and
+`mean_epe` averages a column of them; labelling and writing the values is
+the caller's, through `format_metric` and `write_csv`, the one writer of
+every CSV flowpatch produces.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,20 +54,6 @@ def epe_excl(flow_a: FlowField, flow_b: FlowField, patch_mask: PixelMask) -> flo
 
 
 @dataclass(frozen=True)
-class EvalRecord:
-    frame_id: str
-    defense: str
-    attack: str
-    epe_quality: float | None
-    epe_robustness: float | None
-
-    def __post_init__(self):
-        for value in (self.epe_quality, self.epe_robustness):
-            if value is not None and not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"metric value {value!r} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class EvalFrame:
     """One dataset item for evaluation.  Raises ValueError unless both frames
     have one shape and the ground truth and validity mask their size."""
@@ -81,15 +73,6 @@ class EvalFrame:
                 raise ValueError(f"{name} is {item.data.shape[:2]}, frames {shape[:2]}")
 
 
-@dataclass
-class EvalAggregate:
-    defense: str
-    attack: str
-    mean_quality: float | None
-    mean_robustness: float | None
-    count: int
-
-
 def clean_flows(
     estimator: FlowEstimator, defense: DefenseConfig | None, frames: Sequence[EvalFrame]
 ) -> list[FlowField]:
@@ -102,19 +85,18 @@ def evaluate_pipeline(
     estimator: FlowEstimator,
     defense: DefenseConfig | None,
     patch: Patch | None,
-    dataset: Sequence[EvalFrame],
+    frames: Sequence[EvalFrame],
     clean: Sequence[FlowField],
     seed: int = 0,
-    attack_label: str = "none",
-) -> tuple[list[EvalRecord], EvalAggregate]:
-    """Per frame, given the pipeline's `clean_flows` of `dataset`: quality EPE
-    of the clean flow against ground truth (None for a frame without it) and,
-    with a patch, robustness EPE outside the footprint between the clean flow
-    and the flow of the pair attacked at a pose drawn from a `seed` stream."""
-    defense_label = defense.kind if defense is not None else "none"
+) -> list[tuple[float | None, float | None]]:
+    """One (quality, robustness) EPE pair per frame, given the pipeline's
+    `clean_flows` of `frames`: quality of the clean flow against ground truth
+    (None for a frame without it) and, with a patch, robustness outside the
+    footprint between the clean flow and the flow of the pair attacked at a
+    pose drawn from a `seed` stream (None without a patch)."""
     rng = np.random.default_rng(seed)
-    records = []
-    for item, flow_clean in zip(dataset, clean, strict=True):
+    scores = []
+    for item, flow_clean in zip(frames, clean, strict=True):
         quality = None
         if item.ground_truth is not None:
             quality = epe(item.ground_truth, flow_clean, item.valid)
@@ -125,43 +107,27 @@ def evaluate_pipeline(
             attacked1, attacked2, footprint = place_patch(item.frame1, item.frame2, patch, pose)
             flow_attacked = defended_flow(estimator, defense, attacked1, attacked2)
             robustness = epe_excl(flow_clean, flow_attacked, footprint)
-
-        records.append(
-            EvalRecord(item.frame_id, defense_label, attack_label, quality, robustness)
-        )
-    return records, aggregate_records(records, defense_label, attack_label)
+        scores.append((quality, robustness))
+    return scores
 
 
-def aggregate_records(
-    records: Sequence[EvalRecord], defense: str, attack: str
-) -> EvalAggregate:
-    qualities = [r.epe_quality for r in records if r.epe_quality is not None]
-    robustness = [r.epe_robustness for r in records if r.epe_robustness is not None]
-    return EvalAggregate(
-        defense=defense,
-        attack=attack,
-        mean_quality=float(np.mean(qualities)) if qualities else None,
-        mean_robustness=float(np.mean(robustness)) if robustness else None,
-        count=len(records),
-    )
-
-
-def write_records_csv(records: Sequence[EvalRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "defense", "attack", "quality_epe", "robustness_epe"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.frame_id,
-                    r.defense,
-                    r.attack,
-                    format_metric(r.epe_quality),
-                    format_metric(r.epe_robustness),
-                ]
-            )
+def mean_epe(values: Iterable[float | None]) -> float | None:
+    """Mean of the values that are not None; None when none are."""
+    present = [v for v in values if v is not None]
+    return float(np.mean(present)) if present else None
 
 
 def format_metric(value: float | None) -> str:
     """A metric as a CSV field: six decimals, empty when missing."""
     return "" if value is None else f"{value:.6f}"
+
+
+def write_csv(path: str | Path, header: str, rows: Iterable[Sequence]) -> None:
+    """Write a CSV under the comma-joined column names `header`, one line per
+    row, with LF line endings; a field is quoted only where it holds a comma,
+    a quote or a line break."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    Path(path).write_text(buf.getvalue())

@@ -63,7 +63,7 @@ from flowpatch.harness import (
     run_experiment,
     synth_dataset,
 )
-from flowpatch.metrics import clean_flows, epe, epe_excl, evaluate_pipeline
+from flowpatch.metrics import clean_flows, epe, epe_excl, evaluate_pipeline, mean_epe
 
 ESTIMATOR = HornSchunck(HornSchunckConfig(alpha=15.0, iterations=200))
 PATCH_SIDE = 24
@@ -129,17 +129,9 @@ def trained(dataset):
     return {"patches": patches, "timings": timings, "dataset": dataset}
 
 
-def mean_robustness(defense, patch, dataset, clean, label):
-    _, agg = evaluate_pipeline(
-        ESTIMATOR,
-        defense,
-        patch,
-        dataset,
-        clean,
-        seed=1234,
-        attack_label=label,
-    )
-    return agg.mean_robustness
+def mean_robustness(defense, patch, dataset, clean):
+    scores = evaluate_pipeline(ESTIMATOR, defense, patch, dataset, clean, seed=1234)
+    return mean_epe(r for _, r in scores)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +378,10 @@ class TestCriterion5:
         random_rob = []
         for seed in SEEDS:
             trained_rob.append(
-                mean_robustness(None, trained["patches"][("vanilla", seed)], dataset, clean, "vanilla")
+                mean_robustness(None, trained["patches"][("vanilla", seed)], dataset, clean)
             )
             rand = random_patch(PATCH_SIDE, "clip", np.random.default_rng(seed + 100))
-            random_rob.append(mean_robustness(None, rand, dataset, clean, "random"))
+            random_rob.append(mean_robustness(None, rand, dataset, clean))
         ratio = float(np.mean(trained_rob) / np.mean(random_rob))
         elapsed = trained["timings"]["vanilla"] + (time.monotonic() - t0)
         announce(
@@ -469,12 +461,10 @@ class TestCriterion7:
         vanilla = []
         for seed in SEEDS:
             aware.append(
-                mean_robustness(lgs_config(), trained["patches"][("lgs", seed)], dataset, clean, "lgs")
+                mean_robustness(lgs_config(), trained["patches"][("lgs", seed)], dataset, clean)
             )
             vanilla.append(
-                mean_robustness(
-                    lgs_config(), trained["patches"][("vanilla", seed)], dataset, clean, "vanilla"
-                )
+                mean_robustness(lgs_config(), trained["patches"][("vanilla", seed)], dataset, clean)
             )
         per_seed_wins = sum(a >= v for a, v in zip(aware, vanilla))
         mean_holds = float(np.mean(aware)) >= float(np.mean(vanilla))
@@ -497,10 +487,10 @@ class TestCriterion8:
     def test_defenses_degrade_benign_quality(self, dataset):
         quality = {}
         for name, cfg in (("none", None), ("lgs", lgs_config()), ("ilp", ilp_config())):
-            _, agg = evaluate_pipeline(
+            scores = evaluate_pipeline(
                 ESTIMATOR, cfg, None, dataset, clean_flows(ESTIMATOR, cfg, dataset)
             )
-            quality[name] = agg.mean_quality
+            quality[name] = mean_epe(q for q, _ in scores)
         announce(
             8,
             quality["lgs"] >= quality["none"] and quality["ilp"] >= quality["none"],

@@ -88,6 +88,13 @@ class TestPpm:
         with pytest.raises(FormatError):
             read_ppm(p)
 
+    @pytest.mark.parametrize("size", [b"0 0", b"-1 -1", b"0 4", b"4 0"])
+    def test_size_below_one_rejected(self, tmp_path, size):
+        path = tmp_path / "empty.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n")
+        with pytest.raises(FormatError, match="dimensions"):
+            read_ppm(path)
+
     def test_comment_in_header(self, tmp_path):
         p = tmp_path / "c.ppm"
         p.write_bytes(b"P6\n# comment\n1 1\n255\n\xff\x00\x7f")

@@ -184,6 +184,41 @@ class TestCli:
         with open(out, newline="") as fh:
             assert [r["attack"] for r in csv.DictReader(fh)] == ["none"]
 
+    def test_evaluate_writes_one_lf_row_per_frame(self, tmp_path):
+        synth_dataset(2, 32, 48, seed=0, out_dir=tmp_path / "data")
+        out = tmp_path / "eval.csv"
+        argv = ["evaluate", "--data", str(tmp_path / "data"), "--iters", "5", "--out", str(out)]
+        assert main(argv) == 0
+        text = out.read_bytes()
+        assert b"\r" not in text
+        lines = text.decode().splitlines()
+        assert lines[0] == "frame,defense,attack,quality_epe,robustness_epe"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0000", "0001"]
+
+    def test_evaluate_quotes_a_label_with_a_comma(self, tmp_path):
+        data = synth_dataset(1, 32, 48, seed=0, out_dir=tmp_path / "data")
+        np.save(tmp_path / "patch.npy", np.full((10, 10, 3), 0.5))
+        out = tmp_path / "eval.csv"
+        argv = ["evaluate", "--data", str(data), "--iters", "5", "--out", str(out)]
+        argv += ["--patch", str(tmp_path / "patch.npy"), "--attack-label", "a,b"]
+        assert main(argv) == 0
+        with open(out, newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row["attack"] == "a,b"
+        assert row["robustness_epe"] != ""
+
+    def test_attack_train_log(self, tmp_path):
+        data = synth_dataset(1, 32, 48, seed=0, out_dir=tmp_path / "data")
+        log = tmp_path / "log.csv"
+        argv = ["attack-train", "--data", str(data), "--steps", "2", "--patch-side", "10"]
+        argv += ["--iters", "5", "--out", str(tmp_path / "p.ppm"), "--log", str(log)]
+        assert main(argv) == 0
+        with open(log, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["step", "loss"]
+        assert [r[0] for r in rows[1:]] == ["0", "1"]
+        assert b"\r" not in log.read_bytes()
+
     def test_defend_without_pairs_fails(self, tmp_path, capsys):
         code = main(
             ["defend", "--in", str(tmp_path), "--defense", "lgs", "--out", str(tmp_path / "out")]
@@ -255,6 +290,11 @@ class TestExperiment:
                 ValueError,
                 "attack_grid",
             ),
+            ({"attack_grid": (CELL, GridCell("if,gsm", 0.1, "clip"))}, ValueError, "if,gsm"),
+            ({"attack_grid": (CELL, GridCell("ifgsm", 0.1, "cilp"))}, ValueError, "cilp"),
+            ({"attack_grid": (CELL, GridCell("ifgsm", -1.0, "clip"))}, ValueError, "learning rate"),
+            ({"attack_grid": (CELL, GridCell("ifgsm", float("nan"), "clip"))}, ValueError, "nan"),
+            ({"steps": 0}, ValueError, "steps"),
             ({"synthetic": {**SYNTHETIC, "hieght": 32}}, TypeError, "hieght"),
             ({"synthetic": {**SYNTHETIC, "height": 16}}, ValueError, "24x24"),
             ({"synthetic": {**SYNTHETIC, "count": 0}}, ValueError, "count"),
@@ -274,6 +314,11 @@ class TestExperiment:
             "defenses-empty",
             "defenses-repeated",
             "attack-grid-same-fields",
+            "optimizer",
+            "box",
+            "learning-rate",
+            "learning-rate-nan",
+            "steps",
             "synthetic-key",
             "synthetic-size",
             "synthetic-count",
@@ -387,20 +432,25 @@ class TestExperiment:
                 parallel.output_dir / name
             ).read_text()
 
-    def test_failing_cell_isolated(self, tmp_path):
+    def test_failing_cell_isolated(self, tmp_path, monkeypatch):
+        train_patch = experiment.train_patch
+
+        def crashing(estimator, defense, pairs, attack_cfg, **kwargs):
+            if attack_cfg.learning_rate == 0.05:
+                raise RuntimeError("training crashed on purpose")
+            return train_patch(estimator, defense, pairs, attack_cfg, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_patch", crashing)
         cfg = tiny_config(
             tmp_path / "run",
-            attack_grid=(
-                GridCell("ifgsm", 0.1, "clip"),
-                GridCell("ifgsm", -1.0, "clip"),  # invalid lr -> cell fails
-            ),
+            attack_grid=(GridCell("ifgsm", 0.1, "clip"), GridCell("ifgsm", 0.05, "clip")),
         )
         result = run_experiment(cfg)
         assert result.hard_failures > 0
         lines = (result.output_dir / "per_seed.csv").read_text().splitlines()[1:]
         by_lr = {line.split(",")[3]: line.split(",")[7] for line in lines}
         assert by_lr["0.1"] == "ok"
-        assert by_lr["-1"] == "fail"
+        assert by_lr["0.05"] == "fail"
         headline = (result.output_dir / "headline.csv").read_text().splitlines()
         assert len(headline) > 1  # good cell still produced results
 
@@ -476,17 +526,22 @@ class TestExperiment:
 
     def test_div_partial_and_fail_rows(self, tmp_path, monkeypatch):
         # Training diverges for seed 1 and for lr 0.05; evaluating the
-        # lgs-aware patch under lgs raises.
+        # lgs-aware patch under lgs raises.  With one worker the patch that
+        # training returns is the one evaluated, so it is found by identity.
         train_patch = experiment.train_patch
         evaluate_pipeline = experiment.evaluate_pipeline
+        lgs_aware = []
 
         def diverging(estimator, defense, pairs, attack_cfg, **kwargs):
             if attack_cfg.seed == 1 or attack_cfg.learning_rate == 0.05:
                 raise DivergenceError("diverged on purpose")
-            return train_patch(estimator, defense, pairs, attack_cfg, **kwargs)
+            result = train_patch(estimator, defense, pairs, attack_cfg, **kwargs)
+            if attack_cfg.awareness == "lgs":
+                lgs_aware.append(result.patch)
+            return result
 
         def failing(estimator, defense, patch, frames, clean, **kwargs):
-            if patch is not None and defense is not None and kwargs["attack_label"] == "lgs":
+            if defense is not None and any(patch is p for p in lgs_aware):
                 raise RuntimeError("evaluation failed on purpose")
             return evaluate_pipeline(estimator, defense, patch, frames, clean, **kwargs)
 
@@ -534,7 +589,7 @@ class TestExperiment:
             "lgs_ifgsm_0.1_clip_seed0/eval/lgs",
         }
 
-    def test_experiment_command(self, tmp_path):
+    def test_experiment_command(self, tmp_path, monkeypatch):
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps(tiny_config(tmp_path / "a").to_dict()))
         assert main(["experiment", "--config", str(config)]) == 0
@@ -545,6 +600,9 @@ class TestExperiment:
         assert len(names) == 4 + 3
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
-        failing = tiny_config(tmp_path / "c", attack_grid=(GridCell("ifgsm", -1.0, "clip"),))
-        config.write_text(json.dumps(failing.to_dict()))
+        def crashing(*args, **kwargs):
+            raise RuntimeError("training crashed on purpose")
+
+        monkeypatch.setattr(experiment, "train_patch", crashing)
+        config.write_text(json.dumps(tiny_config(tmp_path / "c").to_dict()))
         assert main(["experiment", "--config", str(config)]) == 1

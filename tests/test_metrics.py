@@ -5,14 +5,13 @@ from hypothesis import given, settings, strategies as st
 from flowpatch.core import FlowField, Image, PixelMask
 from flowpatch.flow import HornSchunck, HornSchunckConfig
 from flowpatch.metrics import (
-    EvalAggregate,
     EvalFrame,
-    EvalRecord,
-    aggregate_records,
     clean_flows,
     epe,
     epe_excl,
     evaluate_pipeline,
+    mean_epe,
+    write_csv,
 )
 
 
@@ -96,45 +95,24 @@ class TestEpeExcl:
         assert epe_excl(FlowField(a2), FlowField(b2), PixelMask(mask)) == baseline
 
 
-class TestRecordsAndTable:
-    def test_record_rejects_negative(self):
-        with pytest.raises(ValueError):
-            EvalRecord("0", "none", "none", -1.0, None)
+class TestMeanEpe:
+    def test_none_values_skipped(self):
+        assert mean_epe([2.0, None, 4.0, None]) == 3.0
 
-    def test_single_record_row(self):
-        agg = aggregate_records(
-            [EvalRecord("0", "lgs", "vanilla", 2.0, 3.0)], "lgs", "vanilla"
-        )
-        assert agg == EvalAggregate(
-            defense="lgs",
-            attack="vanilla",
-            mean_quality=2.0,
-            mean_robustness=3.0,
-            count=1,
-        )
+    @pytest.mark.parametrize("values", [[], [None, None]], ids=["empty", "all-none"])
+    def test_no_values_gives_none(self, values):
+        assert mean_epe(values) is None
 
-    def test_two_records_average(self):
-        agg = aggregate_records(
-            [
-                EvalRecord("0", "lgs", "vanilla", 2.0, 3.0),
-                EvalRecord("1", "lgs", "vanilla", 4.0, 5.0),
-            ],
-            "lgs",
-            "vanilla",
-        )
-        assert agg.mean_quality == 3.0
-        assert agg.mean_robustness == 4.0
+    def test_equals_numpy_mean(self):
+        values = list(np.random.default_rng(3).uniform(0, 10, 20))
+        assert mean_epe(iter(values)) == float(np.mean(values))
 
-    def test_aggregate_matches_brute_force(self):
-        rng = np.random.default_rng(3)
-        records = [
-            EvalRecord(str(i), "none", "vanilla", float(q), float(r))
-            for i, (q, r) in enumerate(rng.uniform(0, 10, (20, 2)))
-        ]
-        agg = aggregate_records(records, "none", "vanilla")
-        assert np.isclose(
-            agg.mean_quality, sum(r.epe_quality for r in records) / 20
-        )
+
+class TestWriteCsv:
+    def test_lf_lines_and_minimal_quoting(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, "a,b", [["1", "x,y"], [2, 'say "hi"']])
+        assert path.read_bytes() == b'a,b\n1,"x,y"\n2,"say ""hi"""\n'
 
 
 class TestEvalFrame:
@@ -180,10 +158,11 @@ class TestEvaluatePipeline:
     def test_no_patch_quality_only(self):
         est = HornSchunck(HornSchunckConfig(iterations=30))
         ds = self._dataset()
-        records, agg = evaluate_pipeline(est, None, None, ds, clean_flows(est, None, ds))
-        assert agg.mean_robustness is None
-        assert agg.mean_quality is not None and agg.mean_quality >= 0
-        assert records[0].epe_robustness is None
+        [(quality, robustness)] = evaluate_pipeline(
+            est, None, None, ds, clean_flows(est, None, ds)
+        )
+        assert robustness is None
+        assert quality is not None and quality >= 0
         with pytest.raises(ValueError):  # one clean flow per frame
             evaluate_pipeline(est, None, None, ds, [])
 
@@ -200,5 +179,7 @@ class TestEvaluatePipeline:
         constant = Image(np.full((20, 28, 3), 0.3))
         ds = [EvalFrame("0000", constant, constant, FlowField(np.zeros((20, 28, 2))))]
         patch = Patch(6, "clip", np.full((6, 6, 3), 0.3))
-        records, agg = evaluate_pipeline(est, None, patch, ds, clean_flows(est, None, ds), seed=0)
-        assert agg.mean_robustness == 0.0
+        [(_, robustness)] = evaluate_pipeline(
+            est, None, patch, ds, clean_flows(est, None, ds), seed=0
+        )
+        assert robustness == 0.0
