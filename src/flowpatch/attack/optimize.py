@@ -39,7 +39,7 @@ class AttackConfig:
     optimizer: str = IFGSM
     learning_rate: float = 0.1
     box: str = CLIP
-    steps: int = 2500
+    steps: int = 300
     alpha_penalty: float = 1e-8
     seed: int = 0
 
@@ -100,7 +100,7 @@ def train_patch(
     defense: DefenseConfig | None,
     dataset: Sequence[tuple[Image, Image]],
     cfg: AttackConfig,
-    patch_side: int = 100,
+    patch_side: int,
     references: Sequence[FlowField] | None = None,
 ) -> TrainResult:
     """Optimize a patch for `cfg.steps` steps; raises DivergenceError in the

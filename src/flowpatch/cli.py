@@ -8,6 +8,7 @@ no grid cell hard-failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from .attack.patch import CLIP, Patch
 from .core.colorize import flow_to_color
 from .core.floio import write_flo
 from .core.ppm import mask_to_image, read_ppm, write_ppm
-from .defense.pipeline import DefenseConfig, defend
+from .defense.pipeline import DEFENSE_FIELDS, DefenseConfig, defend
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
 from .harness.dataset import ingest_dataset, synth_dataset
 from .harness.experiment import ExperimentConfig, run_experiment
@@ -27,12 +28,9 @@ from .metrics import (
     EvalFrame, clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
 )
 
-# The DefenseConfig fields each defense reads.  Defense and estimator flags
-# are absent unless given, so their defaults live in the config classes only.
-DEFENSE_FIELDS = {
-    "lgs": ("block", "overlap", "threshold", "b_lgs"),
-    "ilp": ("block", "overlap", "threshold", "s_ilp", "t_ilp", "r_telea"),
-}
+# Attack, defense and estimator flags are absent unless given, so their
+# defaults live in the config classes only.
+ATTACK_FIELDS = tuple(f.name for f in dataclasses.fields(AttackConfig))
 
 
 def _given(args, fields) -> dict:
@@ -126,15 +124,7 @@ def cmd_attack_train(args) -> int:
     if not frames:
         return 1
     pairs = [(f.frame1, f.frame2) for f in frames]
-    cfg = AttackConfig(
-        awareness=args.awareness,
-        optimizer=args.optimizer,
-        learning_rate=args.lr,
-        box=args.box,
-        steps=args.steps,
-        alpha_penalty=args.alpha_penalty,
-        seed=args.seed,
-    )
+    cfg = AttackConfig(**_given(args, ATTACK_FIELDS))
     defense = None
     if args.awareness != "vanilla":
         defense = _defense_from_args(args, args.awareness)
@@ -237,12 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack-train", help="train an adversarial patch")
     p.add_argument("--data", required=True)
     p.add_argument("--awareness", choices=["vanilla", "lgs", "ilp"], default="vanilla")
-    p.add_argument("--optimizer", choices=["ifgsm", "sgd"], default="ifgsm")
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--box", choices=["clip", "cov"], default="clip")
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--alpha-penalty", type=float, default=1e-8, dest="alpha_penalty")
-    p.add_argument("--seed", type=int, default=0)
+    for flag, dest, kind, choices in (
+        ("--optimizer", "optimizer", str, ["ifgsm", "sgd"]),
+        ("--lr", "learning_rate", float, None),
+        ("--box", "box", str, ["clip", "cov"]),
+        ("--steps", "steps", int, None),
+        ("--alpha-penalty", "alpha_penalty", float, None),
+        ("--seed", "seed", int, None),
+    ):
+        p.add_argument(flag, type=kind, dest=dest, choices=choices, default=argparse.SUPPRESS)
     p.add_argument("--patch-side", type=int, default=24, dest="patch_side")
     p.add_argument(
         "--out", required=True, help="patch PPM; .npy values and .txt sidecar beside it"

@@ -1,6 +1,6 @@
-from .maps import GradientMagnitudeStage, NormalizeMapStage
+from .maps import GradientMagnitudeStage
 from .voting import BlockVoteStage, IlpReevaluateStage, block_starts
-from .smoothing import SmoothingFactorStage, DarkenStage
+from .smoothing import LgsSmoothStage
 from .inpaint import TeleaInpaintStage, telea_inpaint_array
 from .pipeline import (
     DefenseConfig,
@@ -15,12 +15,10 @@ from .pipeline import (
 
 __all__ = [
     "GradientMagnitudeStage",
-    "NormalizeMapStage",
     "BlockVoteStage",
     "IlpReevaluateStage",
     "block_starts",
-    "SmoothingFactorStage",
-    "DarkenStage",
+    "LgsSmoothStage",
     "TeleaInpaintStage",
     "telea_inpaint_array",
     "DefenseConfig",

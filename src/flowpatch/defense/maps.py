@@ -1,9 +1,10 @@
-"""Gradient-magnitude maps and per-image normalization.
+"""The normalized derivative-magnitude map both defenses score on.
 
 Both defenses score anomalies on a scalar map: the derivative magnitude
 (`stencils.derivative_magnitude`) of the luminance, first order (central
 differences) for LGS and second order (the 5-point Laplacian) for ILP, with
-the replicate pad as boundary, then min-max normalized per image.
+the replicate pad as boundary, min-max normalized per image.  One stage
+computes the magnitude and its normalization.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ from ..flow.horn_schunck import LuminanceStage
 
 
 class GradientMagnitudeStage(Stage):
-    """image -> HxW derivative-magnitude map; exact backward.
+    """image -> HxW normalized map Gbar = (G - min G) / (max G - min G).
 
-    order="first": sqrt(Ix^2 + Iy^2); order="second": |Laplacian|, both of
-    the unscaled luminance (`LuminanceStage(1.0)`).  The subgradient at zero
-    magnitude is taken as 0.
+    G is sqrt(Ix^2 + Iy^2) for order="first" and |Laplacian| for
+    order="second", both of the unscaled luminance (`LuminanceStage(1.0)`);
+    a constant G normalizes to all zeros.  Exact backward almost everywhere:
+    it assumes the min/max locations are unique (random inputs satisfy
+    that), takes the subgradient at zero magnitude as 0, and gives the
+    constant case zero gradient.
     """
 
     def __init__(self, order: str):
@@ -32,26 +36,6 @@ class GradientMagnitudeStage(Stage):
         ctx["luminance"] = {}
         (gray,) = self.luminance.forward(ctx["luminance"], inputs)
         g, ctx["saved"] = stencils.derivative_magnitude(gray, self.order, "replicate")
-        return (g,)
-
-    def backward(self, ctx, cotangents: Arrays) -> Arrays:
-        (u,) = cotangents
-        ugray = stencils.derivative_magnitude_adjoint(u, self.order, "replicate", ctx["saved"])
-        return self.luminance.backward(ctx["luminance"], (ugray,))
-
-
-class NormalizeMapStage(Stage):
-    """(G - min) / (max - min); a constant map normalizes to all zeros.
-
-    Exact backward almost everywhere (assumes the min/max locations are
-    unique, which random inputs satisfy); the degenerate constant case has
-    zero gradient.
-    """
-
-    name = "normalize-map"
-
-    def forward(self, ctx, inputs: Arrays) -> Arrays:
-        (g,) = inputs
         lo, hi = float(g.min()), float(g.max())
         ctx["degenerate"] = hi <= lo
         if ctx["degenerate"]:
@@ -66,12 +50,13 @@ class NormalizeMapStage(Stage):
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (u,) = cotangents
         if ctx["degenerate"]:
-            return (np.zeros_like(u),)
-        r = ctx["range"]
-        total = float(u.sum())
-        weighted = float((u * ctx["out"]).sum())
-        grad = u / r
-        grad[ctx["argmin"]] += (weighted - total) / r
-        grad[ctx["argmax"]] -= weighted / r
-        return (grad,)
-
+            ug = np.zeros_like(u)
+        else:
+            r = ctx["range"]
+            total = float(u.sum())
+            weighted = float((u * ctx["out"]).sum())
+            ug = u / r
+            ug[ctx["argmin"]] += (weighted - total) / r
+            ug[ctx["argmax"]] -= weighted / r
+        ugray = stencils.derivative_magnitude_adjoint(ug, self.order, "replicate", ctx["saved"])
+        return self.luminance.backward(ctx["luminance"], (ugray,))

@@ -1,9 +1,10 @@
 """Detect-and-remove defense pipelines and their tape (BPDA) form.
 
-LGS: first-order gradient map -> normalize -> block vote -> multiplicative
-darkening of voted pixels.  ILP: second-order map -> normalize -> block vote
--> pixel-wise reevaluation -> fast-marching inpainting of surviving pixels.
-A defended pipeline defends each frame, then estimates flow on the pair.
+Each step is one stage.  LGS: normalized first-order map -> block vote ->
+multiplicative darkening of voted pixels.  ILP: normalized second-order map
+-> block vote -> pixel-wise reevaluation -> fast-marching inpainting of
+surviving pixels.  A defended pipeline defends each frame, then estimates
+flow on the pair.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.raster import FlowField, Image, PixelMask
-from ..diff.elementwise import ClipStage
 from ..diff.stage import StageTape, TapeValue
 from ..flow.horn_schunck import FlowEstimator
 from .inpaint import TeleaInpaintStage
-from .maps import GradientMagnitudeStage, NormalizeMapStage
-from .smoothing import DarkenStage, SmoothingFactorStage
+from .maps import GradientMagnitudeStage
+from .smoothing import LgsSmoothStage
 from .voting import BlockVoteStage, IlpReevaluateStage
 
 LGS = "lgs"
@@ -24,6 +24,12 @@ ILP = "ilp"
 # The derivative order each defense scores on; an attack aware of a defense
 # penalizes its patch with the same order.
 DERIVATIVE_ORDER = {LGS: "first", ILP: "second"}
+# The DefenseConfig fields each defense reads; the CLI's flags and an
+# experiment's overrides may set only these.
+DEFENSE_FIELDS = {
+    LGS: ("block", "overlap", "threshold", "b_lgs"),
+    ILP: ("block", "overlap", "threshold", "s_ilp", "t_ilp", "r_telea"),
+}
 
 
 @dataclass(frozen=True)
@@ -68,14 +74,10 @@ def defend_on_tape(tape: StageTape, image: TapeValue, cfg: DefenseConfig):
 
     Returns (defended image value, final mask value).
     """
-    gmap = tape.apply(GradientMagnitudeStage(DERIVATIVE_ORDER[cfg.kind]), image)
-    gbar = tape.apply(NormalizeMapStage(), gmap)
+    gbar = tape.apply(GradientMagnitudeStage(DERIVATIVE_ORDER[cfg.kind]), image)
     mask = tape.apply(BlockVoteStage(cfg.block, cfg.overlap, cfg.threshold), gbar)
     if cfg.kind == LGS:
-        factor = tape.apply(SmoothingFactorStage(cfg.b_lgs), gbar, mask)
-        clipped = tape.apply(ClipStage(0.0, 1.0), factor)
-        defended = tape.apply(DarkenStage(), clipped, image)
-        return defended, mask
+        return tape.apply(LgsSmoothStage(cfg.b_lgs), gbar, mask, image), mask
     final_mask = tape.apply(IlpReevaluateStage(cfg.s_ilp, cfg.t_ilp), mask, gbar)
     defended = tape.apply(TeleaInpaintStage(cfg.r_telea), image, final_mask)
     return defended, final_mask

@@ -1,46 +1,41 @@
-"""Multiplicative gradient smoothing: I * (1 - clip(b * Gbar * M)).
-
-Split into two stages so the clip keeps its own BPDA-style backward: the
-factor product is exact, the final blend is exact, and the clip in between
-zeroes cotangents exactly where it saturated.
-"""
+"""LGS removal: I * (1 - clip(b * Gbar * M, 0, 1)) (Naseer et al., "Local
+Gradients Smoothing", WACV 2019), one stage with an exact backward."""
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..diff.stage import Arrays, Stage
 
 
-class SmoothingFactorStage(Stage):
-    """(Gbar, M) -> b * Gbar * M, elementwise; exact product rule backward."""
+class LgsSmoothStage(Stage):
+    """(Gbar, M, image) -> image darkened by clip(b * Gbar * M, 0, 1), the
+    factor broadcast across channels.
 
-    name = "smoothing-factor"
+    Exact backward wherever the clip has a derivative: the Gbar and M
+    cotangents are zero where the factor saturated (boundary values count
+    as inside), and the image cotangent is scaled by 1 - clip.
+    """
+
+    name = "lgs-smooth"
 
     def __init__(self, strength: float):
         self.strength = float(strength)
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
-        gbar, mask = inputs
-        ctx["gbar"], ctx["mask"] = gbar, mask
-        return (self.strength * gbar * mask,)
+        gbar, mask, image = inputs
+        factor = self.strength * gbar * mask
+        clipped = np.clip(factor, 0.0, 1.0)
+        ctx["inside"] = (factor >= 0.0) & (factor <= 1.0)
+        ctx["gbar"], ctx["mask"], ctx["clipped"], ctx["image"] = gbar, mask, clipped, image
+        return ((1.0 - clipped[:, :, None]) * image,)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (u,) = cotangents
-        return (self.strength * ctx["mask"] * u, self.strength * ctx["gbar"] * u)
-
-
-class DarkenStage(Stage):
-    """(factor, image) -> (1 - factor) * image, factor broadcast across channels."""
-
-    name = "darken"
-
-    def forward(self, ctx, inputs: Arrays) -> Arrays:
-        factor, image = inputs
-        ctx["factor"], ctx["image"] = factor, image
-        return ((1.0 - factor[:, :, None]) * image,)
-
-    def backward(self, ctx, cotangents: Arrays) -> Arrays:
-        (u,) = cotangents
-        d_factor = -(ctx["image"] * u).sum(axis=2)
-        d_image = (1.0 - ctx["factor"][:, :, None]) * u
-        return (d_factor, d_image)
-
+        d_factor = -(ctx["image"] * u).sum(axis=2) * ctx["inside"]
+        d_image = (1.0 - ctx["clipped"][:, :, None]) * u
+        return (
+            self.strength * ctx["mask"] * d_factor,
+            self.strength * ctx["gbar"] * d_factor,
+            d_image,
+        )

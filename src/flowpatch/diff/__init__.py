@@ -1,6 +1,6 @@
 from .stage import Stage, StageTape, TapeValue, EXACT, BPDA
 from .check import grad_check, GradCheckReport
-from .elementwise import ClipStage, CovMaterializeStage, AddWeightedStage
+from .elementwise import CovMaterializeStage, AddWeightedStage
 
 __all__ = [
     "Stage",
@@ -10,7 +10,6 @@ __all__ = [
     "BPDA",
     "grad_check",
     "GradCheckReport",
-    "ClipStage",
     "CovMaterializeStage",
     "AddWeightedStage",
 ]

@@ -1,32 +1,10 @@
-"""Small reusable stages: clipping, tanh change-of-variables, blending."""
+"""Small reusable stages: the tanh change of variables and a weighted sum."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .stage import Stage, Arrays
-
-
-class ClipStage(Stage):
-    """y = clip(x, lo, hi).
-
-    Backward passes the cotangent where the pre-clip value lies in [lo, hi]
-    and zeroes it where the clip saturated (the exact derivative wherever one
-    exists; boundary values count as inside).
-    """
-
-    name = "clip"
-
-    def __init__(self, lo: float = 0.0, hi: float = 1.0):
-        self.lo, self.hi = float(lo), float(hi)
-
-    def forward(self, ctx, inputs: Arrays) -> Arrays:
-        (x,) = inputs
-        ctx["inside"] = (x >= self.lo) & (x <= self.hi)
-        return (np.clip(x, self.lo, self.hi),)
-
-    def backward(self, ctx, cotangents: Arrays) -> Arrays:
-        return (cotangents[0] * ctx["inside"],)
 
 
 class CovMaterializeStage(Stage):

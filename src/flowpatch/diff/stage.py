@@ -1,6 +1,6 @@
 """Stage-granular reverse pass.
 
-Every pipeline step (gradient map, voting, clip, inpaint, the whole flow
+Every pipeline step (gradient map, voting, smoothing, inpaint, the whole flow
 solve, bilinear placement, loss, ...) is one `Stage` with a forward map
 and a vector-Jacobian product.  A `StageTape` records applications of stages
 during one forward evaluation; `backward` replays them in exact reverse order,

@@ -9,12 +9,13 @@ reference of every robustness value and the target of the cells trained
 against it.  A cell's CSV fields are formatted once and also name its patch
 files.  Each seed's result is grouped by (cell fields, defense) in
 seed_mean.csv's order, so one pass over the groups gives the seed means and
-the headline maxima.  Unknown names, empty or repeated grid axes, cells whose
-fields coincide, a negative or NaN learning rate, `steps` below 1, an
-invalid synthetic block and a given dataset without a loadable pair fail
-before anything is written.  Diverged cells are recorded as "div" and the run
-continues; unexpected errors mark the cell "fail" without touching other
-cells.  Identical configs (seeds included) produce byte-identical CSVs.
+the headline maxima.  Unknown names, overrides of a field the defense does
+not read, empty or repeated grid axes, cells whose fields coincide, a
+negative or NaN learning rate, `steps` below 1, an invalid synthetic block
+and a given dataset without a loadable pair fail before anything is written.
+Diverged cells are recorded as "div" and the run continues; unexpected
+errors mark the cell "fail" without touching other cells.  Identical configs
+(seeds included) produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 from ..attack.losses import ILP_AWARE, LGS_AWARE, VANILLA
 from ..attack.optimize import AttackConfig, save_patch, train_patch
 from ..attack.patch import Patch
-from ..defense.pipeline import ILP, LGS, DefenseConfig
+from ..defense.pipeline import DEFENSE_FIELDS, ILP, LGS, DefenseConfig
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
 from ..metrics import clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
@@ -96,14 +97,18 @@ class ExperimentConfig:
 
     def defense_config(self, name: str) -> DefenseConfig | None:
         """The named defense with its overrides, None for "none".  Raises
-        ValueError for an unknown name or overrides of "none", TypeError for
-        an unknown field."""
+        ValueError for an unknown name, overrides of "none" or a field the
+        defense does not read, TypeError for an unknown field."""
         overrides = self.defense_overrides.get(name, {})
         if name == NO_DEFENSE and not overrides:
             return None
         if name not in (LGS, ILP):
             raise ValueError(f"{name!r} is not one of the configurable defenses {LGS}, {ILP}")
-        return DefenseConfig(name, **overrides)
+        config = DefenseConfig(name, **overrides)
+        for key in overrides:
+            if key not in DEFENSE_FIELDS[name]:
+                raise ValueError(f"defense {name!r} does not read the override {key!r}")
+        return config
 
     def make_estimator(self) -> HornSchunck:
         """Raises TypeError for a key that is not a `HornSchunckConfig` field."""

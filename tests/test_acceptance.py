@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from defense_oracle import ClipStage
 from hs_oracle import JacobiIterationStage
 
 from flowpatch.attack import (
@@ -41,14 +42,14 @@ from flowpatch.defense import (
     BlockVoteStage,
     GradientMagnitudeStage,
     IlpReevaluateStage,
-    NormalizeMapStage,
+    LgsSmoothStage,
     TeleaInpaintStage,
     block_starts,
     defend,
     ilp_config,
     lgs_config,
 )
-from flowpatch.diff import ClipStage, CovMaterializeStage, StageTape, grad_check
+from flowpatch.diff import CovMaterializeStage, StageTape, grad_check
 from flowpatch.flow import (
     FrameDerivativesStage,
     HornSchunck,
@@ -147,7 +148,6 @@ class TestCriterion1:
 
         reports.append(grad_check(GradientMagnitudeStage("first"), rng.uniform(0.1, 0.9, (8, 8, 3))))
         reports.append(grad_check(GradientMagnitudeStage("second"), rng.uniform(0.1, 0.9, (8, 8, 3))))
-        reports.append(grad_check(NormalizeMapStage(), rng.uniform(0, 2, (8, 8))))
         reports.append(grad_check(AcsLossStage(rng.standard_normal((8, 8, 2))), rng.standard_normal((8, 8, 2))))
         validity = circular_validity(8)
         reports.append(grad_check(PatchPenaltyStage("first", validity), rng.uniform(0, 1, (8, 8, 3))))
@@ -160,7 +160,16 @@ class TestCriterion1:
             )
         )
         reports.append(grad_check(CovMaterializeStage(), rng.standard_normal((8, 8, 3))))
-        reports.append(grad_check(ClipStage(0, 1), rng.uniform(0.2, 0.8, (8, 8))))
+        # b * Gbar * M away from the clip's kinks: inside (0, 1) but on the
+        # four saturated pixels, which sit well above 1.
+        gbar = rng.uniform(0.01, 0.05, (8, 8))
+        gbar[::4, ::4] = 0.5
+        reports.append(
+            grad_check(
+                LgsSmoothStage(15.0),
+                (gbar, rng.uniform(0.3, 1.0, (8, 8)), rng.uniform(0, 1, (8, 8, 3))),
+            )
+        )
         reports.append(grad_check(LuminanceStage(), rng.uniform(0, 1, (8, 8, 3))))
         reports.append(
             grad_check(FrameDerivativesStage(), (rng.uniform(0, 255, (8, 8)), rng.uniform(0, 255, (8, 8))))
@@ -244,16 +253,23 @@ class TestCriterion2:
         mask_cot, map_cot = reeval.backward(ctx, (u,))
         reeval_ok = np.array_equal(mask_cot, u) and np.all(map_cot == 0)
 
-        clip = ClipStage(0.0, 1.0)
+        # b * Gbar * M = pre exactly (b = 2, M = 1); 0 and 1 count as inside.
+        smooth = LgsSmoothStage(2.0)
         pre = np.array(
             [[-0.5, 0.2, 1.5, 0.0], [1.0, -0.1, 0.7, 2.0], [0.3, 0.4, -2.0, 0.5], [0.9, 1.1, 0.6, 0.25]]
         )
+        image = rng.uniform(0, 1, (4, 4, 3))
+        uc = rng.standard_normal((4, 4, 3))
         ctx = {}
-        clip.forward(ctx, (pre,))
-        (clip_cot,) = clip.backward(ctx, (u,))
+        smooth.forward(ctx, (pre / 2.0, np.ones((4, 4)), image))
+        gbar_cot, mask_cot, _ = smooth.backward(ctx, (uc,))
         saturated = (pre < 0) | (pre > 1)
-        clip_ok = np.all(clip_cot[saturated] == 0) and np.array_equal(
-            clip_cot[~saturated], u[~saturated]
+        d_factor = -(image * uc).sum(axis=2)
+        smooth_ok = (
+            np.all(gbar_cot[saturated] == 0)
+            and np.all(mask_cot[saturated] == 0)
+            and np.allclose(gbar_cot[~saturated], 2.0 * d_factor[~saturated])
+            and np.allclose(mask_cot[~saturated], pre[~saturated] * d_factor[~saturated])
         )
 
         telea = TeleaInpaintStage(2)
@@ -269,9 +285,10 @@ class TestCriterion2:
 
         announce(
             2,
-            vote_ok and reeval_ok and clip_ok and telea_ok,
+            vote_ok and reeval_ok and smooth_ok and telea_ok,
             f"vote identity {vote_ok}, reevaluation identity {reeval_ok}, "
-            f"clip zeroes saturated {clip_ok}, inpaint zeroes filled {telea_ok}",
+            f"LGS removal zeroes saturated map/mask cotangents {smooth_ok}, "
+            f"inpaint zeroes filled {telea_ok}",
         )
 
 

@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
+from defense_oracle import MagnitudeMapStage, NormalizeMapStage, oracle_defend_on_tape
 from hypothesis import given, settings, strategies as st
 
+from flowpatch.attack import AcsLossStage, PlacePatchStage, placement_geometry, sample_pose
 from flowpatch.core import Image
 from flowpatch.defense import (
     BlockVoteStage,
-    DarkenStage,
     DefenseConfig,
     GradientMagnitudeStage,
     IlpReevaluateStage,
-    NormalizeMapStage,
-    SmoothingFactorStage,
+    LgsSmoothStage,
     block_starts,
     defend,
+    defend_on_tape,
     ilp_config,
     lgs_config,
 )
-from flowpatch.diff import ClipStage, grad_check
+from flowpatch.diff import StageTape, grad_check
+from flowpatch.flow import HornSchunck, HornSchunckConfig
+
+
+def same_bytes(a, b) -> bool:
+    """Equal shape, dtype and bytes: signed zeros count."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def brute_force_vote(gbar, block, overlap, threshold):
@@ -41,24 +48,30 @@ def brute_force_vote(gbar, block, overlap, threshold):
 
 
 class TestGradientMagnitude:
+    """The map's derivative magnitude, seen through its normalization."""
+
     def test_constant_image_both_orders(self):
         img = np.full((5, 5, 3), 0.4)
         assert np.all(GradientMagnitudeStage("first")(img) == 0)
         assert np.all(GradientMagnitudeStage("second")(img) == 0)
 
     def test_ramp_first_order_interior(self):
+        # |Ix| = 1/w inside, 1/(2w) in the replicate-padded border columns.
         w = 8
         ramp = np.tile(np.arange(w) / w, (6, 1))
         g = GradientMagnitudeStage("first")(np.repeat(ramp[:, :, None], 3, axis=2))
-        assert np.allclose(g[:, 1:-1], 1.0 / w)
+        assert np.allclose(g[:, 1:-1], 1.0)
+        assert np.allclose(g[:, [0, -1]], 0.0)
 
     def test_impulse_second_order_center(self):
-        # Hand-applied 5-point stencil: |4 neighbors*0 - 4*a| = 4a at the peak.
+        # Hand-applied 5-point stencil: |4 neighbors*0 - 4*a| = 4a at the
+        # peak and a at its four neighbours, so 1 and 1/4 once normalized.
         a = 0.3
         data = np.zeros((5, 5, 1))
         data[2, 2, 0] = a
         g = GradientMagnitudeStage("second")(data)
-        assert np.isclose(g[2, 2], 4 * a)
+        assert g[2, 2] == 1.0
+        assert np.allclose(g[[1, 3, 2, 2], [2, 2, 1, 3]], 0.25)
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError, match="derivative order"):
@@ -87,25 +100,47 @@ class TestGradientMagnitude:
 
 
 class TestNormalizeMap:
+    """The min-max normalization inside `GradientMagnitudeStage`."""
+
     def test_direct_evaluation(self):
-        out = NormalizeMapStage()(np.array([[0.0, 2.0], [4.0, 8.0]]))
-        assert np.allclose(out, [[0.0, 0.25], [0.5, 1.0]])
+        # Luminance of a one-channel image is the image: G = |d/dx| of
+        # columns 0, 1, 3, 7 with replicate ends is (0.5, 1.5, 3, 2).
+        img = np.array([[0.0, 1.0, 3.0, 7.0]])[:, :, None]
+        out = GradientMagnitudeStage("first")(img)
+        assert np.allclose(out, [[0.0, 1 / 2.5, 2.5 / 2.5, 1.5 / 2.5]])
 
     def test_constant_map_to_zeros(self):
-        out = NormalizeMapStage()(np.full((3, 3), 2.5))
-        assert np.all(out == 0)
+        for order in ("first", "second"):
+            stage, ctx = GradientMagnitudeStage(order), {}
+            (out,) = stage.forward(ctx, (np.full((3, 3, 3), 2.5),))
+            assert np.all(out == 0)
+            (back,) = stage.backward(ctx, (np.ones((3, 3)),))
+            assert np.all(back == 0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_idempotent(self, seed):
-        g = np.random.default_rng(seed).uniform(0, 5, (4, 5))
-        once = NormalizeMapStage()(g)
-        assert np.allclose(NormalizeMapStage()(once), once)
+        img = np.random.default_rng(seed).uniform(0, 1, (4, 5, 3))
+        once = GradientMagnitudeStage("first")(img)
+        assert once.min() == 0.0 and once.max() == 1.0
+        assert np.allclose((once - once.min()) / (once.max() - once.min()), once)
 
     def test_exact_backward(self):
+        # The fused backward is the magnitude's adjoint after the
+        # normalization's, bit for bit, and passes the finite differences.
         rng = np.random.default_rng(8)
-        report = grad_check(NormalizeMapStage(), rng.uniform(0, 3, (5, 5)))
-        assert report.passed, report
+        for order in ("first", "second"):
+            img = rng.uniform(0.1, 0.9, (5, 5, 3))
+            u = rng.standard_normal((5, 5))
+            stage, ctx = GradientMagnitudeStage(order), {}
+            stage.forward(ctx, (img,))
+            tape = StageTape()
+            source = tape.source(img)
+            gbar = tape.apply(NormalizeMapStage(), tape.apply(MagnitudeMapStage(order), source))
+            tape.backward(gbar, u)
+            assert same_bytes(stage.backward(ctx, (u,))[0], tape.grad(source))
+            report = grad_check(stage, img)
+            assert report.passed, report
 
 
 class TestBlockVote:
@@ -184,12 +219,11 @@ class TestIlpReevaluate:
 
 
 class TestLgsSmooth:
-    """The LGS removal step of `defend_on_tape`: factor, clip, darken."""
+    """The LGS removal step of `defend_on_tape`: I * (1 - clip(b * Gbar * M))."""
 
     @staticmethod
     def smooth(image, gbar, mask, strength):
-        factor = SmoothingFactorStage(strength)(gbar, mask)
-        return DarkenStage()(ClipStage(0.0, 1.0)(factor), image)
+        return LgsSmoothStage(strength)(gbar, mask, image)
 
     def test_empty_mask_is_identity(self):
         rng = np.random.default_rng(2)
@@ -215,9 +249,85 @@ class TestLgsSmooth:
         cfg = lgs_config(block=4, overlap=2)
         defended, mask = defend(Image(img), cfg)
         assert mask.count() > 0
-        gbar = NormalizeMapStage()(GradientMagnitudeStage("first")(img))
+        gbar = GradientMagnitudeStage("first")(img)
         out = self.smooth(img, gbar, mask.data, cfg.b_lgs)
         assert np.array_equal(out, defended.data)
+
+
+ORACLE_ESTIMATOR = HornSchunck(HornSchunckConfig(alpha=15.0, iterations=20))
+
+
+def attack_on_tape(defend_fn, cfg, frame1, frame2, patch):
+    """A patch placed on both frames, each frame defended by `defend_fn`,
+    then the flow and the ACS loss, differentiated on one tape.  Returns
+    [defended 1, mask 1, defended 2, mask 2, d/dpatch, d/dframe1,
+    d/dframe2] and the records each defended frame added."""
+    side, shape = patch.shape[0], frame1.shape[:2]
+    geometry = placement_geometry(sample_pose(np.random.default_rng(0), side, shape), side, shape)
+    tape = StageTape()
+    f1, f2, p = tape.source(frame1), tape.source(frame2), tape.source(patch)
+    values, records = [], []
+    for attacked in tape.apply(PlacePatchStage(geometry, side), f1, f2, p):
+        before = len(tape._records)
+        values += defend_fn(tape, attacked, cfg)
+        records.append(len(tape._records) - before)
+    flow = ORACLE_ESTIMATOR.forward_on_tape(tape, values[0], values[2])
+    reference = np.random.default_rng(1).standard_normal(shape + (2,))
+    tape.backward(tape.apply(AcsLossStage(reference, geometry.mask), flow), 1.0)
+    return [v.array for v in values] + [tape.grad(v) for v in (p, f1, f2)], records
+
+
+class TestDefendMatchesOracleChain:
+    """`defend_on_tape` against the one-stage-per-operation chain of
+    `tests/defense_oracle.py`: images, masks and gradients bit for bit."""
+
+    RECORDS = {"lgs": 3, "ilp": 4}
+
+    @pytest.mark.parametrize("kind", ["lgs", "ilp"])
+    def test_attack_pass_is_bit_identical(self, kind):
+        # Smooth frames, so that the defense flags the patch's surroundings
+        # but not the whole frame.
+        rng = np.random.default_rng(11)
+        y, x = np.mgrid[0:32, 0:48]
+        scene = 0.5 + 0.2 * np.sin(x / 6.0) * np.cos(y / 5.0)
+        frame1, frame2 = scene[:, :, None] + 0.005 * rng.standard_normal((2, 32, 48, 3))
+        patch = rng.uniform(0, 1, (10, 10, 3))
+        # The Laplacian map of a noise patch is sparse: at t = 0.15 no
+        # 16x16 block around it votes, so ILP votes at t = 0.05.
+        cfg = DefenseConfig(kind, threshold=0.15 if kind == "lgs" else 0.05)
+        fused, records = attack_on_tape(defend_on_tape, cfg, frame1, frame2, patch)
+        oracle, _ = attack_on_tape(oracle_defend_on_tape, cfg, frame1, frame2, patch)
+        assert records == [self.RECORDS[kind]] * 2
+        for a, b in zip(fused, oracle):
+            assert same_bytes(a, b)
+        defended, mask = fused[0], fused[1]
+        assert 0 < mask.mean() < 0.5
+        if kind == "lgs":
+            # Voted pixels both saturated (b * Gbar >= 1, blackened) and not.
+            black = np.all(defended == 0, axis=2)
+            assert np.any(black & (mask > 0)) and np.any(~black & (mask > 0))
+        assert np.any(fused[4] != 0)
+
+    @pytest.mark.parametrize("kind", ["lgs", "ilp"])
+    @pytest.mark.parametrize("scene", ["noise", "constant"])
+    def test_single_frame_is_bit_identical(self, kind, scene):
+        rng = np.random.default_rng(12)
+        image = rng.uniform(0, 1, (24, 32, 3)) if scene == "noise" else np.full((24, 32, 3), 0.4)
+        cotangent = rng.standard_normal(image.shape)
+        cfg = DefenseConfig(kind)
+        results = []
+        for defend_fn in (defend_on_tape, oracle_defend_on_tape):
+            tape = StageTape()
+            source = tape.source(image)
+            defended, mask = defend_fn(tape, source, cfg)
+            tape.backward(defended, cotangent)
+            results.append((defended.array, mask.array, tape.grad(source), len(tape._records)))
+        (*fused, records), (*oracle, _) = results
+        assert records == self.RECORDS[kind]
+        for a, b in zip(fused, oracle):
+            assert same_bytes(a, b)
+        if scene == "constant":
+            assert not fused[1].any() and np.array_equal(fused[0], image)
 
 
 class TestDefendPipelines:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from defense_oracle import ClipStage
 from hs_oracle import neighbor_average, neighbor_average_adjoint
 
-from flowpatch.diff import ClipStage, CovMaterializeStage, Stage, StageTape, grad_check
+from flowpatch.diff import CovMaterializeStage, Stage, StageTape, grad_check
 from flowpatch.diff.stencils import (
     diff_x,
     diff_x_adjoint,

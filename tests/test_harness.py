@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowpatch.cli import _defense_from_args, _estimator, build_parser, main
+from flowpatch.attack import AttackConfig
+from flowpatch.cli import ATTACK_FIELDS, _defense_from_args, _estimator, _given, build_parser, main
 from flowpatch.core import FlowField, Image, PixelMask, mask_to_image, write_flo, write_ppm
 from flowpatch.defense import defend, ilp_config, lgs_config
 from flowpatch.errors import DivergenceError
@@ -232,6 +233,8 @@ class TestCli:
         assert _defense_from_args(args, "lgs") == lgs_config()
         assert _defense_from_args(args, "ilp") == ilp_config()
         assert _estimator(args).config == HornSchunckConfig()
+        if command == "attack-train":
+            assert AttackConfig(**_given(args, ATTACK_FIELDS)) == AttackConfig()
 
     def test_given_flags_reach_the_configs(self):
         argv = ["evaluate", "--data", "d", "--out", "o", "--k", "8", "--o", "2"]
@@ -275,6 +278,8 @@ class TestExperiment:
             ({"defense_overrides": {"LGS": {"block": 8}}}, ValueError, "LGS"),
             ({"defense_overrides": {"lgs": {"blok": 8}}}, TypeError, "blok"),
             ({"defense_overrides": {"none": {"block": 8}}}, ValueError, "none"),
+            ({"defense_overrides": {"ilp": {"b_lgs": 3}}}, ValueError, "ilp.*b_lgs"),
+            ({"defense_overrides": {"lgs": {"r_telea": 2}}}, ValueError, "lgs.*r_telea"),
             ({"awareness": ("vanilla", "lgs-aware")}, ValueError, "lgs-aware"),
             ({"seeds": ()}, ValueError, "seeds"),
             ({"seeds": (0, 0)}, ValueError, "seeds"),
@@ -304,6 +309,8 @@ class TestExperiment:
             "override-key",
             "override-field",
             "override-none",
+            "override-unread-ilp",
+            "override-unread-lgs",
             "awareness",
             "seeds-empty",
             "seeds-repeated",
