@@ -31,6 +31,15 @@ from .metrics import (
 # Attack, defense and estimator flags are absent unless given, so their
 # defaults live in the config classes only.
 ATTACK_FIELDS = tuple(f.name for f in dataclasses.fields(AttackConfig))
+DEFENSE_FLAGS = (
+    ("--k", "block", int, "block size K"),
+    ("--o", "overlap", int, "block overlap O"),
+    ("--t", "threshold", float, "vote threshold t"),
+    ("--b-lgs", "b_lgs", float, None),
+    ("--s-ilp", "s_ilp", float, None),
+    ("--t-ilp", "t_ilp", float, None),
+    ("--r-telea", "r_telea", int, None),
+)
 
 
 def _given(args, fields) -> dict:
@@ -45,16 +54,19 @@ def _defense_from_args(args, kind) -> DefenseConfig:
     return DefenseConfig(kind=kind, **_given(args, DEFENSE_FIELDS[kind]))
 
 
+def _unread_defense_flag(args) -> str | None:
+    """An error naming the first given defence flag that the chosen defence
+    (`--defense` or `--awareness`) does not read, None if every one is read."""
+    option = "defense" if hasattr(args, "defense") else "awareness"
+    kind = getattr(args, option, None)
+    for flag, dest, _, _ in DEFENSE_FLAGS:
+        if hasattr(args, dest) and dest not in DEFENSE_FIELDS.get(kind, ()):
+            return f"--{option} {kind} does not read {flag}"
+    return None
+
+
 def _add_defense_flags(parser):
-    for flag, dest, kind, help_text in (
-        ("--k", "block", int, "block size K"),
-        ("--o", "overlap", int, "block overlap O"),
-        ("--t", "threshold", float, "vote threshold t"),
-        ("--b-lgs", "b_lgs", float, None),
-        ("--s-ilp", "s_ilp", float, None),
-        ("--t-ilp", "t_ilp", float, None),
-        ("--r-telea", "r_telea", int, None),
-    ):
+    for flag, dest, kind, help_text in DEFENSE_FLAGS:
         parser.add_argument(
             flag, type=kind, dest=dest, default=argparse.SUPPRESS, help=help_text
         )
@@ -273,7 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    unread = _unread_defense_flag(args)
+    if unread:
+        parser.error(unread)
     return args.func(args)
 
 

@@ -9,11 +9,26 @@ front's gradient) x geometric factor (1/d^2) x level-set factor
 convex combinations of known values; unmasked pixels are never written.
 
 The flag and arrival-time arrays are padded by `radius` with a flag that is
-never KNOWN, and a padded map holds each pixel's index into the image, so a
-pixel's window is one gather through a per-radius disk table with no bounds
-checks.  The window's weights are computed elementwise with the scalar
-expressions, and the weighted sum runs sequentially in row-major window
-order, so the output is bit-identical to the scalar per-pixel loop kept in
+never KNOWN, so neighbour reads need no bounds checks, and a pixel's window
+is a per-radius disk table of flat offsets.  The fill order, each pixel's
+front gradient and every arrival time depend on the flags and arrival times
+only, never on pixel values, so the work runs in three passes:
+
+1. March: the scalar heap loop pops the pixels, updates arrival times and
+   records the pop order and each pixel's front gradient at its pop.
+2. Weights: for a block of popped pixels at once, a (pixels x disk) array of
+   weights by the scalar loop's expressions in its order of operations.  A
+   window entry is read if it was known at the start or popped earlier (a
+   pop-rank comparison); only read entries are kept, and their weight sum is
+   a sequential `np.add.accumulate` along the window with 0 at every other
+   entry.  The weights are positive and finite and `s + 0 == s` exactly for
+   finite `s != 0`, so the zeros leave the sum of the read weights unchanged.
+3. Fill: in pop order, each pixel gathers its read entries' values, which
+   are final by then, multiplies by the weights, sums them sequentially in
+   window order and divides.  No weight arithmetic runs per pixel, and no
+   value of an unread entry (another masked pixel or the pad) is touched.
+
+The output is bit-identical to the scalar per-pixel loop kept in
 `tests/telea_oracle.py`.
 
 Inpainting is treated as gradient-free: the stage backward is the identity
@@ -24,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 
 import numpy as np
 
@@ -32,6 +48,7 @@ from ..diff.stage import Arrays, BPDA, Stage
 _KNOWN, _BAND, _INSIDE, _PAD = 0, 1, 2, 3
 _FAR = 1.0e6
 _DIR_FLOOR = 1.0e-6
+_BLOCK_ENTRIES = 2048  # (pixels x disk) entries per weight block
 
 
 def _eikonal(T, flags, p1, p2):
@@ -91,6 +108,81 @@ def _disk(radius: int) -> tuple[np.ndarray, ...]:
     return dk, dl, (-dk).astype(np.float64), (-dl).astype(np.float64), np.sqrt(d2), 1.0 / d2
 
 
+def _march(flags_a: np.ndarray, T_a: np.ndarray, wp: int) -> tuple[np.ndarray, ...]:
+    """Pass 1: the fast march over the padded flag and arrival-time arrays,
+    which it leaves final.  Returns the flat padded index of each pixel in
+    pop order and its front gradient (gy, gx) at its pop; no pixel value is
+    read."""
+    # The loop reads and writes single pixels through memoryviews, which
+    # yield Python scalars; `p` is a flat index into the padded grid.
+    flags, T = memoryview(flags_a), memoryview(T_a)
+    inside_p = np.flatnonzero(flags_a == _INSIDE)
+    known = flags_a == _KNOWN
+    front = known[inside_p - wp] | known[inside_p + wp] | known[inside_p - 1] | known[inside_p + 1]
+    heap = []
+    for p in inside_p[front].tolist():
+        t = _solve(T, flags, p, wp)
+        T[p] = t
+        flags[p] = _BAND
+        heap.append((t, p))
+    heapq.heapify(heap)
+
+    order, gys, gxs = array("q"), array("d"), array("d")
+    while heap:
+        _, p = heapq.heappop(heap)
+        if flags[p] != _BAND:
+            continue
+        order.append(p)
+        gys.append(_front_gradient(T, flags, p, wp))
+        gxs.append(_front_gradient(T, flags, p, 1))
+        flags[p] = _KNOWN
+        for q in (p - wp, p + wp, p - 1, p + 1):
+            f = flags[q]
+            if f == _KNOWN or f == _PAD:
+                continue
+            nt = _solve(T, flags, q, wp)
+            if f == _INSIDE or nt < T[q]:
+                T[q] = nt
+                flags[q] = _BAND
+                heapq.heappush(heap, (nt, q))
+    return np.frombuffer(order, dtype=np.int64), np.frombuffer(gys), np.frombuffer(gxs)
+
+
+def _weights(p, gy, gx, rank, T_a, window, disk):
+    """Pass 2 for the pixels `p` (flat padded indices, in pop order) with
+    front gradients (gy, gx).  Returns the window entries that each pixel
+    reads, as flat padded indices, their weights, the row bounds of both
+    (one row per pixel, in window order) and each pixel's weight sum."""
+    ry, rx, d, inv_d2 = disk
+    win = p[:, None] + window
+    # An entry is read if it was known at the start or popped before `p`.
+    read = rank.take(win) < rank.take(p)[:, None]
+    reads = win[read]
+    # The scalar loop's weight expressions, in its order of operations.
+    weight = np.multiply.outer(gy, ry)
+    t = np.multiply.outer(gx, rx)
+    weight += t
+    np.abs(weight, out=weight)
+    weight /= d
+    np.maximum(weight, _DIR_FLOOR, out=weight)
+    weight *= inv_d2
+    level = T_a.take(win, out=t)
+    del win
+    level -= T_a.take(p)[:, None]
+    np.abs(level, out=level)
+    level += 1.0
+    np.divide(1.0, level, out=level)
+    weight *= level
+    del t, level
+    kept = weight[read]
+    bounds = np.zeros(len(p) + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(read, axis=1), out=bounds[1:])
+    # Unread entries weigh +0, which leaves each sequential sum unchanged.
+    weight[~read] = 0.0
+    wsum = np.add.accumulate(weight, axis=1, out=weight)[:, -1]
+    return reads, kept, bounds, wsum
+
+
 def telea_inpaint_array(image: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
     """Inpaint the pixels where `mask > 0` of an (H, W, C) image whose (H, W) is the mask's."""
     if radius < 1:
@@ -118,61 +210,34 @@ def telea_inpaint_array(image: np.ndarray, mask: np.ndarray, radius: int) -> np.
     to_image = np.full((hp, wp), h * w, dtype=np.intp)
     to_image[interior] = np.arange(h * w).reshape(h, w)
     flags_a, T_a, to_image = flags_a.ravel(), T_a.ravel(), to_image.ravel()
+    # Pop rank of each padded pixel: -1 if known at the start; the pad's is
+    # above every pop.
+    rank = np.where(flags_a == _KNOWN, np.int32(-1), np.int32(hp * wp))
+
+    order, gy, gx = _march(flags_a, T_a, wp)
+    rank[order] = np.arange(len(order))
+    dk, dl, *disk = _disk(radius)
+    window = dk * wp + dl
     out = image.copy()
     flat_out = out.reshape(h * w, channels)
-    # The marching loop reads and writes single pixels through memoryviews,
-    # which yield Python scalars; `p` is a flat index into the padded grid.
-    flags, T = memoryview(flags_a), memoryview(T_a)
-    dk, dl, ry, rx, d, inv_d2 = _disk(radius)
-    window = dk * wp + dl
-
-    inside_p = np.flatnonzero(flags_a == _INSIDE)
-    known = flags_a == _KNOWN
-    front = known[inside_p - wp] | known[inside_p + wp] | known[inside_p - 1] | known[inside_p + 1]
-    heap = []
-    for p in inside_p[front].tolist():
-        t = _solve(T, flags, p, wp)
-        T[p] = t
-        flags[p] = _BAND
-        heap.append((t, p))
-    heapq.heapify(heap)
-
-    while heap:
-        _, p = heapq.heappop(heap)
-        if flags[p] != _BAND:
-            continue
-        gy, gx = _front_gradient(T, flags, p, wp), _front_gradient(T, flags, p, 1)
-        win = window + p
-        # The scalar loop's weight expressions over the whole disk, in its
-        # order of operations; only KNOWN window pixels are summed.
-        weight = np.abs(ry * gy + rx * gx)
-        weight /= d
-        np.maximum(weight, _DIR_FLOOR, out=weight)
-        weight *= inv_d2
-        level = T_a.take(win)
-        level -= T[p]
-        np.abs(level, out=level)
-        level += 1.0
-        np.divide(1.0, level, out=level)
-        weight *= level
-        sel = flags_a.take(win) == _KNOWN
-        weight = weight[sel]
-        terms = flat_out.take(to_image.take(win[sel]), axis=0) * weight[:, None]
-        # accumulate adds strictly in window order, as the scalar loop does;
-        # np.sum and matmul add pairwise or blocked and round differently.
-        # The + 0.0 matches the scalar sum's +0.0 start when every term is -0.0.
-        acc = np.add.accumulate(terms)[-1] + 0.0
-        flat_out[to_image[p]] = acc / np.add.accumulate(weight)[-1]
-        flags[p] = _KNOWN
-        for q in (p - wp, p + wp, p - 1, p + 1):
-            f = flags[q]
-            if f == _KNOWN or f == _PAD:
-                continue
-            nt = _solve(T, flags, q, wp)
-            if f == _INSIDE or nt < T[q]:
-                T[q] = nt
-                flags[q] = _BAND
-                heapq.heappush(heap, (nt, q))
+    # Blocks of pixels in pop order bound the (pixels x disk) work arrays.
+    step = max(1, _BLOCK_ENTRIES // len(window))
+    for start in range(0, len(order), step):
+        block = slice(start, start + step)
+        reads, weight, bounds, wsum = _weights(
+            order[block], gy[block], gx[block], rank, T_a, window, disk
+        )
+        reads, weight = to_image.take(reads), weight[:, None]
+        targets = to_image.take(order[block]).tolist()
+        bounds = bounds.tolist()
+        # Pass 3.  accumulate adds strictly in window order, as the scalar
+        # loop does; np.sum and matmul add pairwise or blocked and round
+        # differently.  The + 0.0 matches the scalar sum's +0.0 start when
+        # every term is -0.0.
+        for target, total, a, b in zip(targets, wsum.tolist(), bounds, bounds[1:]):
+            terms = flat_out.take(reads[a:b], axis=0)
+            terms *= weight[a:b]
+            flat_out[target] = (np.add.accumulate(terms, out=terms)[-1] + 0.0) / total
     return out
 
 

@@ -107,13 +107,15 @@ class HornSchunckSolveStage(Stage):
 
     The updates run in place on one stacked (2, H+2, W+2) u/v state whose
     replicate border is refreshed by four slice copies, so an iteration
-    allocates nothing but, on a tape, the stacked (ubar_k, vbar_k) it keeps
-    (16 B/px).  The exact backward runs the adjoint updates in reverse,
-    recomputing q_k from those averages.  Its neighbour-average adjoint
-    gathers from a zero-bordered padded cotangent in the order in which a
-    scatter into a zero pad adds, then folds the border back.  It sums the
-    Ix/Iy/It cotangents from the last iteration to the first, as a tape of
-    one record per iteration would, so both give bit-identical gradients.
+    allocates nothing.  On a tape, iteration k writes its stacked
+    (ubar_k, vbar_k) into row k of one (iterations, 2, H, W) block
+    (16 B/px/iteration), allocated once per forward.  The exact backward
+    runs the adjoint updates in reverse, recomputing q_k from those
+    averages.  Its neighbour-average adjoint gathers from a zero-bordered
+    padded cotangent in the order in which a scatter into a zero pad adds,
+    then folds the border back.  It sums the Ix/Iy/It cotangents from the
+    last iteration to the first, as a tape of one record per iteration
+    would, so both give bit-identical gradients.
     """
 
     name = "horn-schunck-solve"
@@ -125,23 +127,23 @@ class HornSchunckSolveStage(Stage):
     def _denominator(self, ix, iy):
         return self.alpha2 + ix * ix + iy * iy
 
-    def _run(self, ix, iy, it, averages: list | None = None) -> np.ndarray:
-        """The flow.  Each iteration's stacked (ubar, vbar) is appended to
-        `averages` if it is given, and overwritten otherwise."""
+    def _run(self, ix, iy, it, averages: np.ndarray | None = None) -> np.ndarray:
+        """The flow.  Iteration k's stacked (ubar, vbar) is written to
+        `averages[k]` if an (iterations, 2, H, W) array is given, and
+        overwritten otherwise."""
         h, w = ix.shape
         den = self._denominator(ix, iy)
         state = np.zeros((2, h + 2, w + 2))
         u, v = state[:, 1:-1, 1:-1]
         bar = np.empty((2, h, w))
         q, t = np.empty((2, h, w))
-        for _ in range(self.iterations):
+        for k in range(self.iterations):
             state[:, 0, 1:-1] = state[:, 1, 1:-1]
             state[:, -1, 1:-1] = state[:, -2, 1:-1]
             state[:, 1:-1, 0] = state[:, 1:-1, 1]
             state[:, 1:-1, -1] = state[:, 1:-1, -2]
             if averages is not None:
-                bar = np.empty((2, h, w))
-                averages.append(bar)
+                bar = averages[k]
             np.add(state[:, 2:, 1:-1], state[:, :-2, 1:-1], out=bar)
             bar += state[:, 1:-1, 2:]
             bar += state[:, 1:-1, :-2]
@@ -160,7 +162,7 @@ class HornSchunckSolveStage(Stage):
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         ix, iy, it = inputs
-        averages = []
+        averages = np.empty((self.iterations, 2, *ix.shape))
         flow = self._run(ix, iy, it, averages)
         ctx.update(ix=ix, iy=iy, it=it, averages=averages)
         return (flow,)

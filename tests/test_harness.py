@@ -236,6 +236,27 @@ class TestCli:
         if command == "attack-train":
             assert AttackConfig(**_given(args, ATTACK_FIELDS)) == AttackConfig()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["defend", "--in", "{data}", "--defense", "ilp", "--b-lgs", "3"],
+             "--defense ilp does not read --b-lgs"),
+            (["attack-train", "--data", "{data}", "--awareness", "vanilla", "--k", "8"],
+             "--awareness vanilla does not read --k"),
+            (["evaluate", "--data", "{data}", "--defense", "none", "--t", "0.2"],
+             "--defense none does not read --t"),
+        ],
+        ids=["defend", "attack-train", "evaluate"],
+    )
+    def test_unread_defense_flag_exits_2(self, tmp_path, capsys, argv, message):
+        data = synth_dataset(1, 32, 48, seed=0, out_dir=tmp_path / "data")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(data=data) for arg in argv] + ["--out", str(out)])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_given_flags_reach_the_configs(self):
         argv = ["evaluate", "--data", "d", "--out", "o", "--k", "8", "--o", "2"]
         args = build_parser().parse_args(argv + ["--r-telea", "3", "--iters", "7"])

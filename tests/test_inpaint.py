@@ -3,6 +3,7 @@ import pytest
 from telea_oracle import _FAR, _eikonal, telea_oracle
 
 from flowpatch.defense import TeleaInpaintStage, defend, ilp_config, telea_inpaint_array
+from flowpatch.defense.inpaint import _INSIDE, _KNOWN, _PAD, _march
 from flowpatch.harness import ingest_dataset, synth_dataset
 
 
@@ -207,3 +208,53 @@ class TestTeleaOracle:
             assert mask.any()
             fast = telea_inpaint_array(frame.data, mask, cfg.r_telea)
             assert bit_identical(fast, telea_oracle(frame.data, mask, cfg.r_telea))
+
+    def test_nan_and_inf_under_the_mask_are_never_read(self):
+        rng = np.random.default_rng(21)
+        image = rng.uniform(0.0, 1.0, (12, 14, 3))
+        mask = np.zeros((12, 14))
+        mask[3:9, 4:11] = 1
+        mask[0, 0] = mask[11, 5] = 1
+        image[mask > 0] = np.array([np.nan, np.inf, -np.inf])
+        for radius in (1, 3, 5):
+            fast = telea_inpaint_array(image, mask, radius)
+            assert np.all(np.isfinite(fast[mask > 0]))
+            assert bit_identical(fast, telea_oracle(image, mask, radius))
+
+    @pytest.mark.parametrize("radius", [1, 5])
+    @pytest.mark.parametrize("shape", ["frame", "cross", "two-islands"])
+    def test_named_masks(self, radius, shape):
+        # The frame and the cross touch all four borders, so windows near
+        # them reach into the pad; the two islands are disconnected.
+        rng = np.random.default_rng(22)
+        image = rng.uniform(0.0, 1.0, (16, 19, 3))
+        mask = np.zeros((16, 19))
+        if shape == "frame":
+            mask[:2] = mask[-2:] = 1
+            mask[:, :2] = mask[:, -2:] = 1
+        elif shape == "cross":
+            mask[7:9] = 1
+            mask[:, 9] = 1
+        else:
+            mask[2:7, 3:8] = 1
+            mask[9:14, 11:17] = 1
+        assert bit_identical(telea_inpaint_array(image, mask, radius),
+                             telea_oracle(image, mask, radius))
+
+    def test_ring_mask_with_equal_arrival_times(self):
+        rng = np.random.default_rng(24)
+        image = rng.uniform(0.0, 1.0, (17, 17, 3))
+        mask = np.zeros((17, 17))
+        mask[3:14, 3:14] = 1
+        mask[7:10, 7:10] = 0
+        # The ring is symmetric, so many pixels tie on arrival time and
+        # their order comes from the heap's index tie-break.
+        radius = 4
+        hp = wp = 17 + 2 * radius
+        flags = np.full((hp, wp), _PAD, dtype=np.int8)
+        flags[radius:-radius, radius:-radius] = np.where(mask > 0, _INSIDE, _KNOWN)
+        T = np.where(flags == _INSIDE, _FAR, 0.0).ravel()
+        order = _march(flags.ravel(), T, wp)[0]
+        assert len(np.unique(T[order])) < len(order) // 4
+        for r in (1, radius):
+            assert bit_identical(telea_inpaint_array(image, mask, r), telea_oracle(image, mask, r))

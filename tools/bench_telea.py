@@ -1,16 +1,21 @@
-"""Time and measure the scalar Telea oracle against `telea_inpaint_array`.
+"""Time and measure `telea_inpaint_array` in one source tree.
 
-    python tools/bench_telea.py [--out BENCH_telea.json] [--repeats 7]
+    python tools/bench_telea.py [--src SRC] [--label change]
+                                [--out BENCH_telea.json] [--repeats 7]
 
-Run from the repository root.  The oracle (`tests/telea_oracle.py`) is the
-scalar loop that the vectorised path replaced, so its columns are the
-"before" and the vectorised ones the "after".  For each size the inputs are
-the ILP-flagged masks of both frames of `synth_dataset(1, h, w, seed=7, ...)`,
-the scene the benchmark's workloads use, inpainted with the default radius.
-Each implementation's time is the best of `--repeats` calls per frame, summed
-over the two frames, and its memory the tracemalloc peak of one call on frame
-1; the outputs must be bit-identical.  Results and machine information are
-written as JSON.
+Run from the repository root.  `--src` is the `src` directory of the tree to
+time (default: this checkout's), so a before/after pair is two runs of this
+script on the same machine, one with `--src` pointing at a checkout of the
+older commit.  The entry is stored in `--out` under `--label`, replacing an
+entry of that label and keeping the others.
+
+For each size the inputs are the ILP-flagged masks of both frames of
+`synth_dataset(1, h, w, seed=7, ...)`, the scene the benchmark's workloads
+use, inpainted with the default radius.  The time is the best of `--repeats`
+calls per frame, summed over the two frames, and the memory the tracemalloc
+peak of one call on frame 1.  Before timing anything the script checks that
+every output equals the scalar loop of `tests/telea_oracle.py` bit for bit,
+and exits non-zero if one does not.
 """
 
 from __future__ import annotations
@@ -28,12 +33,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-from flowpatch.defense import defend, ilp_config, telea_inpaint_array  # noqa: E402
-from flowpatch.harness import ingest_dataset, synth_dataset  # noqa: E402
-from telea_oracle import telea_oracle  # noqa: E402
-
 SIZES = ((32, 64), (64, 128), (128, 256))
 SCENE_SEED = 7
 
@@ -66,49 +65,77 @@ def machine() -> dict:
     }
 
 
-def bench_size(h: int, w: int, radius: int, repeats: int) -> dict:
+def inputs(h: int, w: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(image, ILP mask) of both frames of the benchmark scene at h x w."""
+    from flowpatch.defense import defend, ilp_config
+    from flowpatch.harness import ingest_dataset, synth_dataset
+
     with tempfile.TemporaryDirectory() as tmp:
-        frames = ingest_dataset(synth_dataset(1, h, w, SCENE_SEED, tmp)).frames
-    pair = (frames[0].frame1, frames[0].frame2)
-    images = [frame.data for frame in pair]
-    masks = [defend(frame, ilp_config())[1].data for frame in pair]
-    oracle_s = new_s = 0.0
-    for image, mask in zip(images, masks):
-        before, after = telea_oracle(image, mask, radius), telea_inpaint_array(image, mask, radius)
-        if before.tobytes() != after.tobytes():
-            raise SystemExit(f"{h}x{w}: telea_inpaint_array differs from the oracle")
-        oracle_s += best_of(lambda: telea_oracle(image, mask, radius), repeats)
-        new_s += best_of(lambda: telea_inpaint_array(image, mask, radius), repeats)
+        pair = ingest_dataset(synth_dataset(1, h, w, SCENE_SEED, tmp)).frames[0]
+    return [(frame.data, defend(frame, ilp_config())[1].data) for frame in (pair.frame1, pair.frame2)]
+
+
+def check_oracle(cases, radius: int) -> None:
+    """Exit unless `telea_inpaint_array` reproduces the oracle bit for bit."""
+    from flowpatch.defense import telea_inpaint_array
+    from telea_oracle import telea_oracle
+
+    for size, frames in cases.items():
+        for image, mask in frames:
+            got, want = telea_inpaint_array(image, mask, radius), telea_oracle(image, mask, radius)
+            if got.tobytes() != want.tobytes():
+                raise SystemExit(f"{size}: telea_inpaint_array differs from tests/telea_oracle.py")
+
+
+def bench_size(size: str, frames, radius: int, repeats: int) -> dict:
+    from flowpatch.defense import telea_inpaint_array
+
+    elapsed = sum(
+        best_of(lambda: telea_inpaint_array(image, mask, radius), repeats)
+        for image, mask in frames
+    )
+    image, mask = frames[0]
     return {
-        "size": f"{h}x{w}",
-        "inpainted_px": int(sum(np.count_nonzero(m > 0) for m in masks)),
-        "oracle_s": round(oracle_s, 5),
-        "vectorised_s": round(new_s, 5),
-        "speedup": round(oracle_s / new_s, 2),
-        "oracle_peak_mb": round(peak_mb(lambda: telea_oracle(images[0], masks[0], radius)), 3),
-        "vectorised_peak_mb": round(
-            peak_mb(lambda: telea_inpaint_array(images[0], masks[0], radius)), 3
-        ),
+        "size": size,
+        "inpainted_px": int(sum(np.count_nonzero(m > 0) for _, m in frames)),
+        "time_s": round(elapsed, 5),
+        "peak_mb": round(peak_mb(lambda: telea_inpaint_array(image, mask, radius)), 3),
     }
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_telea.json")
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--out", type=Path, default=Path("BENCH_telea.json"))
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
+    src = args.src.resolve()
+    sys.path[:0] = [str(src), str(ROOT / "tests")]
+    import flowpatch
+    from flowpatch.defense import ilp_config
+
+    if src not in Path(flowpatch.__file__).resolve().parents:
+        raise SystemExit(f"flowpatch was imported from {flowpatch.__file__}, not from {src}")
     radius = ilp_config().r_telea
-    result = {
-        "benchmark": "before: tests/telea_oracle.py, the scalar loop; after: "
-                     f"telea_inpaint_array. Time: best of {args.repeats} per frame, "
-                     "summed over two frames. Memory: tracemalloc peak of one call on frame 1",
-        "scene": f"synth_dataset(1, h, w, seed={SCENE_SEED}), ILP masks of frame 1 and frame 2",
-        "radius": radius,
+    cases = {f"{h}x{w}": inputs(h, w) for h, w in SIZES}
+    check_oracle(cases, radius)
+    entry = {
+        "label": args.label,
+        "repeats": args.repeats,
         "machine": machine(),
-        "results": [bench_size(h, w, radius, args.repeats) for h, w in SIZES],
+        "results": [bench_size(size, frames, radius, args.repeats) for size, frames in cases.items()],
     }
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    for row in result["results"]:
+    entries = json.loads(args.out.read_text())["entries"] if args.out.exists() else []
+    result = {
+        "benchmark": f"telea_inpaint_array at radius {radius} on the ILP masks of both frames "
+                     f"of synth_dataset(1, h, w, seed={SCENE_SEED}). Time: best of `repeats` "
+                     "calls per frame, summed over the two frames. Memory: tracemalloc peak "
+                     "of one call on frame 1",
+        "entries": [e for e in entries if e["label"] != args.label] + [entry],
+    }
+    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    for row in entry["results"]:
         print(json.dumps(row))
 
 
