@@ -6,7 +6,7 @@ estimator on a stage tape, and takes one optimizer step on the patch
 parameters from the reverse pass.  The reference flow of a frame pair is
 its flow through the defended clean pipeline: given by the caller, or
 computed when the pair is first drawn and kept.  `save_patch` writes a
-trained patch's artefacts.
+trained patch's artefacts, and `load_patch` is the one reader of them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.ppm import write_ppm
+from ..core.ppm import read_ppm, write_ppm
 from ..core.raster import FlowField, Image
 from ..defense.pipeline import DERIVATIVE_ORDER, DefenseConfig, defend_on_tape, defended_flow
 from ..diff.elementwise import AddWeightedStage, CovMaterializeStage
@@ -85,6 +85,12 @@ def save_patch(stem: str | Path, patch: Patch, cfg: AttackConfig) -> None:
         **dataclasses.asdict(cfg),
     }
     Path(f"{stem}.txt").write_text("".join(f"{k}={v}\n" for k, v in sidecar.items()))
+
+
+def load_patch(path: str | Path) -> Patch:
+    """The `clip` patch of the values at `path`: a `.npy` or an 8-bit `.ppm`."""
+    values = np.load(path) if str(path).endswith(".npy") else read_ppm(path).data
+    return Patch(values.shape[0], CLIP, values)
 
 
 def _diverged(step: int, what: str, cfg: AttackConfig) -> DivergenceError:

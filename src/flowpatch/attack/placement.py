@@ -143,17 +143,28 @@ def place_patch(
     return Image(out1), Image(out2), PixelMask(geometry.mask)
 
 
+MAX_SCALE = 1.05
+
+
+def check_fit(side: int, frame_shape: tuple[int, int]) -> None:
+    """Raise PlacementError unless `side` >= 1 and a patch of that side fits
+    the frame at every scale `sample_pose` draws, up to `MAX_SCALE`."""
+    h, w = frame_shape
+    if side < 1 or MAX_SCALE * side > min(h, w) - 1:
+        raise PlacementError(f"patch side {side} cannot fit a {h}x{w} frame")
+
+
 def sample_pose(
     rng: np.random.Generator, side: int, frame_shape: tuple[int, int]
 ) -> PatchPose:
     """Training/evaluation jitter: uniform center over all feasible positions,
-    rotation in [-10, 10] degrees, scale in [0.95, 1.05]."""
+    rotation in [-10, 10] degrees, scale in [0.95, 1.05].  The fit is checked
+    before anything is drawn, so a side fits on every draw or on none."""
+    check_fit(side, frame_shape)
     h, w = frame_shape
-    scale = float(rng.uniform(0.95, 1.05))
+    scale = float(rng.uniform(0.95, MAX_SCALE))
     rotation = float(rng.uniform(-10.0, 10.0))
     radius = scale * side / 2.0
-    if 2 * radius > min(h, w) - 1:
-        raise PlacementError(f"patch side {side} cannot fit a {h}x{w} frame")
     row = float(rng.uniform(radius, h - 1 - radius))
     col = float(rng.uniform(radius, w - 1 - radius))
     return PatchPose((row, col), rotation, scale)

@@ -13,13 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .attack.optimize import AttackConfig, save_patch, train_patch
-from .attack.patch import CLIP, Patch
+from .attack.optimize import AttackConfig, load_patch, save_patch, train_patch
 from .core.colorize import flow_to_color
 from .core.floio import write_flo
-from .core.ppm import mask_to_image, read_ppm, write_ppm
+from .core.ppm import mask_to_image, write_ppm
 from .defense.pipeline import DEFENSE_FIELDS, DefenseConfig, defend
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
 from .harness.dataset import ingest_dataset, synth_dataset
@@ -157,13 +154,7 @@ def cmd_evaluate(args) -> int:
     if not frames:
         return 1
     defense = None if args.defense == "none" else _defense_from_args(args, args.defense)
-    patch = None
-    if args.patch:
-        if args.patch.endswith(".npy"):
-            values = np.load(args.patch)
-        else:
-            values = read_ppm(args.patch).data
-        patch = Patch(values.shape[0], CLIP, values)
+    patch = load_patch(args.patch) if args.patch else None
     estimator = _estimator(args)
     scores = evaluate_pipeline(
         estimator, defense, patch, frames, clean_flows(estimator, defense, frames), seed=args.seed

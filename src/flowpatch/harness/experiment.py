@@ -2,8 +2,8 @@
 defense x attack matrix, and emit deterministic CSV summaries.
 
 Grid cells are (awareness, optimizer, learning rate, box, seed).  Each cell
-trains one patch against the awareness-matched defense and saves it; every
-trained patch is then evaluated against every configured defense.  A
+trains one patch against the awareness-matched defense and saves it; each
+saved .npy is then read back and scored against every configured defense.  A
 defense's clean flows, computed once per frame, give its quality column, the
 reference of every robustness value and the target of the cells trained
 against it.  A cell's CSV fields are formatted once and also name its patch
@@ -11,25 +11,27 @@ files.  Each seed's result is grouped by (cell fields, defense) in
 seed_mean.csv's order, so one pass over the groups gives the seed means and
 the headline maxima.  Unknown names, overrides of a field the defense does
 not read, empty or repeated grid axes, cells whose fields coincide, a
-negative or NaN learning rate, `steps` below 1, an invalid synthetic block
-and a given dataset without a loadable pair fail before anything is written.
+negative or NaN learning rate, `steps` below 1, an invalid synthetic block,
+a given dataset without a loadable pair and a `patch_side` that does not fit
+the frames at the largest pose scale fail before anything is written.
 Diverged cells are recorded as "div" and the run continues; unexpected
-errors mark the cell "fail" without touching other cells.  Identical configs
-(seeds included) produce byte-identical CSVs.
+errors and an unreadable saved patch mark the cell "fail" without touching
+other cells.  Identical configs (seeds included) produce byte-identical CSVs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..attack.losses import ILP_AWARE, LGS_AWARE, VANILLA
-from ..attack.optimize import AttackConfig, save_patch, train_patch
-from ..attack.patch import Patch
+from ..attack.optimize import AttackConfig, load_patch, save_patch, train_patch
+from ..attack.placement import check_fit
 from ..defense.pipeline import DEFENSE_FIELDS, ILP, LGS, DefenseConfig
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
@@ -115,21 +117,17 @@ class ExperimentConfig:
         return HornSchunck(HornSchunckConfig(**self.estimator))
 
 
-def _train_task(args) -> tuple[str, Patch | str]:
+def _train_task(args) -> tuple[str, str]:
     """Worker for one training cell: trains its patch and saves it under
-    `stem`.  Returns ("ok", patch), or ("div" | "fail", error text)."""
+    `stem`.  Returns ("ok", ""), or ("div" | "fail", error text)."""
     (cfg, attack_cfg, stem, pairs, defense, references) = args
     try:
         patch = train_patch(
-            cfg.make_estimator(),
-            defense,
-            pairs,
-            attack_cfg,
-            patch_side=cfg.patch_side,
-            references=references,
+            cfg.make_estimator(), defense, pairs, attack_cfg,
+            patch_side=cfg.patch_side, references=references,
         ).patch
         save_patch(stem, patch, attack_cfg)
-        return "ok", patch
+        return "ok", ""
     except DivergenceError as exc:
         return "div", str(exc)
     except Exception as exc:  # noqa: BLE001 - crash isolation per grid cell
@@ -176,13 +174,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     used = dict.fromkeys([*cfg.defenses, *(AWARENESS_DEFENSE[a] for a in cfg.awareness)])
     defenses = {name: cfg.defense_config(name) for name in [*used, *cfg.defense_overrides]}
     # A given dataset is loaded, or the synthetic scenes are written under
-    # the output directory, before anything else is written.
+    # the output directory, before anything else is written.  The patch side
+    # must fit every frame at the largest pose scale, checked for synthetic
+    # scenes before they are written.
     out = Path(cfg.output_dir)
-    index = _load_dataset(
-        synth_dataset(out_dir=out / "dataset", **cfg.synthetic)
-        if cfg.data_dir is None
-        else cfg.data_dir
-    )
+    if cfg.data_dir is None:
+        scenes = inspect.signature(synth_dataset).bind(out_dir=out / "dataset", **cfg.synthetic)
+        check_fit(cfg.patch_side, (scenes.arguments["height"], scenes.arguments["width"]))
+        index = _load_dataset(synth_dataset(**scenes.arguments))
+    else:
+        index = _load_dataset(cfg.data_dir)
+    for frame in index.frames:
+        check_fit(cfg.patch_side, (frame.frame1.height, frame.frame1.width))
     (out / "patches").mkdir(parents=True, exist_ok=True)
     config_hash = cfg.config_hash()
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
@@ -213,22 +216,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         outcomes = [_train_task(a) for a in worker_args]
 
-    # Robustness of every trained patch against every configured defense;
-    # each seed's (status, robustness) is grouped by (cell fields, defense),
-    # in the order of seed_mean.csv.
+    # Robustness of every saved patch, read once from its .npy (an unreadable
+    # one fails its cell), against every configured defense; each seed's
+    # (status, robustness) is grouped by (cell fields, defense) in seed_mean.csv's order.
     per_seed = []
     groups: dict[tuple, list[tuple[str, float | None]]] = {}
     hard_failures = 0
-    for (fields, attack), stem, (status, outcome) in zip(tasks, stems, outcomes):
+    for (fields, attack), stem, (status, message) in zip(tasks, stems, outcomes):
+        if status == "ok":
+            try:
+                patch = load_patch(out / "patches" / f"{stem}.npy")
+            except Exception as exc:  # noqa: BLE001 - crash isolation
+                status, message = "fail", f"{type(exc).__name__}: {exc}"
         if status != "ok":
-            report.append(f"{stem}: {status} ({outcome})")
+            report.append(f"{stem}: {status} ({message})")
             hard_failures += status == "fail"
         for defense in cfg.defenses:
             row_status, robustness = status, None
             if status == "ok":
                 try:
                     robustness = mean_epe(r for _, r in evaluate_pipeline(
-                        estimator, defenses[defense], outcome, frames, clean[defense],
+                        estimator, defenses[defense], patch, frames, clean[defense],
                         seed=cfg.eval_seed,
                     ))
                 except Exception as exc:  # noqa: BLE001 - crash isolation

@@ -10,15 +10,17 @@ from flowpatch.attack import (
     PatchPenaltyStage,
     PatchPose,
     PlacePatchStage,
+    load_patch,
     manual_patch,
     optimizer_step,
     place_patch,
     placement_geometry,
     random_patch,
     sample_pose,
+    save_patch,
     train_patch,
 )
-from flowpatch.core import Image
+from flowpatch.core import Image, read_ppm
 from flowpatch.defense import lgs_config
 from flowpatch.diff import AddWeightedStage, Stage, grad_check
 from flowpatch.errors import DivergenceError, PlacementError
@@ -93,6 +95,17 @@ class TestPatchModel:
             vals = p.materialize()
             assert vals.min() >= 0.0 and vals.max() <= 1.0
 
+    def test_load_patch_reads_what_save_patch_wrote(self, tmp_path):
+        patch = random_patch(6, "cov", np.random.default_rng(0))
+        save_patch(tmp_path / "p", patch, AttackConfig(box="cov"))
+        saved = load_patch(tmp_path / "p.npy")
+        assert (saved.side, saved.parameterization) == (6, "clip")
+        assert saved.param.tobytes() == patch.materialize().tobytes()
+        preview = load_patch(str(tmp_path / "p.ppm"))
+        assert np.array_equal(preview.param, read_ppm(tmp_path / "p.ppm").data)
+        with pytest.raises(FileNotFoundError):
+            load_patch(tmp_path / "missing.npy")
+
 
 class TestPlacement:
     def test_identity_pose_copies_patch_values(self):
@@ -153,6 +166,25 @@ class TestPlacement:
         )
         report = grad_check(stage, inputs)
         assert report.passed, report
+
+    @pytest.mark.parametrize("side, fits", [(29, True), (30, False), (31, False), (32, False)])
+    def test_fit_does_not_depend_on_the_draw(self, side, fits):
+        # 1.05 * side against the 31 px a 32-row frame leaves: every draw fits
+        # or none does, and a rejected side draws nothing.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            state = rng.bit_generator.state
+            if fits:
+                placement_geometry(sample_pose(rng, side, (32, 48)), side, (32, 48))
+            else:
+                with pytest.raises(PlacementError, match=f"patch side {side} cannot fit"):
+                    sample_pose(rng, side, (32, 48))
+                assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("side", [0, -3])
+    def test_non_positive_side_rejected(self, side):
+        with pytest.raises(PlacementError, match=f"patch side {side} cannot fit"):
+            sample_pose(np.random.default_rng(0), side, (32, 48))
 
     def test_sampled_poses_always_placeable(self):
         rng = np.random.default_rng(5)

@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowpatch.attack import AttackConfig
+from flowpatch.attack import AttackConfig, Patch
 from flowpatch.cli import ATTACK_FIELDS, _defense_from_args, _estimator, _given, build_parser, main
 from flowpatch.core import FlowField, Image, PixelMask, mask_to_image, write_flo, write_ppm
 from flowpatch.defense import defend, ilp_config, lgs_config
-from flowpatch.errors import DivergenceError
+from flowpatch.errors import DivergenceError, PlacementError
 from flowpatch.flow import HornSchunck, HornSchunckConfig
 from flowpatch.harness import (
     ExperimentConfig,
@@ -324,6 +324,10 @@ class TestExperiment:
             ({"synthetic": {**SYNTHETIC, "hieght": 32}}, TypeError, "hieght"),
             ({"synthetic": {**SYNTHETIC, "height": 16}}, ValueError, "24x24"),
             ({"synthetic": {**SYNTHETIC, "count": 0}}, ValueError, "count"),
+            # 1.05 x 31 px does not fit the 31 px a 32-row frame leaves
+            ({"patch_side": 31}, PlacementError, "patch side 31 cannot fit a 32x48"),
+            ({"patch_side": 0}, PlacementError, "patch side 0"),
+            ({"patch_side": -3}, PlacementError, "patch side -3"),
         ],
         ids=[
             "defense",
@@ -350,6 +354,9 @@ class TestExperiment:
             "synthetic-key",
             "synthetic-size",
             "synthetic-count",
+            "patch-side-31",
+            "patch-side-0",
+            "patch-side-negative",
         ],
     )
     def test_unknown_names_rejected_before_writing(self, tmp_path, overrides, error, name):
@@ -368,6 +375,13 @@ class TestExperiment:
                 spoil_pair(data, f"{i:04d}")
         cfg = tiny_config(tmp_path / "run", data_dir=str(data))
         with pytest.raises(ValueError, match="empty"):
+            run_experiment(cfg)
+        assert not (tmp_path / "run").exists()
+
+    def test_patch_side_too_large_for_given_data_rejected_before_writing(self, tmp_path):
+        data = synth_dataset(out_dir=tmp_path / "data", **SYNTHETIC)
+        cfg = tiny_config(tmp_path / "run", data_dir=str(data), patch_side=30)
+        with pytest.raises(PlacementError, match="patch side 30 cannot fit a 32x48"):
             run_experiment(cfg)
         assert not (tmp_path / "run").exists()
 
@@ -547,6 +561,67 @@ class TestExperiment:
             robustness = float(printed.rsplit("robustness=", 1)[1])
             assert f"{robustness:.6f}" == r["robustness_epe"], (stem, r["defense"])
 
+    def test_rows_score_the_saved_patch(self, tmp_path, monkeypatch, capsys):
+        # Every cell saves a gray patch instead of the one it trained, so
+        # every robustness is the gray patch's, as `evaluate --patch` gives it.
+        # Each cell's .npy is read once, not once per defense.
+        save_patch, load_patch = experiment.save_patch, experiment.load_patch
+        loaded = Counter()
+
+        def saving_gray(stem, patch, cfg):
+            save_patch(stem, Patch(patch.side, "clip", np.full(patch.param.shape, 0.5)), cfg)
+
+        def counted(path):
+            loaded[Path(path).name] += 1
+            return load_patch(path)
+
+        monkeypatch.setattr(experiment, "save_patch", saving_gray)
+        monkeypatch.setattr(experiment, "load_patch", counted)
+        grid = (GridCell("ifgsm", 0.1, "clip"), GridCell("ifgsm", 0.1, "cov"))
+        cfg = tiny_config(tmp_path / "run", attack_grid=grid)
+        out = run_experiment(cfg).output_dir
+        assert loaded == {f"vanilla_ifgsm_0.1_{box}_seed0.npy": 1 for box in ("clip", "cov")}
+        gray = out / "patches" / "vanilla_ifgsm_0.1_clip_seed0.npy"
+        assert np.all(np.load(gray) == 0.5)
+        expected = {}
+        for defense in cfg.defenses:
+            argv = ["evaluate", "--data", str(out / "dataset"), "--defense", defense,
+                    "--patch", str(gray), "--seed", str(cfg.eval_seed),
+                    "--iters", str(cfg.estimator["iterations"]), "--out", str(tmp_path / "e.csv")]
+            assert main(argv) == 0
+            expected[defense] = float(capsys.readouterr().out.rsplit("robustness=", 1)[1])
+        with open(out / "per_seed.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for r in rows:
+            assert (r["status"], r["robustness_epe"]) == (
+                "ok", f"{expected[r['defense']]:.6f}"
+            ), (r["box"], r["defense"])
+
+    def test_missing_saved_patch_fails_its_cell(self, tmp_path, monkeypatch):
+        save_patch = experiment.save_patch
+
+        def losing_cov_npy(stem, patch, cfg):
+            save_patch(stem, patch, cfg)
+            if cfg.box == "cov":
+                Path(f"{stem}.npy").unlink()
+
+        monkeypatch.setattr(experiment, "save_patch", losing_cov_npy)
+        grid = (GridCell("ifgsm", 0.1, "clip"), GridCell("ifgsm", 0.1, "cov"))
+        result = run_experiment(tiny_config(tmp_path / "run", attack_grid=grid))
+        assert result.hard_failures == 1
+        assert len(result.report) == 1
+        assert result.report[0].startswith("vanilla_ifgsm_0.1_cov_seed0: fail (FileNotFoundError")
+        with open(result.output_dir / "per_seed.csv", newline="") as fh:
+            status = {(r["box"], r["defense"]): (r["status"], r["robustness_epe"])
+                      for r in csv.DictReader(fh)}
+        assert {k: s for k, (s, _) in status.items()} == {
+            ("clip", "none"): "ok", ("clip", "lgs"): "ok",
+            ("cov", "none"): "fail", ("cov", "lgs"): "fail",
+        }
+        assert status["cov", "none"][1] == status["cov", "lgs"][1] == ""
+        assert (result.output_dir / "report.txt").read_text() == result.report[0] + "\n"
+
     def test_workers_come_from_the_config_only(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FLOWPATCH_WORKERS", "two")
         result = run_experiment(tiny_config(tmp_path / "run"))
@@ -554,8 +629,8 @@ class TestExperiment:
 
     def test_div_partial_and_fail_rows(self, tmp_path, monkeypatch):
         # Training diverges for seed 1 and for lr 0.05; evaluating the
-        # lgs-aware patch under lgs raises.  With one worker the patch that
-        # training returns is the one evaluated, so it is found by identity.
+        # lgs-aware patch under lgs raises.  Scoring reads the saved .npy, so
+        # that patch is found by its values.
         train_patch = experiment.train_patch
         evaluate_pipeline = experiment.evaluate_pipeline
         lgs_aware = []
@@ -569,7 +644,9 @@ class TestExperiment:
             return result
 
         def failing(estimator, defense, patch, frames, clean, **kwargs):
-            if defense is not None and any(patch is p for p in lgs_aware):
+            if defense is not None and any(
+                np.array_equal(patch.param, p.materialize()) for p in lgs_aware
+            ):
                 raise RuntimeError("evaluation failed on purpose")
             return evaluate_pipeline(estimator, defense, patch, frames, clean, **kwargs)
 

@@ -6,8 +6,7 @@
 Run from the repository root.  `--src` is the `src` directory of the tree to
 time (default: this checkout's), so a before/after pair is two runs of this
 script on the same machine, one with `--src` pointing at a checkout of the
-older commit.  The entry is stored in `--out` under `--label`, replacing an
-entry of that label and keeping the others.
+older commit.  The flags and the entry file are those of `bench_common.py`.
 
 For each size the inputs are the frame derivatives of the first pair of
 `synth_dataset(1, h, w, seed=7, ...)`, the scene the benchmark's workloads
@@ -21,42 +20,16 @@ bit for bit, and exits non-zero if they do not.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
-import tempfile
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
+from bench_common import SCENE_SEED, best_of, parse_args, scene, write_entry
+
 SIZES = ((64, 128), (128, 256))
 ITERATIONS = 200
 ALPHA = 15.0
-SCENE_SEED = 7
-
-
-def best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def machine() -> dict:
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
 
 
 def check_oracle() -> None:
@@ -86,10 +59,8 @@ def check_oracle() -> None:
 
 def derivatives(h: int, w: int):
     from flowpatch.flow import FrameDerivativesStage, LuminanceStage
-    from flowpatch.harness import ingest_dataset, synth_dataset
 
-    with tempfile.TemporaryDirectory() as tmp:
-        pair = ingest_dataset(synth_dataset(1, h, w, SCENE_SEED, tmp)).frames[0]
+    pair = scene(h, w)
     g1, g2 = LuminanceStage()(pair.frame1.data), LuminanceStage()(pair.frame2.data)
     return FrameDerivativesStage()(g1, g2)
 
@@ -134,36 +105,16 @@ def bench_size(h: int, w: int, repeats: int) -> dict:
 
 
 def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--label", default="change")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_solver.json"))
-    parser.add_argument("--repeats", type=int, default=7)
-    args = parser.parse_args(argv)
-    src = args.src.resolve()
-    sys.path[:0] = [str(src), str(ROOT / "tests")]
-    import flowpatch
-
-    if src not in Path(flowpatch.__file__).resolve().parents:
-        raise SystemExit(f"flowpatch was imported from {flowpatch.__file__}, not from {src}")
+    args = parse_args(__doc__, "BENCH_solver.json", argv)
     check_oracle()
-    entry = {
-        "label": args.label,
-        "repeats": args.repeats,
-        "machine": machine(),
-        "results": [bench_size(h, w, args.repeats) for h, w in SIZES],
-    }
-    entries = json.loads(args.out.read_text())["entries"] if args.out.exists() else []
-    result = {
-        "benchmark": f"HornSchunckSolveStage(alpha={ALPHA:g}, iterations={ITERATIONS}) "
-                     f"on the frame derivatives of synth_dataset(1, h, w, seed={SCENE_SEED}). "
-                     "Time: best of `repeats` calls. Memory: tracemalloc, what the "
-                     "forward's context holds and the backward's peak above it",
-        "entries": [e for e in entries if e["label"] != args.label] + [entry],
-    }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    for row in entry["results"]:
-        print(json.dumps(row))
+    write_entry(
+        args,
+        f"HornSchunckSolveStage(alpha={ALPHA:g}, iterations={ITERATIONS}) "
+        f"on the frame derivatives of synth_dataset(1, h, w, seed={SCENE_SEED}). "
+        "Time: best of `repeats` calls. Memory: tracemalloc, what the "
+        "forward's context holds and the backward's peak above it",
+        [bench_size(h, w, args.repeats) for h, w in SIZES],
+    )
 
 
 if __name__ == "__main__":
