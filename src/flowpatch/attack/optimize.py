@@ -27,7 +27,9 @@ from ..errors import DivergenceError
 from ..flow.horn_schunck import FlowEstimator
 from .losses import AcsLossStage, ILP_AWARE, LGS_AWARE, PatchPenaltyStage, VANILLA
 from .patch import CLIP, COV, Patch, random_patch
-from .placement import PlacePatchStage, placement_geometry, sample_pose
+from .placement import (
+    PlacementGeometry, PlacePatchStage, check_fit, placement_geometry, sample_pose
+)
 
 IFGSM = "ifgsm"
 SGD = "sgd"
@@ -101,6 +103,44 @@ def _diverged(step: int, what: str, cfg: AttackConfig) -> DivergenceError:
     )
 
 
+def _loss_and_gradient(
+    estimator: FlowEstimator,
+    defense: DefenseConfig | None,
+    cfg: AttackConfig,
+    patch: Patch,
+    frame1: Image,
+    frame2: Image,
+    reference: np.ndarray,
+    geometry: PlacementGeometry,
+) -> tuple[float, np.ndarray | None]:
+    """One training step's loss and, if it is finite, its gradient on the
+    patch parameter (None otherwise).  The step's tape, solve block
+    included, is freed on return, before the next step records its own."""
+    tape = StageTape()
+    param = tape.source(patch.param)
+    values = tape.apply(CovMaterializeStage(), param) if cfg.box == COV else param
+    attacked1, attacked2 = tape.apply(
+        PlacePatchStage(geometry, patch.side),
+        tape.source(frame1.data),
+        tape.source(frame2.data),
+        values,
+    )
+    if defense is not None:
+        attacked1, _ = defend_on_tape(tape, attacked1, defense)
+        attacked2, _ = defend_on_tape(tape, attacked2, defense)
+    flow = estimator.forward_on_tape(tape, attacked1, attacked2)
+    loss = tape.apply(AcsLossStage(reference, geometry.mask), flow)
+    if cfg.awareness != VANILLA:
+        order = DERIVATIVE_ORDER[cfg.awareness]
+        penalty = tape.apply(PatchPenaltyStage(order, patch.validity), values)
+        loss = tape.apply(AddWeightedStage(cfg.alpha_penalty), loss, penalty)
+    value = float(loss.array)
+    if not np.isfinite(value):
+        return value, None
+    tape.backward(loss, 1.0)
+    return value, tape.grad(param)
+
+
 def train_patch(
     estimator: FlowEstimator,
     defense: DefenseConfig | None,
@@ -109,17 +149,20 @@ def train_patch(
     patch_side: int,
     references: Sequence[FlowField] | None = None,
 ) -> TrainResult:
-    """Optimize a patch for `cfg.steps` steps; raises DivergenceError in the
-    step whose loss or gradient is non-finite.  Deterministic for a fixed
-    config (seeded poses and initialization).  `references`, when given,
-    are the defended clean flows of `dataset`, one per pair."""
+    """Optimize a patch for `cfg.steps` steps; raises PlacementError before
+    anything is drawn unless `patch_side` fits every pair's frames, and
+    DivergenceError in the step whose loss or gradient is non-finite.
+    Deterministic for a fixed config (seeded poses and initialization).
+    `references`, when given, are the defended clean flows of `dataset`, one
+    per pair."""
     if not dataset:
         raise ValueError("dataset is empty")
     if references is not None and len(references) != len(dataset):
         raise ValueError(f"{len(references)} reference flows for {len(dataset)} pairs")
+    for frame1, _ in dataset:
+        check_fit(patch_side, (frame1.height, frame1.width))
     rng = np.random.default_rng(cfg.seed)
     patch = random_patch(patch_side, cfg.box, rng)
-    validity = patch.validity
 
     cached = {i: flow.data for i, flow in enumerate(references or ())}
     losses: list[float] = []
@@ -132,35 +175,12 @@ def train_patch(
         pose = sample_pose(rng, patch.side, (frame1.height, frame1.width))
         geometry = placement_geometry(pose, patch.side, (frame1.height, frame1.width))
 
-        tape = StageTape()
-        param = tape.source(patch.param)
-        if cfg.box == COV:
-            values = tape.apply(CovMaterializeStage(), param)
-        else:
-            values = param
-        attacked1, attacked2 = tape.apply(
-            PlacePatchStage(geometry, patch.side),
-            tape.source(frame1.data),
-            tape.source(frame2.data),
-            values,
+        value, gradient = _loss_and_gradient(
+            estimator, defense, cfg, patch, frame1, frame2, cached[idx], geometry
         )
-        if defense is not None:
-            attacked1, _ = defend_on_tape(tape, attacked1, defense)
-            attacked2, _ = defend_on_tape(tape, attacked2, defense)
-        flow = estimator.forward_on_tape(tape, attacked1, attacked2)
-        loss = tape.apply(AcsLossStage(cached[idx], geometry.mask), flow)
-        if cfg.awareness != VANILLA:
-            order = DERIVATIVE_ORDER[cfg.awareness]
-            penalty = tape.apply(PatchPenaltyStage(order, validity), values)
-            loss = tape.apply(AddWeightedStage(cfg.alpha_penalty), loss, penalty)
-
-        value = float(loss.array)
-        if not np.isfinite(value):
+        if gradient is None:
             raise _diverged(step, f"loss {value!r}", cfg)
         losses.append(value)
-
-        tape.backward(loss, 1.0)
-        gradient = tape.grad(param)
         if not np.all(np.isfinite(gradient)):
             raise _diverged(step, "non-finite gradient", cfg)
         patch = optimizer_step(patch, gradient, cfg)

@@ -2,7 +2,8 @@
 
 Subcommands: synth, flow, defend, attack-train, evaluate, experiment.
 `experiment --workers N` trains grid cells in N processes.  Exit code 0 iff
-no grid cell hard-failed.
+no grid cell hard-failed; an unreadable input file, a malformed one or a
+patch side that cannot fit the frames prints a message and exits 2.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core.colorize import flow_to_color
 from .core.floio import write_flo
 from .core.ppm import mask_to_image, write_ppm
 from .defense.pipeline import DEFENSE_FIELDS, DefenseConfig, defend
+from .errors import FormatError, PlacementError
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
 from .harness.dataset import ingest_dataset, synth_dataset
 from .harness.experiment import ExperimentConfig, run_experiment
@@ -281,7 +283,10 @@ def main(argv=None) -> int:
     unread = _unread_defense_flag(args)
     if unread:
         parser.error(unread)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, FormatError, PlacementError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ The solver runs a fixed number of Jacobi iterations
     u <- ubar - Ix (Ix ubar + Iy vbar + It) / (alpha^2 + Ix^2 + Iy^2)
 (and symmetrically for v), where ubar/vbar are 4-neighbor averages with
 replicate boundary and the flow is initialized at zero.  All iterations are
-one exact-gradient stage, fused in place on a stacked, padded u/v state, so
-the reverse pass reaches both input frames; its adjoint gathers from a
-zero-bordered padded cotangent.  `HornSchunck.estimate` runs the same loop
+one exact-gradient stage, fused in place on the flat padded rows of a stacked
+u/v state, so the reverse pass reaches both input frames; its adjoint gathers
+from a zero-bordered padded cotangent.  `HornSchunck.estimate` runs the same loop
 without a tape, keeping one iterate.  `tests/hs_oracle.py` records the
 iterations one stage each and must agree with the fused stage bit for bit.
 
@@ -17,6 +17,7 @@ is calibrated against 8-bit-scale image gradients and the flow units
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -92,6 +93,23 @@ class FrameDerivativesStage(Stage):
         return (spatial - ut, spatial + ut)
 
 
+# Bytes in a cache line.  numpy starts an array of 128 KB or more 16 bytes
+# past a page, so without this every vector store would straddle two lines.
+CACHE_LINE = 64
+
+
+def aligned_array(shape: tuple[int, ...], fill: float | None = None) -> np.ndarray:
+    """A C-contiguous float64 array of `shape` whose data starts on a
+    `CACHE_LINE` boundary, set to `fill` unless it is None."""
+    size = math.prod(shape)
+    buffer = np.empty(size + CACHE_LINE // 8)
+    start = -buffer.__array_interface__["data"][0] % CACHE_LINE // 8
+    out = buffer[start:start + size].reshape(shape)
+    if fill is not None:
+        out.fill(fill)
+    return out
+
+
 def _residual(q, t, ix, iy, it, den, ubar, vbar):
     """q = (Ix ubar + Iy vbar + It) / den in place, with `t` as scratch; the
     forward and the backward's recomputation share this order."""
@@ -105,17 +123,27 @@ def _residual(q, t, ix, iy, it, den, ubar, vbar):
 class HornSchunckSolveStage(Stage):
     """(Ix, Iy, It) -> HxWx2 flow after `iterations` updates from zero flow.
 
-    The updates run in place on one stacked (2, H+2, W+2) u/v state whose
-    replicate border is refreshed by four slice copies, so an iteration
-    allocates nothing.  On a tape, iteration k writes its stacked
-    (ubar_k, vbar_k) into row k of one (iterations, 2, H, W) block
-    (16 B/px/iteration), allocated once per forward.  The exact backward
-    runs the adjoint updates in reverse, recomputing q_k from those
-    averages.  Its neighbour-average adjoint gathers from a zero-bordered
-    padded cotangent in the order in which a scatter into a zero pad adds,
-    then folds the border back.  It sums the Ix/Iy/It cotangents from the
-    last iteration to the first, as a tape of one record per iteration
-    would, so both give bit-identical gradients.
+    The solve runs on flat padded rows.  With P = W + 2, the u/v state is
+    one stacked (2, (H+2)*P) array of the replicate-padded fields, row after
+    row, so the interior rows are the flat range [P, P + H*P) and their up,
+    down, left and right neighbours are that range shifted by -P, +P, -1 and
+    +1: every neighbour read is one contiguous pass.  Ix, Iy and It become
+    H*P rows with zero border columns, where den = alpha^2.  The border
+    columns of a pass hold finite values that no interior pixel reads, and
+    the iteration's four border copies overwrite them.  Every array an
+    iteration writes starts on a 64-byte cache line (`aligned_array`), and
+    an iteration allocates nothing.
+
+    On a tape, iteration k writes its stacked (ubar_k, vbar_k) rows into
+    row k of one (iterations, 2, H*P) block, 16 B per padded pixel per
+    iteration, allocated once per forward.  The exact backward runs the
+    adjoint updates in reverse, recomputing q_k from those averages.  Its
+    neighbour-average adjoint gathers from a padded cotangent whose border
+    rows and columns are zero, in the order in which a scatter into a zero
+    pad adds, then folds the border back.  It sums the Ix/Iy/It cotangents
+    from the last iteration to the first, as a tape of one record per
+    iteration would, so both give bit-identical gradients, and returns the
+    interior columns of the three sums.
     """
 
     name = "horn-schunck-solve"
@@ -127,26 +155,42 @@ class HornSchunckSolveStage(Stage):
     def _denominator(self, ix, iy):
         return self.alpha2 + ix * ix + iy * iy
 
-    def _run(self, ix, iy, it, averages: np.ndarray | None = None) -> np.ndarray:
-        """The flow.  Iteration k's stacked (ubar, vbar) is written to
-        `averages[k]` if an (iterations, 2, H, W) array is given, and
-        overwritten otherwise."""
+    @staticmethod
+    def _rows(ix, iy, it):
+        """Ix, Iy and It as flat H*(W+2) rows with zero border columns."""
         h, w = ix.shape
+        rows = []
+        for x in (ix, iy, it):
+            row = aligned_array((h, w + 2), 0.0)
+            row[:, 1:-1] = x
+            rows.append(row.reshape(-1))
+        return tuple(rows)
+
+    def _run(self, shape, ix, iy, it, averages: np.ndarray | None = None) -> np.ndarray:
+        """The HxW flow from the `_rows` of the inputs.  Iteration k's
+        stacked (ubar, vbar) rows are written to `averages[k]` if an
+        (iterations, 2, H*(W+2)) array is given, and overwritten otherwise."""
+        h, w = shape
+        p = w + 2
+        n = h * p
         den = self._denominator(ix, iy)
-        state = np.zeros((2, h + 2, w + 2))
-        u, v = state[:, 1:-1, 1:-1]
-        bar = np.empty((2, h, w))
-        q, t = np.empty((2, h, w))
+        state = aligned_array((2, n + 2 * p), 0.0)
+        grid = state.reshape(2, h + 2, p)
+        u, v = state[:, p:p + n]
+        up, down = state[:, :n], state[:, 2 * p:]
+        left, right = state[:, p - 1:p - 1 + n], state[:, p + 1:p + 1 + n]
+        bar = aligned_array((2, n))
+        q, t = aligned_array((n,)), aligned_array((n,))
         for k in range(self.iterations):
-            state[:, 0, 1:-1] = state[:, 1, 1:-1]
-            state[:, -1, 1:-1] = state[:, -2, 1:-1]
-            state[:, 1:-1, 0] = state[:, 1:-1, 1]
-            state[:, 1:-1, -1] = state[:, 1:-1, -2]
+            grid[:, 0, 1:-1] = grid[:, 1, 1:-1]
+            grid[:, -1, 1:-1] = grid[:, -2, 1:-1]
+            grid[:, 1:-1, 0] = grid[:, 1:-1, 1]
+            grid[:, 1:-1, -1] = grid[:, 1:-1, -2]
             if averages is not None:
                 bar = averages[k]
-            np.add(state[:, 2:, 1:-1], state[:, :-2, 1:-1], out=bar)
-            bar += state[:, 1:-1, 2:]
-            bar += state[:, 1:-1, :-2]
+            np.add(down, up, out=bar)
+            bar += right
+            bar += left
             bar *= 0.25
             ubar, vbar = bar
             _residual(q, t, ix, iy, it, den, ubar, vbar)
@@ -154,33 +198,41 @@ class HornSchunckSolveStage(Stage):
             np.subtract(ubar, t, out=u)
             np.multiply(iy, q, out=t)
             np.subtract(vbar, t, out=v)
-        return np.stack([u, v], axis=-1)
+        return np.stack(tuple(grid[:, 1:-1, 1:-1]), axis=-1)
 
     def solve(self, ix, iy, it) -> np.ndarray:
         """The forward's flow, holding only the current iterate."""
-        return self._run(ix, iy, it)
+        return self._run(ix.shape, *self._rows(ix, iy, it))
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         ix, iy, it = inputs
-        averages = np.empty((self.iterations, 2, *ix.shape))
-        flow = self._run(ix, iy, it, averages)
-        ctx.update(ix=ix, iy=iy, it=it, averages=averages)
+        rows = self._rows(ix, iy, it)
+        averages = aligned_array((self.iterations, 2, rows[0].size))
+        flow = self._run(ix.shape, *rows, averages)
+        ctx.update(shape=ix.shape, rows=rows, averages=averages)
         return (flow,)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (g,) = cotangents
-        ix, iy, it = ctx["ix"], ctx["iy"], ctx["it"]
-        h, w = ix.shape
+        ix, iy, it = ctx["rows"]
+        h, w = ctx["shape"]
+        p = w + 2
+        n = h * p
         den = self._denominator(ix, iy)
         ix2, iy2 = 2.0 * ix, 2.0 * iy
-        grad = np.moveaxis(g, -1, 0).copy()
+        grad = aligned_array((2, n), 0.0)
+        grad_grid = grad.reshape(2, h, p)
+        grad_grid[:, :, 1:-1] = np.moveaxis(g, -1, 0)
         gu, gv = grad
-        padded = np.zeros((2, h + 2, w + 2))
-        inner = padded[:, 1:-1, 1:-1]
+        padded = aligned_array((2, n + 2 * p), 0.0)
+        inner = padded[:, p:p + n]
+        inner_grid = inner.reshape(2, h, p)
+        up, down = padded[:, :n], padded[:, 2 * p:]
+        left, right = padded[:, p - 1:p - 1 + n], padded[:, p + 1:p + 1 + n]
         # -0 is the exact additive identity: the first iteration's terms
         # enter the sums unchanged, zero signs included.
-        sums = np.full((3, h, w), -0.0)
-        q, s, r, g_den, t, term = np.empty((6, h, w))
+        sums = aligned_array((3, n), -0.0)
+        q, s, r, g_den, t, term = (aligned_array((n,)) for _ in range(6))
         for ubar, vbar in reversed(ctx["averages"]):
             _residual(q, t, ix, iy, it, den, ubar, vbar)
             # With s = Ix gu + Iy gv, the chain rule's g_q = -s,
@@ -201,25 +253,30 @@ class HornSchunckSolveStage(Stage):
                 term -= t
                 total += term
             sums[2] -= r
-            # The (ubar, vbar) cotangent (gu, gv) + (Ix, Iy) g_num, gathered
-            # from the zero-bordered pad in the order ((up + down) + left) +
-            # right in which the zero-pad scatter adds, then the border folds.
+            # The (ubar, vbar) cotangent (gu, gv) + (Ix, Iy) g_num, with its
+            # border columns zeroed, gathered from the zero-bordered pad in
+            # the order ((up + down) + left) + right in which the zero-pad
+            # scatter adds, then the border folds.
             np.multiply(ix, r, out=t)
             np.subtract(gu, t, out=inner[0])
             np.multiply(iy, r, out=t)
             np.subtract(gv, t, out=inner[1])
-            np.add(padded[:, :-2, 1:-1], padded[:, 2:, 1:-1], out=grad)
-            grad += padded[:, 1:-1, :-2]
-            grad += padded[:, 1:-1, 2:]
-            grad[:, 0] += inner[:, 0]
-            grad[:, -1] += inner[:, -1]
-            grad[:, :, 0] += inner[:, :, 0]
-            grad[:, :, -1] += inner[:, :, -1]
+            inner_grid[:, :, 0] = 0.0
+            inner_grid[:, :, -1] = 0.0
+            np.add(up, down, out=grad)
+            grad += left
+            grad += right
+            # The fold: first and last rows, then the first and last interior
+            # columns, which are padded columns 1 and P - 2.
+            grad[:, :p] += inner[:, :p]
+            grad[:, -p:] += inner[:, -p:]
+            grad_grid[:, :, 1] += inner_grid[:, :, 1]
+            grad_grid[:, :, -2] += inner_grid[:, :, -2]
             # The scatter starts each pixel at +0, so where all its terms are
             # -0 it holds +0; adding +0 gives the gather the same zero sign.
             grad += 0.0
             grad *= 0.25
-        return tuple(sums)
+        return tuple(sums.reshape(3, h, p)[:, :, 1:-1])
 
 
 class FlowEstimator(Protocol):

@@ -25,7 +25,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -211,6 +210,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for (fields, attack), stem in zip(tasks, stems)
     ]
     if cfg.workers > 1:
+        # Imported here: it loads multiprocessing, which a one-process run
+        # does not need at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_train_task, worker_args))
     else:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,39 @@ class TestTraining:
             train_patch(
                 self.ESTIMATOR, defense, pairs, cfg, patch_side=8, references=references[:1]
             )
+
+    @pytest.mark.parametrize("side", [-3, 0])
+    def test_non_positive_side_rejected_before_any_draw(self, side):
+        cfg = AttackConfig(steps=1, seed=0)
+        with pytest.raises(PlacementError, match=f"patch side {side} cannot fit"):
+            train_patch(self.ESTIMATOR, None, tiny_dataset(), cfg, patch_side=side)
+
+    def test_side_checked_against_every_pair(self):
+        # Seed 0 draws only the second pair, which the side fits; the first
+        # pair is too small for it and still fails the run before step 0.
+        small = Image(np.full((8, 8, 3), 0.5))
+        pairs = [(small, small), tiny_dataset(n=1)[0]]
+        cfg = AttackConfig(steps=1, seed=0)
+        with pytest.raises(PlacementError, match="patch side 8 cannot fit a 8x8 frame"):
+            train_patch(self.ESTIMATOR, None, pairs, cfg, patch_side=8)
+
+    def test_one_tape_alive_at_a_time(self):
+        # A step's tape holds the solve's (iterations, 2, H*(W+2)) block;
+        # it is freed before the next step records its own.
+        h, w, iterations = 64, 128, 200
+        rng = np.random.default_rng(13)
+        frames = [Image(rng.uniform(0, 1, (h, w, 3))) for _ in range(2)]
+        estimator = HornSchunck(HornSchunckConfig(alpha=15.0, iterations=iterations))
+        reference = [estimator.estimate(*frames)]
+        cfg = AttackConfig(steps=2, seed=0)
+        block = iterations * 16 * h * (w + 2)
+        tracemalloc.start()
+        try:
+            train_patch(estimator, None, [tuple(frames)], cfg, 8, references=reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block, peak / block
 
     def test_seeded_determinism(self):
         cfg = AttackConfig(steps=5, learning_rate=0.1, seed=11)

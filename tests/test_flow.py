@@ -13,6 +13,7 @@ from flowpatch.flow import (
     HornSchunckSolveStage,
     LuminanceStage,
 )
+from flowpatch.flow.horn_schunck import CACHE_LINE, aligned_array
 
 
 def blob_frame(h, w, cy, cx, sigma=8.0, amp=0.4, base=0.3):
@@ -138,7 +139,12 @@ class TestFusedSolveMatchesOracle:
             results.append([out.array] + [tape.grad(v) for v in sources])
         return results
 
-    @pytest.mark.parametrize("shape", [(16, 16), (13, 21), (1, 7), (7, 1), (1, 1), (2, 3)])
+    # H*(W+2), the length of a flat padded row block, is a multiple of 8
+    # for (16, 16), (8, 6) and (4, 14), so all of its rows start on a cache
+    # line, and it is not for the others.
+    @pytest.mark.parametrize(
+        "shape", [(16, 16), (13, 21), (1, 7), (7, 1), (1, 1), (2, 3), (8, 6), (4, 14)]
+    )
     def test_flow_and_gradients_bit_identical(self, shape):
         rng = np.random.default_rng(10)
         i1 = rng.uniform(0, 1, shape + (3,))
@@ -183,6 +189,21 @@ class TestFusedSolveMatchesOracle:
         assert np.signbit(oracle[3]).any()
         for got, want in zip(fused, oracle):
             assert same_bits(got, want)
+
+
+class TestAlignedArray:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 33024), (20, 2, 8320)])
+    def test_starts_on_a_cache_line(self, shape):
+        for fill in (None, 0.0):
+            a = aligned_array(shape, fill)
+            assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+            assert a.__array_interface__["data"][0] % CACHE_LINE == 0
+            if fill is not None:
+                assert same_bits(a, np.zeros(shape))
+
+    def test_negative_zero_fill_keeps_its_sign(self):
+        a = aligned_array((3, 17), -0.0)
+        assert (a == 0).all() and np.signbit(a).all()
 
 
 class TestSolveMemory:

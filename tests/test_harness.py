@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -257,6 +260,28 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate", "--data", "{data}", "--patch", "{data}/missing.npy"],
+             "No such file or directory"),
+            (["attack-train", "--data", "{data}", "--patch-side", "31", "--steps", "1"],
+             "patch side 31 cannot fit a 32x48 frame"),
+            (["attack-train", "--data", "{data}", "--patch-side", "-3", "--steps", "1"],
+             "patch side -3 cannot fit a 32x48 frame"),
+        ],
+        ids=["missing-patch", "side-too-large", "negative-side"],
+    )
+    def test_input_error_exits_2_with_a_message(self, tmp_path, capsys, argv, message):
+        data = synth_dataset(1, 32, 48, seed=0, out_dir=tmp_path / "data")
+        out = tmp_path / "out.ppm"
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(data=data) for arg in argv] + ["--out", str(out), "--iters", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "data"]
+
     def test_given_flags_reach_the_configs(self):
         argv = ["evaluate", "--data", "d", "--out", "o", "--k", "8", "--o", "2"]
         args = build_parser().parse_args(argv + ["--r-telea", "3", "--iters", "7"])
@@ -473,6 +498,20 @@ class TestExperiment:
             assert (serial.output_dir / name).read_text() == (
                 parallel.output_dir / name
             ).read_text()
+
+    def test_process_pool_not_imported_with_the_harness(self):
+        # Only a run with workers > 1 imports the process pool, so a
+        # one-process run does not pay for multiprocessing at start-up.
+        src = Path(experiment.__file__).resolve().parents[2]
+        code = (
+            "import sys, flowpatch.harness; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_failing_cell_isolated(self, tmp_path, monkeypatch):
         train_patch = experiment.train_patch
