@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..defense.pipeline import ILP, LGS
+from ..defense.pipeline import ILP, LGS, NO_DEFENSE
 from ..diff import stencils
 from ..diff.stage import Arrays, Stage
 
@@ -23,6 +23,8 @@ VANILLA = "vanilla"
 # A defense-aware attack is named after the defense it trains against.
 LGS_AWARE = LGS
 ILP_AWARE = ILP
+# The defense each attack awareness trains against.
+AWARENESS_DEFENSE = {VANILLA: NO_DEFENSE, LGS_AWARE: LGS, ILP_AWARE: ILP}
 
 
 class AcsLossStage(Stage):

@@ -23,9 +23,9 @@ from ..core.raster import FlowField, Image
 from ..defense.pipeline import DERIVATIVE_ORDER, DefenseConfig, defend_on_tape, defended_flow
 from ..diff.elementwise import AddWeightedStage, CovMaterializeStage
 from ..diff.stage import StageTape
-from ..errors import DivergenceError
+from ..errors import DivergenceError, FormatError
 from ..flow.horn_schunck import FlowEstimator
-from .losses import AcsLossStage, ILP_AWARE, LGS_AWARE, PatchPenaltyStage, VANILLA
+from .losses import AWARENESS_DEFENSE, AcsLossStage, PatchPenaltyStage, VANILLA
 from .patch import CLIP, COV, Patch, random_patch
 from .placement import (
     PlacementGeometry, PlacePatchStage, check_fit, placement_geometry, sample_pose
@@ -46,7 +46,7 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.awareness not in (VANILLA, LGS_AWARE, ILP_AWARE):
+        if self.awareness not in AWARENESS_DEFENSE:
             raise ValueError(f"unknown awareness {self.awareness!r}")
         if self.optimizer not in (IFGSM, SGD):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
@@ -56,6 +56,8 @@ class AttackConfig:
             raise ValueError(f"learning rate must be >= 0, got {self.learning_rate!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def optimizer_step(patch: Patch, gradient: np.ndarray, cfg: AttackConfig) -> Patch:
@@ -90,9 +92,13 @@ def save_patch(stem: str | Path, patch: Patch, cfg: AttackConfig) -> None:
 
 
 def load_patch(path: str | Path) -> Patch:
-    """The `clip` patch of the values at `path`: a `.npy` or an 8-bit `.ppm`."""
-    values = np.load(path) if str(path).endswith(".npy") else read_ppm(path).data
-    return Patch(values.shape[0], CLIP, values)
+    """The `clip` patch of the values at `path`: a `.npy` or an 8-bit `.ppm`;
+    FormatError unless it holds a side x side x 3 array of values in [0, 1]."""
+    try:
+        values = np.load(path) if str(path).endswith(".npy") else read_ppm(path).data
+        return Patch(len(values), CLIP, values)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path} holds no patch: {exc}") from None
 
 
 def _diverged(step: int, what: str, cfg: AttackConfig) -> DivergenceError:
@@ -130,8 +136,8 @@ def _loss_and_gradient(
         attacked2, _ = defend_on_tape(tape, attacked2, defense)
     flow = estimator.forward_on_tape(tape, attacked1, attacked2)
     loss = tape.apply(AcsLossStage(reference, geometry.mask), flow)
-    if cfg.awareness != VANILLA:
-        order = DERIVATIVE_ORDER[cfg.awareness]
+    order = DERIVATIVE_ORDER.get(AWARENESS_DEFENSE[cfg.awareness])
+    if order is not None:
         penalty = tape.apply(PatchPenaltyStage(order, patch.validity), values)
         loss = tape.apply(AddWeightedStage(cfg.alpha_penalty), loss, penalty)
     value = float(loss.array)

@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: synth, flow, defend, attack-train, evaluate, experiment.
-`experiment --workers N` trains grid cells in N processes.  Exit code 0 iff
-no grid cell hard-failed; an unreadable input file, a malformed one or a
-patch side that cannot fit the frames prints a message and exits 2.
+`experiment --workers N` trains grid cells in N processes.  Each command
+builds its configs from its flags (and `--config`) before it reads data.
+One rule: an attack, defense or estimator flag value that its config
+rejects, a defense flag that the chosen defense does not read, an
+unreadable or malformed `--patch` or `--config` file and a patch side that
+cannot fit the frames exit 2 with a message, nothing written.  No loadable
+frame pair, or a hard-failed grid cell, exits 1.
 """
 
 from __future__ import annotations
@@ -14,31 +18,36 @@ import json
 import sys
 from pathlib import Path
 
-from .attack.optimize import AttackConfig, load_patch, save_patch, train_patch
+from .attack.losses import AWARENESS_DEFENSE, VANILLA
+from .attack.optimize import IFGSM, SGD, AttackConfig, load_patch, save_patch, train_patch
+from .attack.patch import CLIP, COV
 from .core.colorize import flow_to_color
 from .core.floio import write_flo
 from .core.ppm import mask_to_image, write_ppm
-from .defense.pipeline import DEFENSE_FIELDS, DefenseConfig, defend
+from .defense.pipeline import DEFENSES, NO_DEFENSE, UnreadFieldError, defend, defense_config
 from .errors import FormatError, PlacementError
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
 from .harness.dataset import ingest_dataset, synth_dataset
 from .harness.experiment import ExperimentConfig, run_experiment
-from .metrics import (
-    EvalFrame, clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
-)
+from .metrics import EvalFrame, clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
 
 # Attack, defense and estimator flags are absent unless given, so their
 # defaults live in the config classes only.
 ATTACK_FIELDS = tuple(f.name for f in dataclasses.fields(AttackConfig))
-DEFENSE_FLAGS = (
-    ("--k", "block", int, "block size K"),
-    ("--o", "overlap", int, "block overlap O"),
-    ("--t", "threshold", float, "vote threshold t"),
-    ("--b-lgs", "b_lgs", float, None),
-    ("--s-ilp", "s_ilp", float, None),
-    ("--t-ilp", "t_ilp", float, None),
-    ("--r-telea", "r_telea", int, None),
-)
+# The flag, type and help of each HornSchunckConfig and DefenseConfig field.
+ESTIMATOR_FLAGS = {
+    "alpha": ("--alpha", float, "smoothness weight"),
+    "iterations": ("--iters", int, "solver iterations"),
+}
+DEFENSE_FLAGS = {
+    "block": ("--k", int, "block size K"),
+    "overlap": ("--o", int, "block overlap O"),
+    "threshold": ("--t", float, "vote threshold t"),
+    "b_lgs": ("--b-lgs", float, None),
+    "s_ilp": ("--s-ilp", float, None),
+    "t_ilp": ("--t-ilp", float, None),
+    "r_telea": ("--r-telea", int, None),
+}
 
 
 def _given(args, fields) -> dict:
@@ -46,42 +55,47 @@ def _given(args, fields) -> dict:
 
 
 def _estimator(args) -> HornSchunck:
-    return HornSchunck(HornSchunckConfig(**_given(args, ("alpha", "iterations"))))
+    return HornSchunck(HornSchunckConfig(**_given(args, ESTIMATOR_FLAGS)))
 
 
-def _defense_from_args(args, kind) -> DefenseConfig:
-    return DefenseConfig(kind=kind, **_given(args, DEFENSE_FIELDS[kind]))
+def _defense(args, option: str, name: str):
+    """Defense `name`, chosen by `--<option>`, with the defense flags given."""
+    try:
+        return defense_config(name, **_given(args, DEFENSE_FLAGS))
+    except UnreadFieldError as exc:
+        flag = DEFENSE_FLAGS[exc.field][0]
+        raise ValueError(f"--{option} {getattr(args, option)} does not read {flag}") from None
 
 
-def _unread_defense_flag(args) -> str | None:
-    """An error naming the first given defence flag that the chosen defence
-    (`--defense` or `--awareness`) does not read, None if every one is read."""
-    option = "defense" if hasattr(args, "defense") else "awareness"
-    kind = getattr(args, option, None)
-    for flag, dest, _, _ in DEFENSE_FLAGS:
-        if hasattr(args, dest) and dest not in DEFENSE_FIELDS.get(kind, ()):
-            return f"--{option} {kind} does not read {flag}"
-    return None
+def _attack_configs(args) -> dict:
+    return {
+        "defense": _defense(args, "awareness", AWARENESS_DEFENSE[args.awareness]),
+        "cfg": AttackConfig(**_given(args, ATTACK_FIELDS)),
+        "estimator": _estimator(args),
+    }
 
 
-def _add_defense_flags(parser):
-    for flag, dest, kind, help_text in DEFENSE_FLAGS:
-        parser.add_argument(
-            flag, type=kind, dest=dest, default=argparse.SUPPRESS, help=help_text
-        )
+def _evaluate_configs(args) -> dict:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return {"defense": _defense(args, "defense", args.defense), "estimator": _estimator(args)}
 
 
-def _add_estimator_flags(parser):
-    parser.add_argument(
-        "--alpha", type=float, default=argparse.SUPPRESS, help="smoothness weight"
-    )
-    parser.add_argument(
-        "--iters",
-        type=int,
-        default=argparse.SUPPRESS,
-        dest="iterations",
-        help="solver iterations",
-    )
+def _experiment_configs(args) -> dict:
+    """The `--config` file's fields (or output to experiment_out) under the flags given."""
+    data = {"output_dir": "experiment_out"}
+    if args.config:
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
+    given = _given(args, ("output_dir", "steps", "patch_side", "workers"))
+    return {"cfg": ExperimentConfig.from_dict({**data, **given})}
+
+
+def _add_flags(parser, flags):
+    for dest, (flag, kind, help_text) in flags.items():
+        parser.add_argument(flag, type=kind, dest=dest, default=argparse.SUPPRESS, help=help_text)
 
 
 def _load_pairs(data_dir) -> list[EvalFrame]:
@@ -101,11 +115,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args, estimator) -> int:
     frames = _load_pairs(args.in_dir)
     if not frames:
         return 1
-    estimator = _estimator(args)
     flow = estimator.estimate(frames[0].frame1, frames[0].frame2)
     write_flo(flow, args.out)
     if args.viz:
@@ -114,8 +127,7 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def cmd_defend(args) -> int:
-    cfg = _defense_from_args(args, args.defense)
+def cmd_defend(args, defense) -> int:
     frames = _load_pairs(args.in_dir)
     if not frames:
         return 1
@@ -123,25 +135,19 @@ def cmd_defend(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for frame in frames:
         for tag, image in (("1", frame.frame1), ("2", frame.frame2)):
-            defended, mask = defend(image, cfg)
+            defended, mask = defend(image, defense)
             write_ppm(defended, out_dir / f"{frame.frame_id}_{tag}_defended.ppm")
             write_ppm(mask_to_image(mask), out_dir / f"{frame.frame_id}_{tag}_mask.ppm")
     print(f"defended {len(frames)} pair(s) into {out_dir}")
     return 0
 
 
-def cmd_attack_train(args) -> int:
+def cmd_attack_train(args, defense, cfg, estimator) -> int:
     frames = _load_pairs(args.data)
     if not frames:
         return 1
     pairs = [(f.frame1, f.frame2) for f in frames]
-    cfg = AttackConfig(**_given(args, ATTACK_FIELDS))
-    defense = None
-    if args.awareness != "vanilla":
-        defense = _defense_from_args(args, args.awareness)
-    result = train_patch(
-        _estimator(args), defense, pairs, cfg, patch_side=args.patch_side
-    )
+    result = train_patch(estimator, defense, pairs, cfg, patch_side=args.patch_side)
     stem = args.out.removesuffix(".ppm")
     save_patch(stem, result.patch, cfg)
     if args.log:
@@ -151,25 +157,18 @@ def cmd_attack_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, defense, estimator) -> int:
     frames = _load_pairs(args.data)
     if not frames:
         return 1
-    defense = None if args.defense == "none" else _defense_from_args(args, args.defense)
     patch = load_patch(args.patch) if args.patch else None
-    estimator = _estimator(args)
     scores = evaluate_pipeline(
         estimator, defense, patch, frames, clean_flows(estimator, defense, frames), seed=args.seed
     )
     attack = args.attack_label if patch is not None else "none"
-    write_csv(
-        args.out,
-        "frame,defense,attack,quality_epe,robustness_epe",
-        (
-            [f.frame_id, args.defense, attack, format_metric(q), format_metric(r)]
-            for f, (q, r) in zip(frames, scores)
-        ),
-    )
+    rows = ([f.frame_id, args.defense, attack, format_metric(q), format_metric(r)]
+            for f, (q, r) in zip(frames, scores))
+    write_csv(args.out, "frame,defense,attack,quality_epe,robustness_epe", rows)
     print(
         f"defense={args.defense} attack={attack} quality={mean_epe(q for q, _ in scores)} "
         f"robustness={mean_epe(r for _, r in scores)}"
@@ -177,22 +176,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_experiment(args) -> int:
-    if args.config:
-        cfg = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
-    else:
-        cfg = ExperimentConfig(output_dir=args.out or "experiment_out")
-    overrides = {}
-    if args.out:
-        overrides["output_dir"] = args.out
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.patch_side is not None:
-        overrides["patch_side"] = args.patch_side
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
+def cmd_experiment(args, cfg) -> int:
     result = run_experiment(cfg)
     for line in result.report:
         print(line, file=sys.stderr)
@@ -213,29 +197,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=128)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, configs=lambda args: {})
 
     p = sub.add_parser("flow", help="estimate flow for the first pair in a directory")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--viz", default=None)
-    _add_estimator_flags(p)
-    p.set_defaults(func=cmd_flow)
+    _add_flags(p, ESTIMATOR_FLAGS)
+    p.set_defaults(func=cmd_flow, configs=lambda args: {"estimator": _estimator(args)})
 
     p = sub.add_parser("defend", help="apply a defense to every pair in a directory")
     p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--defense", choices=["lgs", "ilp"], required=True)
+    p.add_argument("--defense", choices=[d for d in DEFENSES if d != NO_DEFENSE], required=True)
     p.add_argument("--out", required=True)
-    _add_defense_flags(p)
-    p.set_defaults(func=cmd_defend)
+    _add_flags(p, DEFENSE_FLAGS)
+    p.set_defaults(
+        func=cmd_defend, configs=lambda args: {"defense": _defense(args, "defense", args.defense)}
+    )
 
     p = sub.add_parser("attack-train", help="train an adversarial patch")
     p.add_argument("--data", required=True)
-    p.add_argument("--awareness", choices=["vanilla", "lgs", "ilp"], default="vanilla")
+    p.add_argument("--awareness", choices=list(AWARENESS_DEFENSE), default=VANILLA)
     for flag, dest, kind, choices in (
-        ("--optimizer", "optimizer", str, ["ifgsm", "sgd"]),
+        ("--optimizer", "optimizer", str, (IFGSM, SGD)),
         ("--lr", "learning_rate", float, None),
-        ("--box", "box", str, ["clip", "cov"]),
+        ("--box", "box", str, (CLIP, COV)),
         ("--steps", "steps", int, None),
         ("--alpha-penalty", "alpha_penalty", float, None),
         ("--seed", "seed", int, None),
@@ -246,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", required=True, help="patch PPM; .npy values and .txt sidecar beside it"
     )
     p.add_argument("--log", default=None)
-    _add_defense_flags(p)
-    _add_estimator_flags(p)
-    p.set_defaults(func=cmd_attack_train)
+    _add_flags(p, DEFENSE_FLAGS)
+    _add_flags(p, ESTIMATOR_FLAGS)
+    p.set_defaults(func=cmd_attack_train, configs=_attack_configs)
 
     p = sub.add_parser("evaluate", help="quality/robustness of a pipeline")
     p.add_argument("--data", required=True)
-    p.add_argument("--defense", choices=["none", "lgs", "ilp"], default="none")
+    p.add_argument("--defense", choices=DEFENSES, default=NO_DEFENSE)
     p.add_argument(
         "--patch", default=None, help="patch .npy (evaluated values) or 8-bit .ppm"
     )
@@ -262,17 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--out", required=True)
-    _add_defense_flags(p)
-    _add_estimator_flags(p)
-    p.set_defaults(func=cmd_evaluate)
+    _add_flags(p, DEFENSE_FLAGS)
+    _add_flags(p, ESTIMATOR_FLAGS)
+    p.set_defaults(func=cmd_evaluate, configs=_evaluate_configs)
 
     p = sub.add_parser("experiment", help="run a full defense x attack grid")
     p.add_argument("--config", default=None, help="JSON ExperimentConfig")
-    p.add_argument("--out", default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--patch-side", type=int, default=None, dest="patch_side")
-    p.add_argument("--workers", type=int, default=None)
-    p.set_defaults(func=cmd_experiment)
+    p.add_argument("--out", dest="output_dir", default=argparse.SUPPRESS)
+    for flag in ("--steps", "--patch-side", "--workers"):
+        p.add_argument(flag, type=int, default=argparse.SUPPRESS)
+    p.set_defaults(func=cmd_experiment, configs=_experiment_configs)
 
     return parser
 
@@ -280,11 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    unread = _unread_defense_flag(args)
-    if unread:
-        parser.error(unread)
     try:
-        return args.func(args)
+        configs = args.configs(args)
+    except (OSError, TypeError, ValueError) as exc:
+        parser.error(str(exc))
+    try:
+        return args.func(args, **configs)
     except (OSError, FormatError, PlacementError) as exc:
         parser.error(str(exc))
 

@@ -19,17 +19,20 @@ from .maps import GradientMagnitudeStage
 from .smoothing import LgsSmoothStage
 from .voting import BlockVoteStage, IlpReevaluateStage
 
+NO_DEFENSE = "none"
 LGS = "lgs"
 ILP = "ilp"
 # The derivative order each defense scores on; an attack aware of a defense
 # penalizes its patch with the same order.
 DERIVATIVE_ORDER = {LGS: "first", ILP: "second"}
-# The DefenseConfig fields each defense reads; the CLI's flags and an
-# experiment's overrides may set only these.
+# Every defense and the DefenseConfig fields it reads, checked by
+# `defense_config` only.
 DEFENSE_FIELDS = {
+    NO_DEFENSE: (),
     LGS: ("block", "overlap", "threshold", "b_lgs"),
     ILP: ("block", "overlap", "threshold", "s_ilp", "t_ilp", "r_telea"),
 }
+DEFENSES = tuple(DEFENSE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,25 @@ class DefenseConfig:
             raise ValueError("b_lgs and s_ilp must be positive")
         if self.r_telea < 1:
             raise ValueError("r_telea must be >= 1")
+
+
+class UnreadFieldError(ValueError):
+    """A defense was given a field that it does not read."""
+
+    def __init__(self, defense: str, field: str):
+        super().__init__(f"defense {defense!r} does not read {field!r}")
+        self.field = field
+
+
+def defense_config(name: str, **fields) -> DefenseConfig | None:
+    """Defense `name` with the given `DefenseConfig` fields, None for "none"; ValueError
+    for an unknown name or invalid value, UnreadFieldError for a field it does not read."""
+    if name not in DEFENSE_FIELDS:
+        raise ValueError(f"unknown defense {name!r}, expected one of {', '.join(DEFENSES)}")
+    for key in fields:
+        if key not in DEFENSE_FIELDS[name]:
+            raise UnreadFieldError(name, key)
+    return None if name == NO_DEFENSE else DefenseConfig(name, **fields)
 
 
 def lgs_config(**overrides) -> DefenseConfig:

@@ -11,9 +11,10 @@ files.  Each seed's result is grouped by (cell fields, defense) in
 seed_mean.csv's order, so one pass over the groups gives the seed means and
 the headline maxima.  Unknown names, overrides of a field the defense does
 not read, empty or repeated grid axes, cells whose fields coincide, a
-negative or NaN learning rate, `steps` below 1, an invalid synthetic block,
-a given dataset without a loadable pair and a `patch_side` that does not fit
-the frames at the largest pose scale fail before anything is written.
+negative or NaN learning rate, a negative seed or `eval_seed`, `steps`
+below 1, an invalid synthetic block, a given dataset without a loadable
+pair and a `patch_side` that does not fit the frames at the largest pose
+scale fail before anything is written.
 Diverged cells are recorded as "div" and the run continues; unexpected
 errors and an unreadable saved patch mark the cell "fail" without touching
 other cells.  Identical configs (seeds included) produce byte-identical CSVs.
@@ -28,19 +29,14 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..attack.losses import ILP_AWARE, LGS_AWARE, VANILLA
+from ..attack.losses import AWARENESS_DEFENSE
 from ..attack.optimize import AttackConfig, load_patch, save_patch, train_patch
 from ..attack.placement import check_fit
-from ..defense.pipeline import DEFENSE_FIELDS, ILP, LGS, DefenseConfig
+from ..defense.pipeline import DEFENSES, defense_config
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
 from ..metrics import clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
 from .dataset import DatasetIndex, ingest_dataset, synth_dataset
-
-NO_DEFENSE = "none"
-# The defense each attack awareness trains against; its inverse pairs each
-# defense with the attack aware of it in scatter.csv.
-AWARENESS_DEFENSE = {VANILLA: NO_DEFENSE, LGS_AWARE: LGS, ILP_AWARE: ILP}
 
 
 @dataclass(frozen=True)
@@ -61,9 +57,9 @@ class ExperimentConfig:
         default_factory=lambda: {"count": 3, "height": 64, "width": 128, "seed": 7}
     )
     estimator: dict = field(default_factory=lambda: {"alpha": 15.0, "iterations": 200})
-    defenses: tuple[str, ...] = (NO_DEFENSE, LGS, ILP)
+    defenses: tuple[str, ...] = DEFENSES
     defense_overrides: dict = field(default_factory=dict)
-    awareness: tuple[str, ...] = (VANILLA, LGS_AWARE, ILP_AWARE)
+    awareness: tuple[str, ...] = tuple(AWARENESS_DEFENSE)
     attack_grid: tuple[GridCell, ...] = (GridCell("ifgsm", 0.1, "clip"),)
     steps: int = 300
     alpha_penalty: float = 1e-8
@@ -95,21 +91,6 @@ class ExperimentConfig:
         data.pop("workers")
         canonical = json.dumps(data, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-    def defense_config(self, name: str) -> DefenseConfig | None:
-        """The named defense with its overrides, None for "none".  Raises
-        ValueError for an unknown name, overrides of "none" or a field the
-        defense does not read, TypeError for an unknown field."""
-        overrides = self.defense_overrides.get(name, {})
-        if name == NO_DEFENSE and not overrides:
-            return None
-        if name not in (LGS, ILP):
-            raise ValueError(f"{name!r} is not one of the configurable defenses {LGS}, {ILP}")
-        config = DefenseConfig(name, **overrides)
-        for key in overrides:
-            if key not in DEFENSE_FIELDS[name]:
-                raise ValueError(f"defense {name!r} does not read the override {key!r}")
-        return config
 
     def make_estimator(self) -> HornSchunck:
         """Raises TypeError for a key that is not a `HornSchunckConfig` field."""
@@ -153,9 +134,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ):
         if not values or len(set(values)) != len(values):
             raise ValueError(f"{axis} must be non-empty without repeats, got {values!r}")
+    if cfg.eval_seed < 0:
+        raise ValueError(f"eval_seed must be >= 0, got {cfg.eval_seed!r}")
     # Each (awareness, cell, seed)'s training config, so that an unknown
-    # awareness, optimizer or box, a negative or NaN learning rate or `steps`
-    # below 1 fails before anything is written.
+    # awareness, optimizer or box, a negative or NaN learning rate, a negative
+    # seed or `steps` below 1 fails before anything is written.
     tasks = [
         (
             (awareness, *name),
@@ -171,7 +154,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # The defenses evaluated or trained against, built (with the overridden
     # ones, so that a misspelt override fails) before anything is written.
     used = dict.fromkeys([*cfg.defenses, *(AWARENESS_DEFENSE[a] for a in cfg.awareness)])
-    defenses = {name: cfg.defense_config(name) for name in [*used, *cfg.defense_overrides]}
+    overrides = cfg.defense_overrides
+    defenses = {n: defense_config(n, **overrides.get(n, {})) for n in [*used, *overrides]}
     # A given dataset is loaded, or the synthetic scenes are written under
     # the output directory, before anything else is written.  The patch side
     # must fit every frame at the largest pose scale, checked for synthetic

@@ -21,10 +21,10 @@ from flowpatch.attack import (
     save_patch,
     train_patch,
 )
-from flowpatch.core import Image, read_ppm
+from flowpatch.core import Image, read_ppm, write_ppm
 from flowpatch.defense import lgs_config
 from flowpatch.diff import AddWeightedStage, Stage, grad_check
-from flowpatch.errors import DivergenceError, PlacementError
+from flowpatch.errors import DivergenceError, FormatError, PlacementError
 from flowpatch.flow import HornSchunck, HornSchunckConfig
 from flowpatch.metrics import EvalFrame, clean_flows
 
@@ -106,6 +106,27 @@ class TestPatchModel:
         assert np.array_equal(preview.param, read_ppm(tmp_path / "p.ppm").data)
         with pytest.raises(FileNotFoundError):
             load_patch(tmp_path / "missing.npy")
+
+    @pytest.mark.parametrize(
+        "name, write, message",
+        [
+            ("text.npy", lambda path: path.write_text("not an array\n"), "pickled"),
+            ("4x4.npy", lambda path: np.save(path, np.full((4, 4), 0.5)), "must be 4x4x3"),
+            ("4x6.ppm", lambda path: write_ppm(Image(np.full((4, 6, 3), 0.5)), path),
+             "must be 4x4x3"),
+            ("scalar.npy", lambda path: np.save(path, 0.5), "unsized"),
+            ("range.npy", lambda path: np.save(path, np.full((4, 4, 3), 2.0)), r"\[0, 1\]"),
+        ],
+        ids=["text-npy", "4x4-npy", "4x6-ppm", "scalar-npy", "out-of-range-npy"],
+    )
+    def test_load_patch_rejects_a_file_without_a_patch(self, tmp_path, name, write, message):
+        write(tmp_path / name)
+        with pytest.raises(FormatError, match=f"{name} holds no patch: .*{message}"):
+            load_patch(tmp_path / name)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            AttackConfig(seed=-1)
 
 
 class TestPlacement:

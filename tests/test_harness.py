@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -9,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowpatch.attack import AttackConfig, Patch
-from flowpatch.cli import ATTACK_FIELDS, _defense_from_args, _estimator, _given, build_parser, main
+from flowpatch.attack import CLIP, COV, IFGSM, SGD, AttackConfig, Patch
+from flowpatch.attack.losses import AWARENESS_DEFENSE
+from flowpatch.cli import build_parser, main
 from flowpatch.core import FlowField, Image, PixelMask, mask_to_image, write_flo, write_ppm
 from flowpatch.defense import defend, ilp_config, lgs_config
+from flowpatch.defense.pipeline import DEFENSES, NO_DEFENSE, defense_config
 from flowpatch.errors import DivergenceError, PlacementError
 from flowpatch.flow import HornSchunck, HornSchunckConfig
 from flowpatch.harness import (
@@ -230,14 +233,36 @@ class TestCli:
         assert code == 1
         assert "no frame pairs found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["attack-train", "evaluate"])
-    def test_flag_defaults_are_the_config_defaults(self, command):
-        args = build_parser().parse_args([command, "--data", "d", "--out", "o"])
-        assert _defense_from_args(args, "lgs") == lgs_config()
-        assert _defense_from_args(args, "ilp") == ilp_config()
-        assert _estimator(args).config == HornSchunckConfig()
-        if command == "attack-train":
-            assert AttackConfig(**_given(args, ATTACK_FIELDS)) == AttackConfig()
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["defend", "--in", "d", "--defense", "lgs"], {"defense": lgs_config()}),
+            (["defend", "--in", "d", "--defense", "ilp"], {"defense": ilp_config()}),
+            (["attack-train", "--data", "d"], {"defense": None, "cfg": AttackConfig()}),
+            (["attack-train", "--data", "d", "--awareness", "lgs"],
+             {"defense": lgs_config(), "cfg": AttackConfig(awareness="lgs")}),
+            (["attack-train", "--data", "d", "--awareness", "ilp"],
+             {"defense": ilp_config(), "cfg": AttackConfig(awareness="ilp")}),
+            (["evaluate", "--data", "d"], {"defense": None}),
+            (["evaluate", "--data", "d", "--defense", "lgs"], {"defense": lgs_config()}),
+            (["evaluate", "--data", "d", "--defense", "ilp"], {"defense": ilp_config()}),
+            (["flow", "--in", "d"], {}),
+            (["experiment"], {"cfg": ExperimentConfig("experiment_out")}),
+        ],
+        ids=[
+            "defend-lgs", "defend-ilp", "attack-train", "attack-train-lgs", "attack-train-ilp",
+            "evaluate", "evaluate-lgs", "evaluate-ilp", "flow", "experiment",
+        ],
+    )
+    def test_flag_defaults_are_the_config_defaults(self, argv, expected):
+        if argv[0] in ("flow", "attack-train", "evaluate"):
+            expected["estimator"] = HornSchunckConfig()
+        out = [] if argv[0] == "experiment" else ["--out", "o"]
+        args = build_parser().parse_args(argv + out)
+        configs = args.configs(args)
+        if "estimator" in configs:
+            configs["estimator"] = configs["estimator"].config
+        assert configs == expected
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -263,31 +288,95 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["evaluate", "--data", "{data}", "--patch", "{data}/missing.npy"],
+            (["evaluate", "--data", "{data}", "--iters", "2", "--patch", "{data}/missing.npy"],
              "No such file or directory"),
-            (["attack-train", "--data", "{data}", "--patch-side", "31", "--steps", "1"],
-             "patch side 31 cannot fit a 32x48 frame"),
-            (["attack-train", "--data", "{data}", "--patch-side", "-3", "--steps", "1"],
-             "patch side -3 cannot fit a 32x48 frame"),
+            (["attack-train", "--data", "{data}", "--iters", "2", "--patch-side", "31",
+              "--steps", "1"], "patch side 31 cannot fit a 32x48 frame"),
+            (["attack-train", "--data", "{data}", "--iters", "2", "--patch-side", "-3",
+              "--steps", "1"], "patch side -3 cannot fit a 32x48 frame"),
+            (["evaluate", "--data", "{data}", "--iters", "2", "--patch", "{inputs}/text.npy"],
+             "text.npy holds no patch: "),
+            (["evaluate", "--data", "{data}", "--iters", "2", "--patch", "{inputs}/4x4.npy"],
+             "4x4.npy holds no patch: patch parameter must be 4x4x3"),
+            (["evaluate", "--data", "{data}", "--iters", "2", "--patch", "{inputs}/4x6.ppm"],
+             "4x6.ppm holds no patch: patch parameter must be 4x4x3"),
+            (["defend", "--in", "{data}", "--defense", "lgs", "--k", "4", "--o", "5"],
+             "block overlap must satisfy 0 < O < K"),
+            (["attack-train", "--data", "{data}", "--lr", "-1"], "learning rate must be >= 0"),
+            (["attack-train", "--data", "{data}", "--steps", "0"], "steps must be >= 1"),
+            (["attack-train", "--data", "{data}", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["evaluate", "--data", "{data}", "--iters", "0"], "iterations must be >= 1"),
+            (["evaluate", "--data", "{data}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["experiment", "--config", "{inputs}/malformed.json"],
+             "malformed.json: Expecting property name"),
+            (["experiment", "--config", "{inputs}/unknown-key.json"],
+             "unexpected keyword argument 'stpes'"),
         ],
-        ids=["missing-patch", "side-too-large", "negative-side"],
+        ids=[
+            "missing-patch", "side-too-large", "negative-side", "text-npy", "4x4-npy", "4x6-ppm",
+            "overlap-not-below-block", "negative-lr", "zero-steps", "negative-attack-seed",
+            "zero-iters", "negative-eval-seed", "malformed-config", "unknown-config-key",
+        ],
     )
     def test_input_error_exits_2_with_a_message(self, tmp_path, capsys, argv, message):
         data = synth_dataset(1, 32, 48, seed=0, out_dir=tmp_path / "data")
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "text.npy").write_text("not an array\n")
+        np.save(inputs / "4x4.npy", np.full((4, 4), 0.5))
+        write_ppm(Image(np.full((4, 6, 3), 0.5)), inputs / "4x6.ppm")
+        (inputs / "malformed.json").write_text('{"steps": 2,}')
+        (inputs / "unknown-key.json").write_text('{"stpes": 2}')
+        given = sorted(tmp_path.rglob("*"))
         out = tmp_path / "out.ppm"
         with pytest.raises(SystemExit) as exit_info:
-            main([arg.format(data=data) for arg in argv] + ["--out", str(out), "--iters", "2"])
+            main([arg.format(data=data, inputs=inputs) for arg in argv] + ["--out", str(out)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
-        assert list(tmp_path.iterdir()) == [tmp_path / "data"]
+        assert sorted(tmp_path.rglob("*")) == given
 
     def test_given_flags_reach_the_configs(self):
-        argv = ["evaluate", "--data", "d", "--out", "o", "--k", "8", "--o", "2"]
-        args = build_parser().parse_args(argv + ["--r-telea", "3", "--iters", "7"])
-        assert _defense_from_args(args, "lgs") == lgs_config(block=8, overlap=2)
-        assert _defense_from_args(args, "ilp") == ilp_config(block=8, overlap=2, r_telea=3)
-        assert _estimator(args).config == HornSchunckConfig(iterations=7)
+        for argv, expected in [
+            (["defend", "--in", "d", "--defense", "ilp", "--t", "0.2", "--s-ilp", "9",
+              "--t-ilp", "0.4", "--r-telea", "3"],
+             {"defense": ilp_config(threshold=0.2, s_ilp=9.0, t_ilp=0.4, r_telea=3)}),
+            (["attack-train", "--data", "d", "--awareness", "ilp", "--optimizer", "sgd",
+              "--lr", "0.5", "--box", "cov", "--steps", "3", "--alpha-penalty", "0.25",
+              "--seed", "4", "--k", "8", "--o", "2", "--alpha", "9", "--iters", "7"],
+             {"defense": ilp_config(block=8, overlap=2),
+              "cfg": AttackConfig("ilp", "sgd", 0.5, "cov", 3, 0.25, 4),
+              "estimator": HornSchunckConfig(alpha=9.0, iterations=7)}),
+            (["evaluate", "--data", "d", "--defense", "lgs", "--k", "8", "--o", "2",
+              "--b-lgs", "3", "--iters", "7"],
+             {"defense": lgs_config(block=8, overlap=2, b_lgs=3.0),
+              "estimator": HornSchunckConfig(iterations=7)}),
+            (["flow", "--in", "d", "--alpha", "9"], {"estimator": HornSchunckConfig(alpha=9.0)}),
+            (["experiment", "--steps", "3", "--patch-side", "12", "--workers", "2"],
+             {"cfg": ExperimentConfig("o", steps=3, patch_side=12, workers=2)}),
+        ]:
+            args = build_parser().parse_args(argv + ["--out", "o"])
+            configs = args.configs(args)
+            if "estimator" in configs:
+                configs["estimator"] = configs["estimator"].config
+            assert configs == expected, argv
+
+    def test_choices_are_the_owning_tables(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        choices = {
+            (name, action.dest): list(action.choices)
+            for name, sub in commands.choices.items()
+            for action in sub._actions
+            if action.choices is not None
+        }
+        assert choices == {
+            ("defend", "defense"): [d for d in DEFENSES if d != NO_DEFENSE],
+            ("attack-train", "awareness"): list(AWARENESS_DEFENSE),
+            ("attack-train", "optimizer"): [IFGSM, SGD],
+            ("attack-train", "box"): [CLIP, COV],
+            ("evaluate", "defense"): list(DEFENSES),
+        }
 
 
 CELL = GridCell("ifgsm", 0.1, "clip")
@@ -322,7 +411,7 @@ class TestExperiment:
         [
             ({"defenses": ("none", "lgs-typo")}, ValueError, "lgs-typo"),
             ({"defense_overrides": {"LGS": {"block": 8}}}, ValueError, "LGS"),
-            ({"defense_overrides": {"lgs": {"blok": 8}}}, TypeError, "blok"),
+            ({"defense_overrides": {"lgs": {"blok": 8}}}, ValueError, "lgs.*blok"),
             ({"defense_overrides": {"none": {"block": 8}}}, ValueError, "none"),
             ({"defense_overrides": {"ilp": {"b_lgs": 3}}}, ValueError, "ilp.*b_lgs"),
             ({"defense_overrides": {"lgs": {"r_telea": 2}}}, ValueError, "lgs.*r_telea"),
@@ -346,6 +435,8 @@ class TestExperiment:
             ({"attack_grid": (CELL, GridCell("ifgsm", -1.0, "clip"))}, ValueError, "learning rate"),
             ({"attack_grid": (CELL, GridCell("ifgsm", float("nan"), "clip"))}, ValueError, "nan"),
             ({"steps": 0}, ValueError, "steps"),
+            ({"seeds": (0, -1)}, ValueError, "seed must be >= 0, got -1"),
+            ({"eval_seed": -5}, ValueError, "eval_seed must be >= 0, got -5"),
             ({"synthetic": {**SYNTHETIC, "hieght": 32}}, TypeError, "hieght"),
             ({"synthetic": {**SYNTHETIC, "height": 16}}, ValueError, "24x24"),
             ({"synthetic": {**SYNTHETIC, "count": 0}}, ValueError, "count"),
@@ -376,6 +467,8 @@ class TestExperiment:
             "learning-rate",
             "learning-rate-nan",
             "steps",
+            "seed-negative",
+            "eval-seed-negative",
             "synthetic-key",
             "synthetic-size",
             "synthetic-count",
@@ -428,7 +521,7 @@ class TestExperiment:
         scenes = synth_dataset(out_dir=tmp_path / "scenes", **cfg.synthetic)
         clean = {}  # frame bytes of each clean (defended) pair -> (defense, frame)
         for name in ("none", "lgs", "ilp"):
-            defense = cfg.defense_config(name)
+            defense = defense_config(name)
             for f in ingest_dataset(scenes).frames:
                 pair = (f.frame1, f.frame2)
                 if defense is not None:
@@ -637,20 +730,29 @@ class TestExperiment:
                 "ok", f"{expected[r['defense']]:.6f}"
             ), (r["box"], r["defense"])
 
-    def test_missing_saved_patch_fails_its_cell(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "spoil, error",
+        [
+            (lambda npy: npy.unlink(), "FileNotFoundError"),
+            (lambda npy: npy.write_text("not an array\n"), "FormatError"),
+            (lambda npy: np.save(npy, np.full((4, 4), 0.5)), "FormatError"),
+        ],
+        ids=["missing", "text", "4x4"],
+    )
+    def test_unreadable_saved_patch_fails_its_cell(self, tmp_path, monkeypatch, spoil, error):
         save_patch = experiment.save_patch
 
-        def losing_cov_npy(stem, patch, cfg):
+        def spoiling_cov_npy(stem, patch, cfg):
             save_patch(stem, patch, cfg)
             if cfg.box == "cov":
-                Path(f"{stem}.npy").unlink()
+                spoil(Path(f"{stem}.npy"))
 
-        monkeypatch.setattr(experiment, "save_patch", losing_cov_npy)
+        monkeypatch.setattr(experiment, "save_patch", spoiling_cov_npy)
         grid = (GridCell("ifgsm", 0.1, "clip"), GridCell("ifgsm", 0.1, "cov"))
         result = run_experiment(tiny_config(tmp_path / "run", attack_grid=grid))
         assert result.hard_failures == 1
         assert len(result.report) == 1
-        assert result.report[0].startswith("vanilla_ifgsm_0.1_cov_seed0: fail (FileNotFoundError")
+        assert result.report[0].startswith(f"vanilla_ifgsm_0.1_cov_seed0: fail ({error}")
         with open(result.output_dir / "per_seed.csv", newline="") as fh:
             status = {(r["box"], r["defense"]): (r["status"], r["robustness_epe"])
                       for r in csv.DictReader(fh)}
