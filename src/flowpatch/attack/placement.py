@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.raster import Image, PixelMask
-from ..diff.stage import Arrays, Stage
+from ..diff.stage import Arrays, Stage, support_union, support_where
 from ..errors import PlacementError
 from .patch import Patch, PatchPose
 
@@ -109,7 +109,9 @@ def _scatter(geometry: PlacementGeometry, side: int, cotangent: np.ndarray) -> n
 
 
 class PlacePatchStage(Stage):
-    """(frame1, frame2, patch values) -> composited frames; exact backward."""
+    """(frame1, frame2, patch values) -> composited frames; exact backward.
+    Support: the footprint's pixels in both frames if the patch values are
+    active, and each frame's own pixels outside the footprint."""
 
     name = "place-patch"
 
@@ -129,9 +131,15 @@ class PlacePatchStage(Stage):
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         u1, u2 = cotangents
         g = self.geometry
-        keep = (1.0 - g.mask)[:, :, None]
+        covered = (g.mask != 0)[:, :, None]
         d_patch = _scatter(g, self.side, u1) + _scatter(g, self.side, u2)
-        return (u1 * keep, u2 * keep, d_patch)
+        return (np.where(covered, 0.0, u1), np.where(covered, 0.0, u2), d_patch)
+
+    def support(self, ctx, in_supports):
+        *frames, values = in_supports
+        covered = self.geometry.mask != 0
+        patch = covered if values is not None else None
+        return tuple(support_union(support_where(f, ~covered), patch) for f in frames)
 
 
 def place_patch(

@@ -4,9 +4,10 @@ Subcommands: synth, flow, defend, attack-train, evaluate, experiment.
 `experiment --workers N` trains grid cells in N processes.  Each command
 builds its configs from its flags (and `--config`) before it reads data.
 One rule: an attack, defense or estimator flag value that its config
-rejects, a defense flag that the chosen defense does not read, an
-unreadable or malformed `--patch` or `--config` file and a patch side that
-cannot fit the frames exit 2 with a message, nothing written.  No loadable
+rejects, a defense flag that the chosen defense does not read, a `synth`
+argument or experiment config that would be rejected, an unreadable or
+malformed `--patch` or `--config` file and a patch side that cannot fit
+the frames exit 2 with a message, nothing written.  No loadable
 frame pair, or a hard-failed grid cell, exits 1.
 """
 
@@ -27,8 +28,8 @@ from .core.ppm import mask_to_image, write_ppm
 from .defense.pipeline import DEFENSES, NO_DEFENSE, UnreadFieldError, defend, defense_config
 from .errors import FormatError, PlacementError
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
-from .harness.dataset import ingest_dataset, synth_dataset
-from .harness.experiment import ExperimentConfig, run_experiment
+from .harness.dataset import check_synth, ingest_dataset, synth_dataset
+from .harness.experiment import ExperimentConfig, plan_experiment, run_experiment
 from .metrics import EvalFrame, clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
 
 # Attack, defense and estimator flags are absent unless given, so their
@@ -90,7 +91,14 @@ def _experiment_configs(args) -> dict:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
     given = _given(args, ("output_dir", "steps", "patch_side", "workers"))
-    return {"cfg": ExperimentConfig.from_dict({**data, **given})}
+    cfg = ExperimentConfig.from_dict({**data, **given})
+    plan_experiment(cfg)
+    return {"cfg": cfg}
+
+
+def _synth_configs(args) -> dict:
+    check_synth(args.count, args.height, args.width, args.seed)
+    return {}
 
 
 def _add_flags(parser, flags):
@@ -197,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=128)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth, configs=lambda args: {})
+    p.set_defaults(func=cmd_synth, configs=_synth_configs)
 
     p = sub.add_parser("flow", help="estimate flow for the first pair in a directory")
     p.add_argument("--in", dest="in_dir", required=True)

@@ -43,7 +43,7 @@ from array import array
 
 import numpy as np
 
-from ..diff.stage import Arrays, BPDA, Stage
+from ..diff.stage import Arrays, BPDA, Stage, support_where
 
 _KNOWN, _BAND, _INSIDE, _PAD = 0, 1, 2, 3
 _FAR = 1.0e6
@@ -242,7 +242,9 @@ def telea_inpaint_array(image: np.ndarray, mask: np.ndarray, radius: int) -> np.
 
 
 class TeleaInpaintStage(Stage):
-    """(image, mask) -> inpainted image; BPDA backward zeroes inpainted pixels."""
+    """(image, mask) -> inpainted image; BPDA backward zeroes inpainted pixels
+    and gives the mask a zero cotangent.  Support: the image's pixels where
+    the mask is 0; the mask adds none."""
 
     name = "telea-inpaint"
     gradient_kind = BPDA
@@ -257,6 +259,9 @@ class TeleaInpaintStage(Stage):
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (u,) = cotangents
-        keep = (ctx["mask"] == 0).astype(np.float64)[:, :, None]
-        return (u * keep, np.zeros_like(ctx["mask"], dtype=np.float64))
+        keep = (ctx["mask"] == 0)[:, :, None]
+        return (np.where(keep, u, 0.0), np.zeros_like(ctx["mask"], dtype=np.float64))
+
+    def support(self, ctx, in_supports):
+        return support_where(in_supports[0], ctx["mask"] == 0)
 

@@ -1,8 +1,9 @@
-from .stage import Stage, StageTape, TapeValue, EXACT, BPDA
+from .stage import ALL, Stage, StageTape, TapeValue, EXACT, BPDA
 from .check import grad_check, GradCheckReport
 from .elementwise import CovMaterializeStage, AddWeightedStage
 
 __all__ = [
+    "ALL",
     "Stage",
     "StageTape",
     "TapeValue",

@@ -8,7 +8,8 @@ from .stage import Stage, Arrays
 
 
 class CovMaterializeStage(Stage):
-    """Change of variables: p = (tanh(w) + 1) / 2, keeping p in (0, 1)."""
+    """Change of variables: p = (tanh(w) + 1) / 2, keeping p in (0, 1).
+    Support: elementwise."""
 
     name = "cov-materialize"
 
@@ -19,6 +20,9 @@ class CovMaterializeStage(Stage):
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         return (cotangents[0] * (1.0 - ctx["t"] ** 2) / 2.0,)
+
+    def support(self, ctx, in_supports):
+        return in_supports[0]
 
 
 class AddWeightedStage(Stage):

@@ -25,7 +25,9 @@ import numpy as np
 
 from ..core.raster import FlowField, Image, LUMA_WEIGHTS
 from ..diff import stencils
-from ..diff.stage import Arrays, Stage, StageTape, TapeValue
+from ..diff.stage import (
+    ALL, Arrays, Stage, StageTape, TapeValue, support_rows, support_union
+)
 
 LUMA_SCALE = 255.0
 
@@ -44,7 +46,8 @@ class HornSchunckConfig:
 
 class LuminanceStage(Stage):
     """HxW, HxWx1 or HxWx3 image -> scaled HxW luminance (Rec.601 weights for
-    three channels); linear, exact backward in the input's shape."""
+    three channels); linear, exact backward in the input's shape.  Support:
+    pixel to pixel."""
 
     name = "luminance"
 
@@ -71,10 +74,15 @@ class LuminanceStage(Stage):
         w = np.asarray(LUMA_WEIGHTS)
         return (self.scale * u[:, :, None] * w,)
 
+    def support(self, ctx, in_supports):
+        return in_supports[0]
+
 
 class FrameDerivativesStage(Stage):
     """(g1, g2) -> (Ix, Iy, It): central differences averaged over both frames
-    and the temporal difference g2 - g1.  Linear, exact backward."""
+    and the temporal difference g2 - g1.  Linear, exact backward.  Support:
+    the union of the frames' pixels, widened by one column each way for Ix
+    and by one row each way for Iy, and as it is for It."""
 
     name = "frame-derivatives"
 
@@ -91,6 +99,17 @@ class FrameDerivativesStage(Stage):
             stencils.diff_x_adjoint(ux, "replicate") + stencils.diff_y_adjoint(uy, "replicate")
         )
         return (spatial - ut, spatial + ut)
+
+    def support(self, ctx, in_supports):
+        active = support_union(*in_supports)
+        if active is ALL:
+            return ALL
+        cols, rows = active.copy(), active.copy()
+        cols[:, 1:] |= active[:, :-1]
+        cols[:, :-1] |= active[:, 1:]
+        rows[1:] |= active[:-1]
+        rows[:-1] |= active[1:]
+        return (cols, rows, active)
 
 
 # Bytes in a cache line.  numpy starts an array of 128 KB or more 16 bytes
@@ -144,6 +163,14 @@ class HornSchunckSolveStage(Stage):
     from the last iteration to the first, as a tape of one record per
     iteration would, so both give bit-identical gradients, and returns the
     interior columns of the three sums.
+
+    The adjoint state (gu, gv) needs every pixel, but the residual q, the
+    den cotangent and the three sums feed only the returned cotangents.  A
+    tape's `ctx["needed"]` bounds the rows [r0, r1) whose input cotangents
+    are needed, and that work runs on the flat range [r0 P, r1 P) only,
+    with the same operations in the same order; outside it the cotangents
+    are zero.  Without it the range is [0, H P), every row.  Support: the
+    default, every pixel, since each flow pixel depends on the whole image.
     """
 
     name = "horn-schunck-solve"
@@ -218,8 +245,13 @@ class HornSchunckSolveStage(Stage):
         h, w = ctx["shape"]
         p = w + 2
         n = h * p
+        # The Ix/Iy/It cotangents are summed on the flat range of the rows
+        # that bound the needed pixels, all rows unless a tape says less.
+        r0, r1 = support_rows(support_union(*ctx.get("needed", (ALL,))), h)
+        band = slice(r0 * p, r1 * p)
         den = self._denominator(ix, iy)
-        ix2, iy2 = 2.0 * ix, 2.0 * iy
+        bix, biy, bit, bden = ix[band], iy[band], it[band], den[band]
+        ix2, iy2 = 2.0 * bix, 2.0 * biy
         grad = aligned_array((2, n), 0.0)
         grad_grid = grad.reshape(2, h, p)
         grad_grid[:, :, 1:-1] = np.moveaxis(g, -1, 0)
@@ -232,9 +264,12 @@ class HornSchunckSolveStage(Stage):
         # -0 is the exact additive identity: the first iteration's terms
         # enter the sums unchanged, zero signs included.
         sums = aligned_array((3, n), -0.0)
-        q, s, r, g_den, t, term = (aligned_array((n,)) for _ in range(6))
+        totals = sums[:, band]
+        s, r, t = (aligned_array((n,)) for _ in range(3))
+        q, g_den, term = (aligned_array((band.stop - band.start,)) for _ in range(3))
+        # The band's scratch is the band of `t`, which is idle during its work.
+        bt, bgrad = t[band], (gu[band], gv[band])
         for ubar, vbar in reversed(ctx["averages"]):
-            _residual(q, t, ix, iy, it, den, ubar, vbar)
             # With s = Ix gu + Iy gv, the chain rule's g_q = -s,
             # g_num = g_q / den = -r and g_den = -q g_q / den = q s / den.
             # Negation is exact, so every term below is its term bit for bit.
@@ -242,17 +277,19 @@ class HornSchunckSolveStage(Stage):
             np.multiply(iy, gv, out=t)
             s += t
             np.divide(s, den, out=r)
-            np.multiply(q, s, out=g_den)
-            g_den /= den
+            bar, br = (ubar[band], vbar[band]), r[band]
+            _residual(q, bt, bix, biy, bit, bden, *bar)
+            np.multiply(q, s[band], out=g_den)
+            g_den /= bden
             # g_Ix = -q gu + (ubar g_num + 2 Ix g_den), and g_Iy likewise.
-            for total, cot, avg, i2 in ((sums[0], gu, ubar, ix2), (sums[1], gv, vbar, iy2)):
+            for total, cot, avg, i2 in zip(totals, bgrad, bar, (ix2, iy2)):
                 np.multiply(i2, g_den, out=term)
-                np.multiply(avg, r, out=t)
-                term -= t
-                np.multiply(q, cot, out=t)
-                term -= t
+                np.multiply(avg, br, out=bt)
+                term -= bt
+                np.multiply(q, cot, out=bt)
+                term -= bt
                 total += term
-            sums[2] -= r
+            totals[2] -= br
             # The (ubar, vbar) cotangent (gu, gv) + (Ix, Iy) g_num, with its
             # border columns zeroed, gathered from the zero-bordered pad in
             # the order ((up + down) + left) + right in which the zero-pad

@@ -113,12 +113,20 @@ def _render(height, width, base, slope_x, slope_y, blobs, tints, shift_bg, shift
     return Image(np.clip(data, 0.0, 1.0))
 
 
-def synth_dataset(count: int, height: int, width: int, seed: int, out_dir) -> Path:
-    """Write `count` deterministic scenes with exact ground-truth flow."""
+def check_synth(count: int, height: int, width: int, seed: int) -> None:
+    """ValueError unless `synth_dataset` accepts these arguments."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if height < 24 or width < 24:
         raise ValueError("frames must be at least 24x24 to leave patch margin")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def synth_dataset(count: int, height: int, width: int, seed: int, out_dir) -> Path:
+    """Write `count` deterministic scenes with exact ground-truth flow; the
+    arguments are checked (`check_synth`) before anything is written."""
+    check_synth(count, height, width, seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(count):

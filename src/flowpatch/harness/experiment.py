@@ -11,10 +11,11 @@ files.  Each seed's result is grouped by (cell fields, defense) in
 seed_mean.csv's order, so one pass over the groups gives the seed means and
 the headline maxima.  Unknown names, overrides of a field the defense does
 not read, empty or repeated grid axes, cells whose fields coincide, a
-negative or NaN learning rate, a negative seed or `eval_seed`, `steps`
-below 1, an invalid synthetic block, a given dataset without a loadable
-pair and a `patch_side` that does not fit the frames at the largest pose
-scale fail before anything is written.
+negative or NaN learning rate, a negative seed or `eval_seed`, `steps` or
+`workers` below 1, an invalid synthetic block, a given dataset without a
+loadable pair and a `patch_side` that does not fit the frames at the
+largest pose scale fail before anything is written; `plan_experiment`
+runs every one of these checks that needs no data.
 Diverged cells are recorded as "div" and the run continues; unexpected
 errors and an unreadable saved patch mark the cell "fail" without touching
 other cells.  Identical configs (seeds included) produce byte-identical CSVs.
@@ -32,11 +33,11 @@ from pathlib import Path
 from ..attack.losses import AWARENESS_DEFENSE
 from ..attack.optimize import AttackConfig, load_patch, save_patch, train_patch
 from ..attack.placement import check_fit
-from ..defense.pipeline import DEFENSES, defense_config
+from ..defense.pipeline import DEFENSES, DefenseConfig, defense_config
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
 from ..metrics import clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
-from .dataset import DatasetIndex, ingest_dataset, synth_dataset
+from .dataset import DatasetIndex, check_synth, ingest_dataset, synth_dataset
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,25 @@ class ExperimentResult:
     report: list[str]
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+@dataclass(frozen=True)
+class ExperimentPlan:
+    """What a run derives from its config before it writes anything."""
+
+    estimator: HornSchunck
+    # Each (awareness, cell, seed)'s CSV fields, which also name its patch
+    # files, and its training config.
+    tasks: list[tuple[tuple[str, ...], AttackConfig]]
+    # The defenses evaluated or trained against, in first-use order, and
+    # every defense config, the overridden ones included.
+    used: tuple[str, ...]
+    defenses: dict[str, DefenseConfig | None]
+    # `synth_dataset`'s arguments, or None when `data_dir` is given.
+    scenes: dict | None
+
+
+def plan_experiment(cfg: ExperimentConfig) -> ExperimentPlan:
+    """Every check that needs no data, so that a config `run_experiment`
+    would reject fails here, before anything is read or written."""
     estimator = cfg.make_estimator()
     # A grid cell's CSV fields, which also name its patch files, so two
     # cells whose fields coincide count as a repeat.
@@ -136,9 +155,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             raise ValueError(f"{axis} must be non-empty without repeats, got {values!r}")
     if cfg.eval_seed < 0:
         raise ValueError(f"eval_seed must be >= 0, got {cfg.eval_seed!r}")
-    # Each (awareness, cell, seed)'s training config, so that an unknown
-    # awareness, optimizer or box, a negative or NaN learning rate, a negative
-    # seed or `steps` below 1 fails before anything is written.
+    if cfg.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {cfg.workers!r}")
+    # An unknown awareness, optimizer or box, a negative or NaN learning
+    # rate, a negative seed or `steps` below 1 fails in its AttackConfig.
     tasks = [
         (
             (awareness, *name),
@@ -151,20 +171,31 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for cell, name in zip(cfg.attack_grid, names)
         for seed in cfg.seeds
     ]
-    # The defenses evaluated or trained against, built (with the overridden
-    # ones, so that a misspelt override fails) before anything is written.
-    used = dict.fromkeys([*cfg.defenses, *(AWARENESS_DEFENSE[a] for a in cfg.awareness)])
+    # A misspelt override fails in its defense config.
+    used = tuple(dict.fromkeys([*cfg.defenses, *(AWARENESS_DEFENSE[a] for a in cfg.awareness)]))
     overrides = cfg.defense_overrides
     defenses = {n: defense_config(n, **overrides.get(n, {})) for n in [*used, *overrides]}
+    # The patch side must fit the synthetic frames at the largest pose scale.
+    scenes = None
+    if cfg.data_dir is None:
+        bound = inspect.signature(synth_dataset).bind(
+            out_dir=Path(cfg.output_dir) / "dataset", **cfg.synthetic
+        )
+        scenes = bound.arguments
+        check_synth(scenes["count"], scenes["height"], scenes["width"], scenes["seed"])
+        check_fit(cfg.patch_side, (scenes["height"], scenes["width"]))
+    return ExperimentPlan(estimator, tasks, used, defenses, scenes)
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    plan = plan_experiment(cfg)
+    estimator, tasks, used, defenses = plan.estimator, plan.tasks, plan.used, plan.defenses
     # A given dataset is loaded, or the synthetic scenes are written under
     # the output directory, before anything else is written.  The patch side
-    # must fit every frame at the largest pose scale, checked for synthetic
-    # scenes before they are written.
+    # must fit every frame at the largest pose scale.
     out = Path(cfg.output_dir)
-    if cfg.data_dir is None:
-        scenes = inspect.signature(synth_dataset).bind(out_dir=out / "dataset", **cfg.synthetic)
-        check_fit(cfg.patch_side, (scenes.arguments["height"], scenes.arguments["width"]))
-        index = _load_dataset(synth_dataset(**scenes.arguments))
+    if plan.scenes is not None:
+        index = _load_dataset(synth_dataset(**plan.scenes))
     else:
         index = _load_dataset(cfg.data_dir)
     for frame in index.frames:

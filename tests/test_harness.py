@@ -83,6 +83,17 @@ class TestSynth:
         synth_dataset(3, 32, 48, seed=4, out_dir=b)
         assert (a / "0000_1.ppm").read_bytes() == (b / "0000_1.ppm").read_bytes()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [((0, 32, 48, 0), "count must be >= 1"), ((1, 16, 48, 0), "24x24"),
+         ((1, 32, 48, -1), "seed must be >= 0, got -1")],
+        ids=["count", "size", "seed"],
+    )
+    def test_rejected_before_writing(self, tmp_path, args, message):
+        with pytest.raises(ValueError, match=message):
+            synth_dataset(*args, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_frames_in_unit_range(self, tmp_path):
         synth_dataset(2, 32, 48, seed=5, out_dir=tmp_path)
         for f in ingest_dataset(tmp_path).frames:
@@ -311,11 +322,23 @@ class TestCli:
              "malformed.json: Expecting property name"),
             (["experiment", "--config", "{inputs}/unknown-key.json"],
              "unexpected keyword argument 'stpes'"),
+            (["experiment", "--steps", "0"], "steps must be >= 1"),
+            (["experiment", "--workers", "0"], "workers must be >= 1, got 0"),
+            (["experiment", "--config", "{inputs}/no-defenses.json"],
+             "defenses must be non-empty without repeats, got ()"),
+            (["experiment", "--config", "{inputs}/zero-workers.json"],
+             "workers must be >= 1, got 0"),
+            (["experiment", "--config", "{inputs}/small-scenes.json"], "24x24"),
+            (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["synth", "--count", "0"], "count must be >= 1, got 0"),
         ],
         ids=[
             "missing-patch", "side-too-large", "negative-side", "text-npy", "4x4-npy", "4x6-ppm",
             "overlap-not-below-block", "negative-lr", "zero-steps", "negative-attack-seed",
             "zero-iters", "negative-eval-seed", "malformed-config", "unknown-config-key",
+            "experiment-zero-steps", "experiment-zero-workers", "experiment-no-defenses",
+            "experiment-config-zero-workers", "experiment-small-scenes", "synth-negative-seed",
+            "synth-zero-count",
         ],
     )
     def test_input_error_exits_2_with_a_message(self, tmp_path, capsys, argv, message):
@@ -327,6 +350,10 @@ class TestCli:
         write_ppm(Image(np.full((4, 6, 3), 0.5)), inputs / "4x6.ppm")
         (inputs / "malformed.json").write_text('{"steps": 2,}')
         (inputs / "unknown-key.json").write_text('{"stpes": 2}')
+        (inputs / "no-defenses.json").write_text('{"defenses": []}')
+        (inputs / "zero-workers.json").write_text('{"workers": 0}')
+        (inputs / "small-scenes.json").write_text('{"synthetic": {"count": 1, "height": 16, '
+                                                   '"width": 48, "seed": 2}}')
         given = sorted(tmp_path.rglob("*"))
         out = tmp_path / "out.ppm"
         with pytest.raises(SystemExit) as exit_info:
@@ -437,9 +464,12 @@ class TestExperiment:
             ({"steps": 0}, ValueError, "steps"),
             ({"seeds": (0, -1)}, ValueError, "seed must be >= 0, got -1"),
             ({"eval_seed": -5}, ValueError, "eval_seed must be >= 0, got -5"),
+            ({"workers": 0}, ValueError, "workers must be >= 1, got 0"),
+            ({"workers": -2}, ValueError, "workers must be >= 1, got -2"),
             ({"synthetic": {**SYNTHETIC, "hieght": 32}}, TypeError, "hieght"),
             ({"synthetic": {**SYNTHETIC, "height": 16}}, ValueError, "24x24"),
             ({"synthetic": {**SYNTHETIC, "count": 0}}, ValueError, "count"),
+            ({"synthetic": {**SYNTHETIC, "seed": -1}}, ValueError, "seed must be >= 0, got -1"),
             # 1.05 x 31 px does not fit the 31 px a 32-row frame leaves
             ({"patch_side": 31}, PlacementError, "patch side 31 cannot fit a 32x48"),
             ({"patch_side": 0}, PlacementError, "patch side 0"),
@@ -469,9 +499,12 @@ class TestExperiment:
             "steps",
             "seed-negative",
             "eval-seed-negative",
+            "workers-zero",
+            "workers-negative",
             "synthetic-key",
             "synthetic-size",
             "synthetic-count",
+            "synthetic-seed",
             "patch-side-31",
             "patch-side-0",
             "patch-side-negative",

@@ -13,7 +13,11 @@ For each size the inputs are the frame derivatives of the first pair of
 use, solved with 200 iterations.  Forward, backward and `solve` times are
 the best of `--repeats` calls; the tape memory is what the forward's context
 holds (tracemalloc, output flow included) and the backward's the peak above
-that.  Before timing anything the script checks that the stage's flow and
+that.  `train_step_s` is the best of `--repeats` one-step vanilla
+`train_patch` calls (patch side 24, I-FGSM, `clip`) on the same pair with
+its reference flow given, so it times placement, the solve on a tape, the
+loss and the backward that training runs, through APIs every version of
+the tree has.  Before timing anything the script checks that the stage's flow and
 both frame gradients equal the per-iteration chain of `tests/hs_oracle.py`
 bit for bit, and exits non-zero if they do not.
 """
@@ -30,6 +34,7 @@ from bench_common import SCENE_SEED, best_of, parse_args, scene, write_entry
 SIZES = ((64, 128), (128, 256))
 ITERATIONS = 200
 ALPHA = 15.0
+PATCH_SIDE = 24
 
 
 def check_oracle() -> None:
@@ -63,6 +68,21 @@ def derivatives(h: int, w: int):
     pair = scene(h, w)
     g1, g2 = LuminanceStage()(pair.frame1.data), LuminanceStage()(pair.frame2.data)
     return FrameDerivativesStage()(g1, g2)
+
+
+def train_step_s(h: int, w: int, repeats: int) -> float:
+    """Best time of one vanilla training step with the reference flow given."""
+    from flowpatch.attack import AttackConfig, train_patch
+    from flowpatch.flow import HornSchunck, HornSchunckConfig
+
+    pair = scene(h, w)
+    estimator = HornSchunck(HornSchunckConfig(alpha=ALPHA, iterations=ITERATIONS))
+    dataset = [(pair.frame1, pair.frame2)]
+    references = [estimator.estimate(pair.frame1, pair.frame2)]
+    cfg = AttackConfig(steps=1, seed=SCENE_SEED)
+    return best_of(
+        lambda: train_patch(estimator, None, dataset, cfg, PATCH_SIDE, references), repeats
+    )
 
 
 def bench_size(h: int, w: int, repeats: int) -> dict:
@@ -101,6 +121,7 @@ def bench_size(h: int, w: int, repeats: int) -> dict:
         "solve_s": round(solve_s, 5),
         "tape_mb": round(held / 1e6, 3),
         "backward_peak_mb": round(backward_peak / 1e6, 3),
+        "train_step_s": round(train_step_s(h, w, repeats), 5),
     }
 
 
@@ -112,7 +133,9 @@ def main(argv=None) -> None:
         f"HornSchunckSolveStage(alpha={ALPHA:g}, iterations={ITERATIONS}) "
         f"on the frame derivatives of synth_dataset(1, h, w, seed={SCENE_SEED}). "
         "Time: best of `repeats` calls. Memory: tracemalloc, what the "
-        "forward's context holds and the backward's peak above it",
+        "forward's context holds and the backward's peak above it. "
+        f"train_step_s: one vanilla train_patch step, patch side {PATCH_SIDE}, "
+        "reference flow given",
         [bench_size(h, w, args.repeats) for h, w in SIZES],
     )
 
