@@ -127,8 +127,8 @@ def _loss_and_gradient(
     values = tape.apply(CovMaterializeStage(), param) if cfg.box == COV else param
     attacked1, attacked2 = tape.apply(
         PlacePatchStage(geometry, patch.side),
-        tape.source(frame1.data),
-        tape.source(frame2.data),
+        tape.constant(frame1.data),
+        tape.constant(frame2.data),
         values,
     )
     if defense is not None:
@@ -143,7 +143,7 @@ def _loss_and_gradient(
     value = float(loss.array)
     if not np.isfinite(value):
         return value, None
-    tape.backward(loss, 1.0, wrt=(param,))
+    tape.backward(loss, 1.0)
     return value, tape.grad(param)
 
 

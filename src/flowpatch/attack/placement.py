@@ -135,8 +135,8 @@ class PlacePatchStage(Stage):
         d_patch = _scatter(g, self.side, u1) + _scatter(g, self.side, u2)
         return (np.where(covered, 0.0, u1), np.where(covered, 0.0, u2), d_patch)
 
-    def support(self, ctx, in_supports):
-        *frames, values = in_supports
+    def support(self, ctx, needed):
+        *frames, values = needed
         covered = self.geometry.mask != 0
         patch = covered if values is not None else None
         return tuple(support_union(support_where(f, ~covered), patch) for f in frames)

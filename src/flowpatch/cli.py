@@ -26,9 +26,9 @@ from .core.colorize import flow_to_color
 from .core.floio import write_flo
 from .core.ppm import mask_to_image, write_ppm
 from .defense.pipeline import DEFENSES, NO_DEFENSE, UnreadFieldError, defend, defense_config
-from .errors import FormatError, PlacementError
+from .errors import FormatError, NoFramesError, PlacementError
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
-from .harness.dataset import check_synth, ingest_dataset, synth_dataset
+from .harness.dataset import check_synth, load_dataset, synth_dataset
 from .harness.experiment import ExperimentConfig, plan_experiment, run_experiment
 from .metrics import EvalFrame, clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
 
@@ -107,13 +107,11 @@ def _add_flags(parser, flags):
 
 
 def _load_pairs(data_dir) -> list[EvalFrame]:
-    """The loadable frame pairs under `data_dir`; the pairs skipped, and an
-    empty result, are reported on stderr."""
-    index = ingest_dataset(data_dir)
+    """The loadable frame pairs under `data_dir`, at least one (NoFramesError
+    otherwise); the pairs skipped are reported on stderr."""
+    index = load_dataset(data_dir)
     for line in index.report:
         print(line, file=sys.stderr)
-    if not index.frames:
-        print("no frame pairs found", file=sys.stderr)
     return index.frames
 
 
@@ -125,8 +123,6 @@ def cmd_synth(args) -> int:
 
 def cmd_flow(args, estimator) -> int:
     frames = _load_pairs(args.in_dir)
-    if not frames:
-        return 1
     flow = estimator.estimate(frames[0].frame1, frames[0].frame2)
     write_flo(flow, args.out)
     if args.viz:
@@ -137,8 +133,6 @@ def cmd_flow(args, estimator) -> int:
 
 def cmd_defend(args, defense) -> int:
     frames = _load_pairs(args.in_dir)
-    if not frames:
-        return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for frame in frames:
@@ -152,8 +146,6 @@ def cmd_defend(args, defense) -> int:
 
 def cmd_attack_train(args, defense, cfg, estimator) -> int:
     frames = _load_pairs(args.data)
-    if not frames:
-        return 1
     pairs = [(f.frame1, f.frame2) for f in frames]
     result = train_patch(estimator, defense, pairs, cfg, patch_side=args.patch_side)
     stem = args.out.removesuffix(".ppm")
@@ -167,8 +159,6 @@ def cmd_attack_train(args, defense, cfg, estimator) -> int:
 
 def cmd_evaluate(args, defense, estimator) -> int:
     frames = _load_pairs(args.data)
-    if not frames:
-        return 1
     patch = load_patch(args.patch) if args.patch else None
     scores = evaluate_pipeline(
         estimator, defense, patch, frames, clean_flows(estimator, defense, frames), seed=args.seed
@@ -281,6 +271,9 @@ def main(argv=None) -> int:
         return args.func(args, **configs)
     except (OSError, FormatError, PlacementError) as exc:
         parser.error(str(exc))
+    except NoFramesError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -262,6 +262,6 @@ class TeleaInpaintStage(Stage):
         keep = (ctx["mask"] == 0)[:, :, None]
         return (np.where(keep, u, 0.0), np.zeros_like(ctx["mask"], dtype=np.float64))
 
-    def support(self, ctx, in_supports):
-        return support_where(in_supports[0], ctx["mask"] == 0)
+    def support(self, ctx, needed):
+        return support_where(needed[0], ctx["mask"] == 0)
 

@@ -108,7 +108,7 @@ def defend_on_tape(tape: StageTape, image: TapeValue, cfg: DefenseConfig):
 def defend(image: Image, cfg: DefenseConfig) -> tuple[Image, PixelMask]:
     """Apply a defense outside any tape; returns (defended image, final mask)."""
     tape = StageTape()
-    defended, mask = defend_on_tape(tape, tape.source(image.data), cfg)
+    defended, mask = defend_on_tape(tape, tape.constant(image.data), cfg)
     return Image(defended.array), PixelMask(mask.array)
 
 

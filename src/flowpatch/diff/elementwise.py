@@ -21,8 +21,8 @@ class CovMaterializeStage(Stage):
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         return (cotangents[0] * (1.0 - ctx["t"] ** 2) / 2.0,)
 
-    def support(self, ctx, in_supports):
-        return in_supports[0]
+    def support(self, ctx, needed):
+        return needed[0]
 
 
 class AddWeightedStage(Stage):

@@ -10,16 +10,19 @@ Stages carry `gradient_kind`:
   "exact" - backward agrees with central finite differences of forward;
   "bpda"  - backward is a surrogate rule, exempt from that agreement.
 
-`backward(..., wrt=values)` differentiates only what reaches `wrt`, the
-activity analysis of reverse-mode AD (Griewank & Walther, "Evaluating
-Derivatives", SIAM 2008).  One forward sweep over the records gives each
-value its *support*: the pixels whose cotangent can reach a `wrt` value.
-A support is None (no pixel), `ALL` (every pixel) or an HxW boolean array
-over the value's first two axes.  `Stage.support` maps the supports of a
-record's inputs to those of its outputs by the stage's backward, BPDA rules
-included.  A record with no active input is skipped, and the others find
-their inputs' supports in `ctx["needed"]`: a backward may leave the
-cotangent of a pixel outside them unset, and return anything there.
+What is differentiated is decided when a value is recorded, the activity
+analysis of reverse-mode AD (Griewank & Walther, "Evaluating Derivatives",
+SIAM 2008).  `source` registers a differentiated leaf and `constant` one
+that no gradient reaches.  Every value has a *support*: the pixels whose
+cotangent can reach a source.  A support is None (no pixel), `ALL` (every
+pixel) or an HxW boolean array over the value's first two axes.  `apply`
+hands a stage its inputs' supports in `ctx["needed"]` before its forward,
+so a forward may keep only what a backward at those pixels reads, and
+`Stage.support` maps them to those of its outputs by the stage's backward,
+BPDA rules included.  A record with no active input is skipped in the
+reverse pass, and a backward may leave the cotangent of an input pixel
+outside `ctx["needed"]` unset, and return anything there.  A tape of
+sources only is the full reverse pass.
 
 This is deliberately not a general expression-graph autodiff: stages are the
 only differentiation unit, and all gradient math runs in float64.
@@ -85,11 +88,11 @@ class Stage:
         """Map output cotangents to input cotangents (same shapes as inputs)."""
         raise NotImplementedError
 
-    def support(self, ctx: dict, in_supports: tuple):
+    def support(self, ctx: dict, needed: tuple):
         """The support of each output, as a tuple, or one support for every
-        output, given the inputs' (at least one active): the output pixels
-        whose cotangent the backward passes to an active input pixel.  The
-        default, every output pixel, is always safe."""
+        output, given the inputs' (at least one active) after the forward:
+        the output pixels whose cotangent the backward passes to an active
+        input pixel.  The default, every output pixel, is always safe."""
         return ALL
 
     def __call__(self, *inputs: np.ndarray):
@@ -121,75 +124,58 @@ class _Record:
 class StageTape:
     """Ordered record of stage applications for one forward evaluation.
 
-    `source` registers leaf inputs and `apply` records one stage on earlier
-    values, so any fan-in/fan-out wiring can be recorded.
+    `source` and `constant` register leaf inputs and `apply` records one
+    stage on earlier values, so any fan-in/fan-out wiring can be recorded.
     """
 
     def __init__(self):
         self._values: list[np.ndarray] = []
+        self._support: list = []
         self._records: list[_Record] = []
         self._grads: dict[int, np.ndarray] | None = None
-        self._wrt: set[int] | None = None
 
-    def source(self, array: np.ndarray) -> TapeValue:
-        """Register a leaf input value."""
+    def _append(self, array: np.ndarray, support) -> TapeValue:
         self._values.append(np.asarray(array, dtype=np.float64))
+        self._support.append(support)
         return TapeValue(self, len(self._values) - 1)
 
+    def source(self, array: np.ndarray) -> TapeValue:
+        """Register a differentiated leaf input value."""
+        return self._append(array, ALL)
+
+    def constant(self, array: np.ndarray) -> TapeValue:
+        """Register a leaf input value that no gradient reaches."""
+        return self._append(array, None)
+
     def apply(self, stage: Stage, *inputs: TapeValue):
-        ctx: dict = {}
-        in_arrays = tuple(v.array for v in inputs)
-        outputs = stage.forward(ctx, in_arrays)
-        slots = []
-        for out in outputs:
-            self._values.append(np.asarray(out, dtype=np.float64))
-            slots.append(len(self._values) - 1)
+        needed = tuple(self._support[v.slot] for v in inputs)
+        ctx: dict = {"needed": needed}
+        outputs = stage.forward(ctx, tuple(v.array for v in inputs))
+        supports = (None,) * len(outputs)
+        if any(s is not None for s in needed):
+            rule = stage.support(ctx, needed)
+            supports = rule if isinstance(rule, tuple) else (rule,) * len(outputs)
+        values = tuple(self._append(out, s) for out, s in zip(outputs, supports))
         self._records.append(
-            _Record(stage, ctx, tuple(v.slot for v in inputs), tuple(slots))
+            _Record(stage, ctx, tuple(v.slot for v in inputs), tuple(v.slot for v in values))
         )
         self._grads = None
-        values = tuple(TapeValue(self, s) for s in slots)
         return values[0] if len(values) == 1 else values
 
-    def _supports(self, wrt) -> list:
-        """Each value's support, swept forward from `wrt` (all pixels)."""
-        supports: list = [None] * len(self._values)
-        for v in wrt:
-            supports[v.slot] = ALL
-        for rec in self._records:
-            ins = tuple(supports[s] for s in rec.input_slots)
-            if all(s is None for s in ins):
-                continue
-            outs = rec.stage.support(rec.ctx, ins)
-            if not isinstance(outs, tuple):
-                outs = (outs,) * len(rec.output_slots)
-            for slot, out in zip(rec.output_slots, outs):
-                supports[slot] = support_union(supports[slot], out)
-        return supports
-
-    def backward(
-        self, value: TapeValue, cotangent: np.ndarray | float = 1.0, wrt=None
-    ) -> None:
-        """Reverse pass seeded with d(objective)/d(value) = cotangent.  With
-        `wrt`, a sequence of values, only what reaches them is computed and
-        `grad` answers for them alone; their gradients are the full pass's."""
-        supports = None if wrt is None else self._supports(wrt)
+    def backward(self, value: TapeValue, cotangent: np.ndarray | float = 1.0) -> None:
+        """Reverse pass seeded with d(objective)/d(value) = cotangent."""
         grads: dict[int, np.ndarray] = {}
         seed = np.broadcast_to(np.asarray(cotangent, dtype=np.float64), value.array.shape)
         grads[value.slot] = np.array(seed)
         for rec in reversed(self._records):
-            if supports is None:
-                needed = (ALL,) * len(rec.input_slots)
-            else:
-                needed = tuple(supports[s] for s in rec.input_slots)
-                if all(s is None for s in needed):
-                    continue
+            needed = rec.ctx["needed"]
+            if all(s is None for s in needed):
+                continue
             cots = tuple(
                 grads.get(s, np.zeros_like(self._values[s])) for s in rec.output_slots
             )
             if all(np.all(c == 0) for c in cots):
                 continue
-            rec.ctx["needed"] = needed
             in_cots = rec.stage.backward(rec.ctx, cots)
             for slot, g, need in zip(rec.input_slots, in_cots, needed):
                 if need is None:
@@ -199,11 +185,14 @@ class StageTape:
                 else:
                     grads[slot] = np.asarray(g, dtype=np.float64)
         self._grads = grads
-        self._wrt = None if wrt is None else {v.slot for v in wrt}
 
     def grad(self, value: TapeValue) -> np.ndarray:
+        """The gradient of a value whose support is every pixel; raises
+        ValueError for any other value, whose gradient the last backward
+        computed in part or not at all."""
         if self._grads is None:
             raise RuntimeError("backward() has not been run on this tape")
-        if self._wrt is not None and value.slot not in self._wrt:
-            raise ValueError("the last backward() did not differentiate this value (not in wrt)")
+        support = self._support[value.slot]
+        if support is None or (support is not ALL and not support.all()):
+            raise ValueError("the reverse pass does not differentiate every pixel of this value")
         return self._grads.get(value.slot, np.zeros_like(value.array))

@@ -74,8 +74,8 @@ class LuminanceStage(Stage):
         w = np.asarray(LUMA_WEIGHTS)
         return (self.scale * u[:, :, None] * w,)
 
-    def support(self, ctx, in_supports):
-        return in_supports[0]
+    def support(self, ctx, needed):
+        return needed[0]
 
 
 class FrameDerivativesStage(Stage):
@@ -100,8 +100,8 @@ class FrameDerivativesStage(Stage):
         )
         return (spatial - ut, spatial + ut)
 
-    def support(self, ctx, in_supports):
-        active = support_union(*in_supports)
+    def support(self, ctx, needed):
+        active = support_union(*needed)
         if active is ALL:
             return ALL
         cols, rows = active.copy(), active.copy()
@@ -153,10 +153,13 @@ class HornSchunckSolveStage(Stage):
     iteration writes starts on a 64-byte cache line (`aligned_array`), and
     an iteration allocates nothing.
 
-    On a tape, iteration k writes its stacked (ubar_k, vbar_k) rows into
-    row k of one (iterations, 2, H*P) block, 16 B per padded pixel per
-    iteration, allocated once per forward.  The exact backward runs the
-    adjoint updates in reverse, recomputing q_k from those averages.  Its
+    The rows [r0, r1) that bound the pixels of `ctx["needed"]` (every row
+    without it) form the band, the flat range [r0 P, r1 P).  Iteration k
+    keeps its stacked (ubar_k, vbar_k) on the band in row k of one
+    (iterations, 2, (r1 - r0) P) block, 16 B per padded band pixel per
+    iteration, allocated once per forward; a band of every row is written
+    in place.  The exact backward runs the adjoint updates in reverse,
+    recomputing q_k on the band from those averages.  Its
     neighbour-average adjoint gathers from a padded cotangent whose border
     rows and columns are zero, in the order in which a scatter into a zero
     pad adds, then folds the border back.  It sums the Ix/Iy/It cotangents
@@ -165,12 +168,10 @@ class HornSchunckSolveStage(Stage):
     interior columns of the three sums.
 
     The adjoint state (gu, gv) needs every pixel, but the residual q, the
-    den cotangent and the three sums feed only the returned cotangents.  A
-    tape's `ctx["needed"]` bounds the rows [r0, r1) whose input cotangents
-    are needed, and that work runs on the flat range [r0 P, r1 P) only,
-    with the same operations in the same order; outside it the cotangents
-    are zero.  Without it the range is [0, H P), every row.  Support: the
-    default, every pixel, since each flow pixel depends on the whole image.
+    den cotangent and the three sums feed only the returned cotangents, so
+    that work runs on the band only, with the same operations in the same
+    order; outside it the cotangents are zero.  Support: the default, every
+    pixel, since each flow pixel depends on the whole image.
     """
 
     name = "horn-schunck-solve"
@@ -193,10 +194,10 @@ class HornSchunckSolveStage(Stage):
             rows.append(row.reshape(-1))
         return tuple(rows)
 
-    def _run(self, shape, ix, iy, it, averages: np.ndarray | None = None) -> np.ndarray:
+    def _run(self, shape, ix, iy, it, averages=None, band=None) -> np.ndarray:
         """The HxW flow from the `_rows` of the inputs.  Iteration k's
-        stacked (ubar, vbar) rows are written to `averages[k]` if an
-        (iterations, 2, H*(W+2)) array is given, and overwritten otherwise."""
+        stacked (ubar, vbar) on the flat range `band` are written to
+        `averages[k]` if an (iterations, 2, band size) array is given."""
         h, w = shape
         p = w + 2
         n = h * p
@@ -208,17 +209,20 @@ class HornSchunckSolveStage(Stage):
         left, right = state[:, p - 1:p - 1 + n], state[:, p + 1:p + 1 + n]
         bar = aligned_array((2, n))
         q, t = aligned_array((n,)), aligned_array((n,))
+        in_place = averages is not None and averages.shape[-1] == n
         for k in range(self.iterations):
             grid[:, 0, 1:-1] = grid[:, 1, 1:-1]
             grid[:, -1, 1:-1] = grid[:, -2, 1:-1]
             grid[:, 1:-1, 0] = grid[:, 1:-1, 1]
             grid[:, 1:-1, -1] = grid[:, 1:-1, -2]
-            if averages is not None:
+            if in_place:
                 bar = averages[k]
             np.add(down, up, out=bar)
             bar += right
             bar += left
             bar *= 0.25
+            if averages is not None and not in_place:
+                averages[k] = bar[:, band]
             ubar, vbar = bar
             _residual(q, t, ix, iy, it, den, ubar, vbar)
             np.multiply(ix, q, out=t)
@@ -233,10 +237,13 @@ class HornSchunckSolveStage(Stage):
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         ix, iy, it = inputs
+        h, w = ix.shape
+        r0, r1 = support_rows(support_union(*ctx.get("needed", (ALL,))), h)
+        band = slice(r0 * (w + 2), r1 * (w + 2))
         rows = self._rows(ix, iy, it)
-        averages = aligned_array((self.iterations, 2, rows[0].size))
-        flow = self._run(ix.shape, *rows, averages)
-        ctx.update(shape=ix.shape, rows=rows, averages=averages)
+        averages = aligned_array((self.iterations, 2, band.stop - band.start))
+        flow = self._run(ix.shape, *rows, averages, band)
+        ctx.update(shape=ix.shape, rows=rows, averages=averages, band=band)
         return (flow,)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
@@ -245,10 +252,8 @@ class HornSchunckSolveStage(Stage):
         h, w = ctx["shape"]
         p = w + 2
         n = h * p
-        # The Ix/Iy/It cotangents are summed on the flat range of the rows
-        # that bound the needed pixels, all rows unless a tape says less.
-        r0, r1 = support_rows(support_union(*ctx.get("needed", (ALL,))), h)
-        band = slice(r0 * p, r1 * p)
+        # The Ix/Iy/It cotangents are summed on the forward's band.
+        band = ctx["band"]
         den = self._denominator(ix, iy)
         bix, biy, bit, bden = ix[band], iy[band], it[band], den[band]
         ix2, iy2 = 2.0 * bix, 2.0 * biy
@@ -269,7 +274,7 @@ class HornSchunckSolveStage(Stage):
         q, g_den, term = (aligned_array((band.stop - band.start,)) for _ in range(3))
         # The band's scratch is the band of `t`, which is idle during its work.
         bt, bgrad = t[band], (gu[band], gv[band])
-        for ubar, vbar in reversed(ctx["averages"]):
+        for bar in reversed(ctx["averages"]):
             # With s = Ix gu + Iy gv, the chain rule's g_q = -s,
             # g_num = g_q / den = -r and g_den = -q g_q / den = q s / den.
             # Negation is exact, so every term below is its term bit for bit.
@@ -277,7 +282,7 @@ class HornSchunckSolveStage(Stage):
             np.multiply(iy, gv, out=t)
             s += t
             np.divide(s, den, out=r)
-            bar, br = (ubar[band], vbar[band]), r[band]
+            br = r[band]
             _residual(q, bt, bix, biy, bit, bden, *bar)
             np.multiply(q, s[band], out=g_den)
             g_den /= bden

@@ -19,6 +19,7 @@ import numpy as np
 from ..core.floio import read_flo, write_flo
 from ..core.ppm import image_to_mask, read_ppm, write_ppm
 from ..core.raster import FlowField, Image
+from ..errors import NoFramesError
 from ..metrics import EvalFrame
 
 _FRAME1_RE = re.compile(r"^(\d+)_1\.ppm$")
@@ -60,6 +61,15 @@ def ingest_dataset(root) -> DatasetIndex:
             )
         except Exception as exc:  # noqa: BLE001 - report and skip bad pairs
             index.report.append(f"{frame_id}: unreadable ({exc}), pair skipped")
+    return index
+
+
+def load_dataset(root) -> DatasetIndex:
+    """`ingest_dataset(root)`; raises NoFramesError, whose message is the
+    report and "no frame pairs found", unless a pair loads."""
+    index = ingest_dataset(root)
+    if not index.frames:
+        raise NoFramesError("\n".join([*index.report, "no frame pairs found"]))
     return index
 
 

@@ -37,7 +37,7 @@ from ..defense.pipeline import DEFENSES, DefenseConfig, defense_config
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
 from ..metrics import clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
-from .dataset import DatasetIndex, check_synth, ingest_dataset, synth_dataset
+from .dataset import check_synth, load_dataset, synth_dataset
 
 
 @dataclass(frozen=True)
@@ -194,10 +194,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # the output directory, before anything else is written.  The patch side
     # must fit every frame at the largest pose scale.
     out = Path(cfg.output_dir)
-    if plan.scenes is not None:
-        index = _load_dataset(synth_dataset(**plan.scenes))
-    else:
-        index = _load_dataset(cfg.data_dir)
+    index = load_dataset(cfg.data_dir if plan.scenes is None else synth_dataset(**plan.scenes))
     for frame in index.frames:
         check_fit(cfg.patch_side, (frame.frame1.height, frame.frame1.width))
     (out / "patches").mkdir(parents=True, exist_ok=True)
@@ -311,11 +308,4 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if report:
         (out / "report.txt").write_text("\n".join(report) + "\n")
     return ExperimentResult(out, hard_failures, report)
-
-
-def _load_dataset(root) -> DatasetIndex:
-    index = ingest_dataset(root)
-    if not index.frames:
-        raise ValueError("; ".join([f"experiment dataset {root} is empty", *index.report]))
-    return index
 

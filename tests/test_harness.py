@@ -16,7 +16,7 @@ from flowpatch.cli import build_parser, main
 from flowpatch.core import FlowField, Image, PixelMask, mask_to_image, write_flo, write_ppm
 from flowpatch.defense import defend, ilp_config, lgs_config
 from flowpatch.defense.pipeline import DEFENSES, NO_DEFENSE, defense_config
-from flowpatch.errors import DivergenceError, PlacementError
+from flowpatch.errors import DivergenceError, NoFramesError, PlacementError
 from flowpatch.flow import HornSchunck, HornSchunckConfig
 from flowpatch.harness import (
     ExperimentConfig,
@@ -243,6 +243,19 @@ class TestCli:
         )
         assert code == 1
         assert "no frame pairs found" in capsys.readouterr().err
+
+    def test_experiment_without_pairs_fails_like_the_other_commands(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "run"
+        data.mkdir()
+        assert main(["flow", "--in", str(data), "--out", str(tmp_path / "f.flo")]) == 1
+        flow_err = capsys.readouterr().err
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"output_dir": str(out), "data_dir": str(data)}))
+        assert main(["experiment", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == flow_err
+        assert err.splitlines()[-1] == "no frame pairs found"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -525,7 +538,7 @@ class TestExperiment:
             for i, spoil_pair in enumerate(SPOILERS.values()):
                 spoil_pair(data, f"{i:04d}")
         cfg = tiny_config(tmp_path / "run", data_dir=str(data))
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(NoFramesError, match="no frame pairs found"):
             run_experiment(cfg)
         assert not (tmp_path / "run").exists()
 

@@ -1,5 +1,8 @@
 """Activity analysis on the tape: each stage's support rule, and pruned
-backward passes (`StageTape.backward(..., wrt=...)`) against full ones."""
+backward passes (frames registered with `StageTape.constant`) against full
+ones (every leaf a source)."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,25 +44,26 @@ def noisy(cot, support, rng):
     return out
 
 
-def check_rule(stage, inputs, in_supports, seed=0):
-    """The stage's VJP at active input pixels, with `ctx["needed"]` set to
-    the input supports and noise at every inactive output pixel, is bit for
-    bit the full VJP there."""
+def check_rule(stage, inputs, needed, seed=0):
+    """The stage's forward with `ctx["needed"]` set to the input supports is
+    bit for bit the full one, and its VJP at active input pixels, with noise
+    at every inactive output pixel, is bit for bit the full VJP there."""
     rng = np.random.default_rng(seed)
-    ctx = {}
-    outputs = stage.forward(ctx, tuple(inputs))
-    out_supports = as_tuple(stage.support(ctx, tuple(in_supports)), len(outputs))
+    full_ctx, ctx = {"needed": (ALL,) * len(inputs)}, {"needed": tuple(needed)}
+    outputs = stage.forward(full_ctx, tuple(inputs))
+    pruned_outputs = stage.forward(ctx, tuple(inputs))
+    for want, got in zip(outputs, pruned_outputs):
+        assert got.tobytes() == want.tobytes()
+    outs = as_tuple(stage.support(ctx, tuple(needed)), len(outputs))
     cots = tuple(rng.standard_normal(o.shape) for o in outputs)
-    ctx["needed"] = (ALL,) * len(inputs)
-    full = stage.backward(ctx, cots)
-    ctx["needed"] = tuple(in_supports)
-    pruned = stage.backward(ctx, tuple(noisy(c, s, rng) for c, s in zip(cots, out_supports)))
-    for want, got, support in zip(full, pruned, in_supports):
+    full = stage.backward(full_ctx, cots)
+    pruned = stage.backward(ctx, tuple(noisy(c, s, rng) for c, s in zip(cots, outs)))
+    for want, got, support in zip(full, pruned, needed):
         if support is None:
             continue
         pick = (slice(None),) if support is ALL else support
         assert got[pick].tobytes() == want[pick].tobytes()
-    return out_supports
+    return outs
 
 
 class TestSupportAlgebra:
@@ -117,12 +121,27 @@ class TestStageRules:
         rng = np.random.default_rng(4)
         inputs = tuple(rng.standard_normal((H, W)) * 20 for _ in range(3))
         stage = HornSchunckSolveStage(15.0, 12)
-        ctx = {}
+        ctx = {"needed": (region(5, 3), None, None)}
         (flow,) = stage.forward(ctx, inputs)
-        ctx["needed"] = (region(5, 3), None, None)
+        assert ctx["averages"].shape == (12, 2, W + 2)
         for cot in stage.backward(ctx, (rng.standard_normal(flow.shape),)):
             assert np.all(cot[:5] == 0) and np.all(cot[6:] == 0)
             assert np.all(cot[5] != 0)
+
+    def test_solver_forward_holds_only_the_band(self):
+        h, w, iterations, rows = 64, 128, 200, slice(30, 40)
+        rng = np.random.default_rng(14)
+        inputs = tuple(rng.standard_normal((h, w)) * 20 for _ in range(3))
+        band = region(rows, slice(50, 60), (h, w))
+        ctx = {"needed": (band, None, band)}
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            HornSchunckSolveStage(15.0, iterations).forward(ctx, inputs)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held <= iterations * 16 * 10 * (w + 2) + 2**20, held
 
     @pytest.mark.parametrize("active", [(False, False, True), (True, False, False),
                                         (True, True, True)], ids=["patch", "frame", "all"])
@@ -159,18 +178,42 @@ class TestStageRules:
 
 
 class TestPrunedBackward:
-    def test_grad_of_a_value_outside_wrt_raises(self):
+    def test_grad_answers_only_where_every_pixel_is_differentiated(self):
         tape = StageTape()
-        a, b = tape.source(np.ones((4, 5, 3))), tape.source(np.ones((4, 5, 3)))
+        a, b = tape.source(np.ones((4, 5, 3))), tape.constant(np.ones((4, 5, 3)))
         gray = tape.apply(LuminanceStage(), a)
         total = tape.apply(LuminanceStage(), b)
-        tape.backward(gray, 1.0, wrt=(a,))
-        assert np.all(tape.grad(a) == LuminanceStage().scale * np.asarray([0.299, 0.587, 0.114]))
-        for value in (b, gray, total):
-            with pytest.raises(ValueError, match="wrt"):
-                tape.grad(value)
         tape.backward(gray, 1.0)
-        assert np.all(tape.grad(b) == 0)
+        assert np.all(tape.grad(a) == LuminanceStage().scale * np.asarray([0.299, 0.587, 0.114]))
+        assert np.all(tape.grad(gray) == 1.0)
+        for value in (b, total):
+            with pytest.raises(ValueError, match="every pixel"):
+                tape.grad(value)
+
+    def test_grad_of_a_partial_support_raises(self):
+        tape = StageTape()
+        image = tape.source(np.random.default_rng(11).uniform(0, 1, (H, W, 3)))
+        mask = tape.constant(region(slice(3, 7), slice(5, 11)).astype(float))
+        inpainted = tape.apply(TeleaInpaintStage(3), image, mask)
+        tape.backward(inpainted, 1.0)
+        assert tape.grad(image)[3:7, 5:11].sum() == 0 and np.all(tape.grad(image)[0] == 1)
+        with pytest.raises(ValueError, match="every pixel"):
+            tape.grad(inpainted)
+
+    def test_grad_of_placed_frames_of_an_all_source_tape(self):
+        rng = np.random.default_rng(12)
+        geometry = placement_geometry(PatchPose((6.0, 8.0), 7.0, 1.0), 9, (H, W))
+        tape = StageTape()
+        patch = tape.source(rng.uniform(0, 1, (9, 9, 3)))
+        frames = [tape.source(rng.uniform(0, 1, (H, W, 3))) for _ in range(2)]
+        placed = tape.apply(PlacePatchStage(geometry, 9), *frames, patch)
+        assert all(tape._support[v.slot].all() for v in placed)
+        flow = HornSchunck(HornSchunckConfig(iterations=5)).forward_on_tape(tape, *placed)
+        tape.backward(flow, rng.standard_normal(flow.array.shape))
+        covered = geometry.mask != 0
+        for frame, value in zip(frames, placed):
+            assert np.array_equal(tape.grad(frame)[~covered], tape.grad(value)[~covered])
+            assert np.all(tape.grad(frame)[covered] == 0)
 
     def test_records_without_an_active_input_are_skipped(self):
         calls = []
@@ -180,27 +223,21 @@ class TestPrunedBackward:
                 calls.append(ctx["needed"])
                 return super().backward(ctx, cotangents)
 
-        tape = StageTape()
-        a, b = tape.source(np.ones((4, 5, 3))), tape.source(np.ones((4, 5, 3)))
-        ga, gb = tape.apply(Counted(), a), tape.apply(Counted(), b)
-        both = tape.apply(FrameDerivativesStage(), ga, gb)[2]
-        tape.backward(both, 1.0, wrt=(a,))
-        assert calls == [(ALL,)]
-        calls.clear()
-        tape.backward(both, 1.0)
-        assert calls == [(ALL,), (ALL,)]
+        for tape in (StageTape(), FullTape()):
+            a, b = tape.source(np.ones((4, 5, 3))), tape.constant(np.ones((4, 5, 3)))
+            ga, gb = tape.apply(Counted(), a), tape.apply(Counted(), b)
+            both = tape.apply(FrameDerivativesStage(), ga, gb)[2]
+            tape.backward(both, 1.0)
+        assert calls == [(ALL,), (ALL,), (ALL,)]
 
-    def test_wrt_an_intermediate_value(self):
-        rng = np.random.default_rng(8)
+    def test_constant_only_forward_runs_no_support_rule(self):
+        class Ruled(LuminanceStage):
+            def support(self, ctx, needed):
+                raise AssertionError("support rule run on constants")
+
         tape = StageTape()
-        a = tape.source(rng.uniform(0, 1, (H, W, 3)))
-        gray = tape.apply(LuminanceStage(), a)
-        flow = HornSchunck(HornSchunckConfig(iterations=5)).forward_on_tape(tape, a, a)
-        cot = rng.standard_normal(flow.array.shape)
-        tape.backward(flow, cot)
-        want = tape.grad(gray).copy()
-        tape.backward(flow, cot, wrt=(gray,))
-        assert np.array_equal(tape.grad(gray), want)
+        gray = tape.apply(Ruled(), tape.constant(np.ones((4, 5, 3))))
+        assert tape._support[gray.slot] is None
 
 
 @pytest.fixture(scope="module")
@@ -211,10 +248,9 @@ def scene_pair(tmp_path_factory):
 
 
 class FullTape(StageTape):
-    """A tape whose backward ignores `wrt`: the unpruned reverse pass."""
+    """A tape whose constants are sources: the unpruned reverse pass."""
 
-    def backward(self, value, cotangent=1.0, wrt=None):
-        super().backward(value, cotangent)
+    constant = StageTape.source
 
 
 SIDE = 14

@@ -13,11 +13,15 @@ For each size the inputs are the frame derivatives of the first pair of
 use, solved with 200 iterations.  Forward, backward and `solve` times are
 the best of `--repeats` calls; the tape memory is what the forward's context
 holds (tracemalloc, output flow included) and the backward's the peak above
-that.  `train_step_s` is the best of `--repeats` one-step vanilla
-`train_patch` calls (patch side 24, I-FGSM, `clip`) on the same pair with
-its reference flow given, so it times placement, the solve on a tape, the
-loss and the backward that training runs, through APIs every version of
-the tree has.  Before timing anything the script checks that the stage's flow and
+that.  The `band_` columns time the forward and measure its tape with
+`ctx["needed"]` set before the forward to a band of `BAND_ROWS` middle rows
+in Ix, Iy and It, the rows a training step on a side-24 patch needs.
+`train_step_s` is the best of `--repeats` one-step vanilla `train_patch`
+calls (patch side 24, I-FGSM, `clip`) on the same pair with its reference
+flow given, so it times placement, the solve on a tape, the loss and the
+backward that training runs, through APIs every version of the tree has;
+`train_step_peak_mb` is the tracemalloc peak of one such call.  Before
+timing anything the script checks that the stage's flow and
 both frame gradients equal the per-iteration chain of `tests/hs_oracle.py`
 bit for bit, and exits non-zero if they do not.
 """
@@ -35,6 +39,9 @@ SIZES = ((64, 128), (128, 256))
 ITERATIONS = 200
 ALPHA = 15.0
 PATCH_SIDE = 24
+# The rows of a side-24 footprint at the largest pose scale, widened by one
+# row each way by Iy.
+BAND_ROWS = 28
 
 
 def check_oracle() -> None:
@@ -70,8 +77,9 @@ def derivatives(h: int, w: int):
     return FrameDerivativesStage()(g1, g2)
 
 
-def train_step_s(h: int, w: int, repeats: int) -> float:
-    """Best time of one vanilla training step with the reference flow given."""
+def train_step(h: int, w: int, repeats: int) -> tuple[float, float]:
+    """Best time and tracemalloc peak of one vanilla training step with the
+    reference flow given."""
     from flowpatch.attack import AttackConfig, train_patch
     from flowpatch.flow import HornSchunck, HornSchunckConfig
 
@@ -80,9 +88,35 @@ def train_step_s(h: int, w: int, repeats: int) -> float:
     dataset = [(pair.frame1, pair.frame2)]
     references = [estimator.estimate(pair.frame1, pair.frame2)]
     cfg = AttackConfig(steps=1, seed=SCENE_SEED)
-    return best_of(
-        lambda: train_patch(estimator, None, dataset, cfg, PATCH_SIDE, references), repeats
-    )
+
+    def step():
+        train_patch(estimator, None, dataset, cfg, PATCH_SIDE, references)
+
+    seconds = best_of(step, repeats)
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return seconds, peak
+
+
+def tape_bytes(stage, inputs, cot, needed=None) -> tuple[int, int]:
+    """What one forward's context holds, and the backward's peak above it."""
+    ctx = {} if needed is None else {"needed": needed}
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stage.forward(ctx, inputs)
+        held = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        stage.backward(ctx, (cot,))
+        backward_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return held, backward_peak
 
 
 def bench_size(h: int, w: int, repeats: int) -> dict:
@@ -101,19 +135,14 @@ def bench_size(h: int, w: int, repeats: int) -> dict:
         forward_s = min(forward_s, middle - start)
         backward_s = min(backward_s, time.perf_counter() - middle)
     del ctx
+    band = np.zeros((h, w), dtype=bool)
+    band[(h - BAND_ROWS) // 2:(h + BAND_ROWS) // 2] = True
+    needed = (band, band, band)
+    band_forward_s = best_of(lambda: stage.forward({"needed": needed}, inputs), repeats)
     solve_s = best_of(lambda: stage.solve(*inputs), repeats)
-    ctx = {}
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        stage.forward(ctx, inputs)
-        held = tracemalloc.get_traced_memory()[0] - start
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        stage.backward(ctx, (cot,))
-        backward_peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    held, backward_peak = tape_bytes(stage, inputs, cot)
+    band_held, _ = tape_bytes(stage, inputs, cot, needed)
+    step_s, step_peak = train_step(h, w, repeats)
     return {
         "size": f"{h}x{w}",
         "forward_s": round(forward_s, 5),
@@ -121,7 +150,10 @@ def bench_size(h: int, w: int, repeats: int) -> dict:
         "solve_s": round(solve_s, 5),
         "tape_mb": round(held / 1e6, 3),
         "backward_peak_mb": round(backward_peak / 1e6, 3),
-        "train_step_s": round(train_step_s(h, w, repeats), 5),
+        "band_forward_s": round(band_forward_s, 5),
+        "band_tape_mb": round(band_held / 1e6, 3),
+        "train_step_s": round(step_s, 5),
+        "train_step_peak_mb": round(step_peak / 1e6, 3),
     }
 
 
@@ -134,8 +166,9 @@ def main(argv=None) -> None:
         f"on the frame derivatives of synth_dataset(1, h, w, seed={SCENE_SEED}). "
         "Time: best of `repeats` calls. Memory: tracemalloc, what the "
         "forward's context holds and the backward's peak above it. "
-        f"train_step_s: one vanilla train_patch step, patch side {PATCH_SIDE}, "
-        "reference flow given",
+        f"band_*: the forward with ctx['needed'] set to {BAND_ROWS} middle rows. "
+        f"train_step_*: one vanilla train_patch step, patch side {PATCH_SIDE}, "
+        "reference flow given: best time and tracemalloc peak",
         [bench_size(h, w, args.repeats) for h, w in SIZES],
     )
 
