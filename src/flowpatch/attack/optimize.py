@@ -52,10 +52,12 @@ class AttackConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.box not in (CLIP, COV):
             raise ValueError(f"unknown box constraint {self.box!r}")
-        if not self.learning_rate >= 0:  # NaN too
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate!r}")
+        if not 0 <= self.learning_rate < float("inf"):  # NaN too
+            raise ValueError(f"learning rate must be >= 0 and finite, got {self.learning_rate!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not np.isfinite(self.alpha_penalty):
+            raise ValueError(f"alpha_penalty must be finite, got {self.alpha_penalty!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
@@ -124,7 +126,7 @@ def _loss_and_gradient(
     included, is freed on return, before the next step records its own."""
     tape = StageTape()
     param = tape.source(patch.param)
-    values = tape.apply(CovMaterializeStage(), param) if cfg.box == COV else param
+    values = tape.apply(CovMaterializeStage(), param) if patch.parameterization == COV else param
     attacked1, attacked2 = tape.apply(
         PlacePatchStage(geometry, patch.side),
         tape.constant(frame1.data),

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..core.raster import Image
+from ..diff.elementwise import CovMaterializeStage
 
 CLIP = "clip"
 COV = "cov"
@@ -53,7 +54,7 @@ class Patch:
         """Color values in [0, 1] regardless of parameterization."""
         if self.parameterization == CLIP:
             return np.array(self.param)
-        return (np.tanh(self.param) + 1.0) / 2.0
+        return CovMaterializeStage()(self.param)
 
     def with_param(self, param: np.ndarray) -> "Patch":
         return replace(self, param=param)

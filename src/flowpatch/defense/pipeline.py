@@ -58,8 +58,9 @@ class DefenseConfig:
             raise ValueError("vote threshold must lie in [0, 1]")
         if not 0.0 <= self.t_ilp <= 1.0:
             raise ValueError("t_ilp must lie in [0, 1]")
-        if self.b_lgs <= 0 or self.s_ilp <= 0:
-            raise ValueError("b_lgs and s_ilp must be positive")
+        for name, value in (("b_lgs", self.b_lgs), ("s_ilp", self.s_ilp)):
+            if not 0 < value < float("inf"):  # NaN too
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.r_telea < 1:
             raise ValueError("r_telea must be >= 1")
 

@@ -19,8 +19,9 @@ pixel) or an HxW boolean array over the value's first two axes.  `apply`
 hands a stage its inputs' supports in `ctx["needed"]` before its forward,
 so a forward may keep only what a backward at those pixels reads, and
 `Stage.support` maps them to those of its outputs by the stage's backward,
-BPDA rules included.  A record with no active input is skipped in the
-reverse pass, and a backward may leave the cotangent of an input pixel
+BPDA rules included.  A forward with no active input is forward only: its
+outputs are kept, but nothing for a backward, and a direct stage call is
+such a forward.  A backward may leave the cotangent of an input pixel
 outside `ctx["needed"]` unset, and return anything there.  A tape of
 sources only is the full reverse pass.
 
@@ -96,8 +97,9 @@ class Stage:
         return ALL
 
     def __call__(self, *inputs: np.ndarray):
-        """Run forward statelessly (no tape); unwraps single outputs."""
-        out = self.forward({}, tuple(np.asarray(a, dtype=np.float64) for a in inputs))
+        """Run forward only, as on a tape of constants; unwraps single outputs."""
+        arrays = tuple(np.asarray(a, dtype=np.float64) for a in inputs)
+        out = self.forward({"needed": (None,) * len(arrays)}, arrays)
         return out[0] if len(out) == 1 else out
 
 
@@ -151,14 +153,14 @@ class StageTape:
         needed = tuple(self._support[v.slot] for v in inputs)
         ctx: dict = {"needed": needed}
         outputs = stage.forward(ctx, tuple(v.array for v in inputs))
-        supports = (None,) * len(outputs)
-        if any(s is not None for s in needed):
-            rule = stage.support(ctx, needed)
-            supports = rule if isinstance(rule, tuple) else (rule,) * len(outputs)
+        active = any(s is not None for s in needed)
+        rule = stage.support(ctx, needed) if active else None
+        supports = rule if isinstance(rule, tuple) else (rule,) * len(outputs)
         values = tuple(self._append(out, s) for out, s in zip(outputs, supports))
-        self._records.append(
-            _Record(stage, ctx, tuple(v.slot for v in inputs), tuple(v.slot for v in values))
-        )
+        if active:
+            self._records.append(
+                _Record(stage, ctx, tuple(v.slot for v in inputs), tuple(v.slot for v in values))
+            )
         self._grads = None
         return values[0] if len(values) == 1 else values
 
@@ -168,16 +170,13 @@ class StageTape:
         seed = np.broadcast_to(np.asarray(cotangent, dtype=np.float64), value.array.shape)
         grads[value.slot] = np.array(seed)
         for rec in reversed(self._records):
-            needed = rec.ctx["needed"]
-            if all(s is None for s in needed):
-                continue
             cots = tuple(
                 grads.get(s, np.zeros_like(self._values[s])) for s in rec.output_slots
             )
             if all(np.all(c == 0) for c in cots):
                 continue
             in_cots = rec.stage.backward(rec.ctx, cots)
-            for slot, g, need in zip(rec.input_slots, in_cots, needed):
+            for slot, g, need in zip(rec.input_slots, in_cots, rec.ctx["needed"]):
                 if need is None:
                     continue
                 if slot in grads:

@@ -6,9 +6,9 @@ The solver runs a fixed number of Jacobi iterations
 replicate boundary and the flow is initialized at zero.  All iterations are
 one exact-gradient stage, fused in place on the flat padded rows of a stacked
 u/v state, so the reverse pass reaches both input frames; its adjoint gathers
-from a zero-bordered padded cotangent.  `HornSchunck.estimate` runs the same loop
-without a tape, keeping one iterate.  `tests/hs_oracle.py` records the
-iterations one stage each and must agree with the fused stage bit for bit.
+from a zero-bordered padded cotangent.  `HornSchunck.estimate` runs it on
+constant frames, forward only, keeping one iterate.  `tests/hs_oracle.py`
+records the iterations one stage each; the fused stage matches it bit for bit.
 
 Luminance is scaled to [0, 255] before differentiation; the smoothness weight
 is calibrated against 8-bit-scale image gradients and the flow units
@@ -38,8 +38,8 @@ class HornSchunckConfig:
     iterations: int = 200
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
@@ -158,14 +158,14 @@ class HornSchunckSolveStage(Stage):
     keeps its stacked (ubar_k, vbar_k) on the band in row k of one
     (iterations, 2, (r1 - r0) P) block, 16 B per padded band pixel per
     iteration, allocated once per forward; a band of every row is written
-    in place.  The exact backward runs the adjoint updates in reverse,
-    recomputing q_k on the band from those averages.  Its
-    neighbour-average adjoint gathers from a padded cotangent whose border
-    rows and columns are zero, in the order in which a scatter into a zero
-    pad adds, then folds the border back.  It sums the Ix/Iy/It cotangents
-    from the last iteration to the first, as a tape of one record per
-    iteration would, so both give bit-identical gradients, and returns the
-    interior columns of the three sums.
+    in place, and an empty band allocates none.  The exact backward runs
+    the adjoint updates in reverse, recomputing q_k on the band from those
+    averages.  Its neighbour-average adjoint gathers from a padded
+    cotangent whose border rows and columns are zero, in the order in which
+    a scatter into a zero pad adds, then folds the border back.  It sums
+    the Ix/Iy/It cotangents from the last iteration to the first, as a tape
+    of one record per iteration would, so both give bit-identical
+    gradients, and returns the interior columns of the three sums.
 
     The adjoint state (gu, gv) needs every pixel, but the residual q, the
     den cotangent and the three sums feed only the returned cotangents, so
@@ -194,10 +194,10 @@ class HornSchunckSolveStage(Stage):
             rows.append(row.reshape(-1))
         return tuple(rows)
 
-    def _run(self, shape, ix, iy, it, averages=None, band=None) -> np.ndarray:
+    def _run(self, shape, ix, iy, it, averages, band) -> np.ndarray:
         """The HxW flow from the `_rows` of the inputs.  Iteration k's
         stacked (ubar, vbar) on the flat range `band` are written to
-        `averages[k]` if an (iterations, 2, band size) array is given."""
+        `averages[k]` unless `averages` is None."""
         h, w = shape
         p = w + 2
         n = h * p
@@ -231,17 +231,13 @@ class HornSchunckSolveStage(Stage):
             np.subtract(vbar, t, out=v)
         return np.stack(tuple(grid[:, 1:-1, 1:-1]), axis=-1)
 
-    def solve(self, ix, iy, it) -> np.ndarray:
-        """The forward's flow, holding only the current iterate."""
-        return self._run(ix.shape, *self._rows(ix, iy, it))
-
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         ix, iy, it = inputs
         h, w = ix.shape
         r0, r1 = support_rows(support_union(*ctx.get("needed", (ALL,))), h)
         band = slice(r0 * (w + 2), r1 * (w + 2))
         rows = self._rows(ix, iy, it)
-        averages = aligned_array((self.iterations, 2, band.stop - band.start))
+        averages = aligned_array((self.iterations, 2, band.stop - band.start)) if r1 > r0 else None
         flow = self._run(ix.shape, *rows, averages, band)
         ctx.update(shape=ix.shape, rows=rows, averages=averages, band=band)
         return (flow,)
@@ -347,8 +343,7 @@ class HornSchunck:
         return tape.apply(self._solver, ix, iy, it)
 
     def estimate(self, frame1: Image, frame2: Image) -> FlowField:
-        """The flow of `forward_on_tape`, computed without a tape."""
-        if frame1.data.shape != frame2.data.shape:
-            raise ValueError("frame shapes differ")
-        g1, g2 = LuminanceStage()(frame1.data), LuminanceStage()(frame2.data)
-        return FlowField(self._solver.solve(*FrameDerivativesStage()(g1, g2)))
+        """The flow of `forward_on_tape` on constant frames, forward only."""
+        tape = StageTape()
+        flow = self.forward_on_tape(tape, tape.constant(frame1.data), tape.constant(frame2.data))
+        return FlowField(flow.array)

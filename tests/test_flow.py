@@ -56,15 +56,20 @@ class TestForward:
         with pytest.raises(ValueError, match="frame shapes differ"):
             est.estimate(Image(np.zeros((4, 4, 3))), Image(np.zeros((4, 5, 3))))
 
-    def test_estimate_keeps_no_iterates(self):
-        # A tape of 200 iterations would hold about 76 MB at this size.
+    @pytest.mark.parametrize("forward_only", ["estimate", "direct-stage-call"])
+    def test_estimate_keeps_no_iterates(self, forward_only):
+        # The averages of 200 iterations would hold about 27 MB at this size.
         rng = np.random.default_rng(8)
         f1 = Image(rng.uniform(0, 1, (64, 128, 3)))
         f2 = Image(rng.uniform(0, 1, (64, 128, 3)))
-        est = HornSchunck(HornSchunckConfig(iterations=200))
+        if forward_only == "estimate":
+            run, args = HornSchunck(HornSchunckConfig(iterations=200)).estimate, (f1, f2)
+        else:
+            g1, g2 = LuminanceStage()(f1.data), LuminanceStage()(f2.data)
+            run, args = HornSchunckSolveStage(15.0, 200), FrameDerivativesStage()(g1, g2)
         tracemalloc.start()
         try:
-            est.estimate(f1, f2)
+            run(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -327,6 +327,8 @@ class TestCli:
             (["defend", "--in", "{data}", "--defense", "lgs", "--k", "4", "--o", "5"],
              "block overlap must satisfy 0 < O < K"),
             (["attack-train", "--data", "{data}", "--lr", "-1"], "learning rate must be >= 0"),
+            (["attack-train", "--data", "{data}", "--lr", "inf"],
+             "learning rate must be >= 0 and finite, got inf"),
             (["attack-train", "--data", "{data}", "--steps", "0"], "steps must be >= 1"),
             (["attack-train", "--data", "{data}", "--seed", "-1"], "seed must be >= 0, got -1"),
             (["evaluate", "--data", "{data}", "--iters", "0"], "iterations must be >= 1"),
@@ -344,14 +346,27 @@ class TestCli:
             (["experiment", "--config", "{inputs}/small-scenes.json"], "24x24"),
             (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
             (["synth", "--count", "0"], "count must be >= 1, got 0"),
+            (["flow", "--in", "{data}", "--alpha", "nan"],
+             "alpha must be finite and positive, got nan"),
+            (["flow", "--in", "{data}", "--alpha", "inf"],
+             "alpha must be finite and positive, got inf"),
+            (["defend", "--in", "{data}", "--defense", "lgs", "--b-lgs", "nan"],
+             "b_lgs must be finite and positive, got nan"),
+            (["defend", "--in", "{data}", "--defense", "ilp", "--s-ilp", "inf"],
+             "s_ilp must be finite and positive, got inf"),
+            (["attack-train", "--data", "{data}", "--awareness", "lgs", "--alpha-penalty", "nan"],
+             "alpha_penalty must be finite, got nan"),
+            (["experiment", "--config", "{inputs}/nan-penalty.json"],
+             "alpha_penalty must be finite, got nan"),
         ],
         ids=[
             "missing-patch", "side-too-large", "negative-side", "text-npy", "4x4-npy", "4x6-ppm",
-            "overlap-not-below-block", "negative-lr", "zero-steps", "negative-attack-seed",
+            "overlap-not-below-block", "negative-lr", "inf-lr", "zero-steps", "negative-attack-seed",
             "zero-iters", "negative-eval-seed", "malformed-config", "unknown-config-key",
             "experiment-zero-steps", "experiment-zero-workers", "experiment-no-defenses",
             "experiment-config-zero-workers", "experiment-small-scenes", "synth-negative-seed",
-            "synth-zero-count",
+            "synth-zero-count", "nan-alpha", "inf-alpha", "nan-b-lgs", "inf-s-ilp",
+            "nan-alpha-penalty", "experiment-nan-alpha-penalty",
         ],
     )
     def test_input_error_exits_2_with_a_message(self, tmp_path, capsys, argv, message):
@@ -367,6 +382,7 @@ class TestCli:
         (inputs / "zero-workers.json").write_text('{"workers": 0}')
         (inputs / "small-scenes.json").write_text('{"synthetic": {"count": 1, "height": 16, '
                                                    '"width": 48, "seed": 2}}')
+        (inputs / "nan-penalty.json").write_text('{"alpha_penalty": NaN}')
         given = sorted(tmp_path.rglob("*"))
         out = tmp_path / "out.ppm"
         with pytest.raises(SystemExit) as exit_info:
@@ -474,6 +490,7 @@ class TestExperiment:
             ({"attack_grid": (CELL, GridCell("ifgsm", 0.1, "cilp"))}, ValueError, "cilp"),
             ({"attack_grid": (CELL, GridCell("ifgsm", -1.0, "clip"))}, ValueError, "learning rate"),
             ({"attack_grid": (CELL, GridCell("ifgsm", float("nan"), "clip"))}, ValueError, "nan"),
+            ({"attack_grid": (CELL, GridCell("ifgsm", float("inf"), "clip"))}, ValueError, "inf"),
             ({"steps": 0}, ValueError, "steps"),
             ({"seeds": (0, -1)}, ValueError, "seed must be >= 0, got -1"),
             ({"eval_seed": -5}, ValueError, "eval_seed must be >= 0, got -5"),
@@ -487,6 +504,12 @@ class TestExperiment:
             ({"patch_side": 31}, PlacementError, "patch side 31 cannot fit a 32x48"),
             ({"patch_side": 0}, PlacementError, "patch side 0"),
             ({"patch_side": -3}, PlacementError, "patch side -3"),
+            ({"estimator": {"alpha": float("nan")}}, ValueError, "alpha must be finite.*nan"),
+            ({"estimator": {"alpha": float("inf")}}, ValueError, "alpha must be finite.*inf"),
+            ({"defense_overrides": {"lgs": {"b_lgs": float("nan")}}}, ValueError, "b_lgs.*nan"),
+            ({"defense_overrides": {"ilp": {"s_ilp": float("nan")}}}, ValueError, "s_ilp.*nan"),
+            ({"alpha_penalty": float("nan")}, ValueError, "alpha_penalty must be finite, got nan"),
+            ({"alpha_penalty": float("-inf")}, ValueError, "alpha_penalty.*-inf"),
         ],
         ids=[
             "defense",
@@ -509,6 +532,7 @@ class TestExperiment:
             "box",
             "learning-rate",
             "learning-rate-nan",
+            "learning-rate-inf",
             "steps",
             "seed-negative",
             "eval-seed-negative",
@@ -521,6 +545,12 @@ class TestExperiment:
             "patch-side-31",
             "patch-side-0",
             "patch-side-negative",
+            "alpha-nan",
+            "alpha-inf",
+            "b-lgs-nan",
+            "s-ilp-nan",
+            "alpha-penalty-nan",
+            "alpha-penalty-inf",
         ],
     )
     def test_unknown_names_rejected_before_writing(self, tmp_path, overrides, error, name):

@@ -238,6 +238,7 @@ class TestPrunedBackward:
         tape = StageTape()
         gray = tape.apply(Ruled(), tape.constant(np.ones((4, 5, 3))))
         assert tape._support[gray.slot] is None
+        assert tape._records == []
 
 
 @pytest.fixture(scope="module")

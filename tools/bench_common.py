@@ -2,8 +2,9 @@
 
 Each script takes `--src` (the `src` directory of the tree to time, default
 this checkout's), `--label`, `--out` and `--repeats`, measures one layer on
-the scene the benchmark's workloads use, and stores its entry in `--out`
-under `--label`, replacing an entry of that label and keeping the others.
+the scene the benchmark's workloads use, and adds its entry to `--out` under
+`--label`, keeping the others.  A label that `--out` already holds exits
+non-zero before anything is timed, so a committed entry is never replaced.
 """
 
 from __future__ import annotations
@@ -24,14 +25,17 @@ SCENE_SEED = 7
 
 
 def parse_args(doc: str, default_out: str, argv=None) -> argparse.Namespace:
-    """The common flags; also puts `--src` and `tests/` first on `sys.path`
-    and exits unless `flowpatch` then imports from `--src`."""
+    """The common flags; exits if `--out` already holds `--label`, puts
+    `--src` and `tests/` first on `sys.path` and exits unless `flowpatch`
+    then imports from `--src`."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--label", default="change")
     parser.add_argument("--out", type=Path, default=Path(default_out))
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
+    if any(e["label"] == args.label for e in read_entries(args.out)):
+        raise SystemExit(f"{args.out} already holds an entry labelled {args.label!r}")
     src = args.src.resolve()
     sys.path[:0] = [str(src), str(ROOT / "tests")]
     import flowpatch
@@ -68,19 +72,20 @@ def scene(h: int, w: int):
         return ingest_dataset(synth_dataset(1, h, w, SCENE_SEED, tmp)).frames[0]
 
 
+def read_entries(path: Path) -> list[dict]:
+    """The entries stored in `path`, none if it does not exist."""
+    return json.loads(path.read_text())["entries"] if path.exists() else []
+
+
 def write_entry(args: argparse.Namespace, benchmark: str, results: list[dict]) -> None:
-    """Store `results` in `args.out` under `args.label` and print them."""
+    """Add `results` to `args.out` under `args.label` and print them."""
     entry = {
         "label": args.label,
         "repeats": args.repeats,
         "machine": machine(),
         "results": results,
     }
-    entries = json.loads(args.out.read_text())["entries"] if args.out.exists() else []
-    result = {
-        "benchmark": benchmark,
-        "entries": [e for e in entries if e["label"] != args.label] + [entry],
-    }
+    result = {"benchmark": benchmark, "entries": read_entries(args.out) + [entry]}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for row in results:
         print(json.dumps(row))

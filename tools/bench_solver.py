@@ -10,12 +10,14 @@ older commit.  The flags and the entry file are those of `bench_common.py`.
 
 For each size the inputs are the frame derivatives of the first pair of
 `synth_dataset(1, h, w, seed=7, ...)`, the scene the benchmark's workloads
-use, solved with 200 iterations.  Forward, backward and `solve` times are
-the best of `--repeats` calls; the tape memory is what the forward's context
-holds (tracemalloc, output flow included) and the backward's the peak above
-that.  The `band_` columns time the forward and measure its tape with
-`ctx["needed"]` set before the forward to a band of `BAND_ROWS` middle rows
-in Ix, Iy and It, the rows a training step on a side-24 patch needs.
+use, solved with 200 iterations.  Forward, backward and forward-only
+(`solve_s`: no input in `ctx["needed"]`, so nothing is kept for a backward)
+times are the best of `--repeats` calls; the tape memory is what the
+forward's context holds (tracemalloc, output flow included) and the
+backward's the peak above that.  The `band_` columns time the forward and
+measure its tape with `ctx["needed"]` set before the forward to a band of
+`BAND_ROWS` middle rows in Ix, Iy and It, the rows a training step on a
+side-24 patch needs.
 `train_step_s` is the best of `--repeats` one-step vanilla `train_patch`
 calls (patch side 24, I-FGSM, `clip`) on the same pair with its reference
 flow given, so it times placement, the solve on a tape, the loss and the
@@ -139,7 +141,7 @@ def bench_size(h: int, w: int, repeats: int) -> dict:
     band[(h - BAND_ROWS) // 2:(h + BAND_ROWS) // 2] = True
     needed = (band, band, band)
     band_forward_s = best_of(lambda: stage.forward({"needed": needed}, inputs), repeats)
-    solve_s = best_of(lambda: stage.solve(*inputs), repeats)
+    solve_s = best_of(lambda: stage.forward({"needed": (None,) * 3}, inputs), repeats)
     held, backward_peak = tape_bytes(stage, inputs, cot)
     band_held, _ = tape_bytes(stage, inputs, cot, needed)
     step_s, step_peak = train_step(h, w, repeats)
@@ -166,6 +168,7 @@ def main(argv=None) -> None:
         f"on the frame derivatives of synth_dataset(1, h, w, seed={SCENE_SEED}). "
         "Time: best of `repeats` calls. Memory: tracemalloc, what the "
         "forward's context holds and the backward's peak above it. "
+        "solve_s: the forward with no input in ctx['needed']. "
         f"band_*: the forward with ctx['needed'] set to {BAND_ROWS} middle rows. "
         f"train_step_*: one vanilla train_patch step, patch side {PATCH_SIDE}, "
         "reference flow given: best time and tracemalloc peak",
