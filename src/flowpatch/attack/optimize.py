@@ -179,7 +179,7 @@ def train_patch(
         idx = int(rng.integers(len(dataset)))
         frame1, frame2 = dataset[idx]
         if idx not in cached:
-            cached[idx] = defended_flow(estimator, defense, frame1, frame2).data
+            cached[idx] = defended_flow(estimator, defense, frame1, frame2)[0].data
         pose = sample_pose(rng, patch.side, (frame1.height, frame1.width))
         geometry = placement_geometry(pose, patch.side, (frame1.height, frame1.width))
 

@@ -160,16 +160,20 @@ def cmd_attack_train(args, defense, cfg, estimator) -> int:
 def cmd_evaluate(args, defense, estimator) -> int:
     frames = _load_pairs(args.data)
     patch = load_patch(args.patch) if args.patch else None
-    scores = evaluate_pipeline(
-        estimator, defense, patch, frames, clean_flows(estimator, defense, frames), seed=args.seed
-    )
-    attack = args.attack_label if patch is not None else "none"
+    clean = clean_flows(estimator, defense, frames)
+    quality = [record.quality for record in clean]
+    robustness = [None] * len(frames)
+    attack = "none"
+    if patch is not None:
+        scored = evaluate_pipeline(estimator, defense, patch, frames, clean, seed=args.seed)
+        robustness = [record.robustness for record in scored]
+        attack = args.attack_label
     rows = ([f.frame_id, args.defense, attack, format_metric(q), format_metric(r)]
-            for f, (q, r) in zip(frames, scores))
+            for f, q, r in zip(frames, quality, robustness))
     write_csv(args.out, "frame,defense,attack,quality_epe,robustness_epe", rows)
     print(
-        f"defense={args.defense} attack={attack} quality={mean_epe(q for q, _ in scores)} "
-        f"robustness={mean_epe(r for _, r in scores)}"
+        f"defense={args.defense} attack={attack} quality={mean_epe(quality)} "
+        f"robustness={mean_epe(robustness)}"
     )
     return 0
 

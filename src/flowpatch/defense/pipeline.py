@@ -118,10 +118,11 @@ def defended_flow(
     defense: DefenseConfig | None,
     frame1: Image,
     frame2: Image,
-) -> FlowField:
-    """Flow of a pair through the pipeline: both frames defended (when there
-    is a defense), then the estimator, all outside any tape."""
-    if defense is not None:
-        frame1, _ = defend(frame1, defense)
-        frame2, _ = defend(frame2, defense)
-    return estimator.estimate(frame1, frame2)
+) -> tuple[FlowField, tuple[PixelMask, PixelMask] | None]:
+    """Flow of a pair through the pipeline, all outside any tape: both frames
+    defended (when there is a defense), then the estimator.  Returns the flow
+    and the two frames' final masks from `defend`, None without a defense."""
+    if defense is None:
+        return estimator.estimate(frame1, frame2), None
+    (frame1, mask1), (frame2, mask2) = defend(frame1, defense), defend(frame2, defense)
+    return estimator.estimate(frame1, frame2), (mask1, mask2)

@@ -4,10 +4,11 @@ defense x attack matrix, and emit deterministic CSV summaries.
 Grid cells are (awareness, optimizer, learning rate, box, seed).  Each cell
 trains one patch against the awareness-matched defense and saves it; each
 saved .npy is then read back and scored against every configured defense.  A
-defense's clean flows, computed once per frame, give its quality column, the
-reference of every robustness value and the target of the cells trained
-against it.  A cell's CSV fields are formatted once and also name its patch
-files.  Each seed's result is grouped by (cell fields, defense) in
+defense's clean records (`clean_flows`, one pass per frame) give its quality
+column, the reference of every robustness value and the target of the cells
+trained against it; each robustness value is the mean over the scored
+records of `evaluate_pipeline`.  A cell's CSV fields are formatted once and
+also name its patch files.  Each seed's result is grouped by (cell fields, defense) in
 seed_mean.csv's order, so one pass over the groups gives the seed means and
 the headline maxima.  Unknown names, overrides of a field the defense does
 not read, empty or repeated grid axes, cells whose fields coincide, a
@@ -204,21 +205,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     frames = index.frames
     pairs = [(f.frame1, f.frame2) for f in frames]
 
-    # The clean flow of each defended pipeline, once per frame: its quality
+    # The clean record of each defended pipeline, once per frame: its quality
     # (Table-1 axis), the reference of every robustness value and the target
     # of the cells trained against it.
     clean = {name: clean_flows(estimator, defenses[name], frames) for name in used}
     quality = {
-        name: format_metric(mean_epe(
-            q for q, _ in evaluate_pipeline(estimator, defenses[name], None, frames, clean[name])
-        ))
+        name: format_metric(mean_epe(record.quality for record in clean[name]))
         for name in cfg.defenses
     }
 
     stems = ["_".join(fields) + f"_seed{attack.seed}" for fields, attack in tasks]
     worker_args = [
         (cfg, attack, out / "patches" / stem, pairs)
-        + (defenses[AWARENESS_DEFENSE[fields[0]]], clean[AWARENESS_DEFENSE[fields[0]]])
+        + (defenses[AWARENESS_DEFENSE[fields[0]]],
+           [record.flow for record in clean[AWARENESS_DEFENSE[fields[0]]]])
         for (fields, attack), stem in zip(tasks, stems)
     ]
     if cfg.workers > 1:
@@ -250,7 +250,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             row_status, robustness = status, None
             if status == "ok":
                 try:
-                    robustness = mean_epe(r for _, r in evaluate_pipeline(
+                    robustness = mean_epe(record.robustness for record in evaluate_pipeline(
                         estimator, defenses[defense], patch, frames, clean[defense],
                         seed=cfg.eval_seed,
                     ))

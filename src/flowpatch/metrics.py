@@ -1,12 +1,15 @@
-"""Endpoint-error metrics, pipeline evaluation and the CSV writer.
+"""Endpoint-error metrics, the two scoring passes and the CSV writer.
 
 Quality compares a method's unattacked prediction to the ground truth over
 all (valid) pixels; robustness compares the unattacked and attacked
 predictions of the same defended method over the pixels outside the patch
-footprint.  Lower is better for both.  Both start from the pipeline's
-`clean_flows`, which the caller computes once and passes in.
-`evaluate_pipeline` returns one (quality, robustness) pair per frame, and
-`mean_epe` averages a column of them; labelling and writing the values is
+footprint.  Lower is better for both.  Scoring is two passes, and each
+keeps what it computes.  `clean_flows` runs a pipeline once per frame and
+returns a `CleanRecord`: the clean flow, the defense's final masks of both
+clean frames and the quality.  `evaluate_pipeline` takes those records and
+a patch and returns a `ScoredRecord` per (frame, pose): the robustness, the
+patch footprint and the defense's final masks of both attacked frames.
+`mean_epe` averages a column of either; labelling and writing the values is
 the caller's, through `format_metric` and `write_csv`, the one writer of
 every CSV flowpatch produces.
 """
@@ -17,7 +20,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,7 +59,8 @@ def epe_excl(flow_a: FlowField, flow_b: FlowField, patch_mask: PixelMask) -> flo
 @dataclass(frozen=True)
 class EvalFrame:
     """One dataset item for evaluation.  Raises ValueError unless both frames
-    have one shape and the ground truth and validity mask their size."""
+    have one shape, the ground truth and validity mask their size, and the
+    validity mask keeps at least one pixel."""
 
     frame_id: str
     frame1: Image
@@ -71,44 +75,63 @@ class EvalFrame:
         for name, item in (("ground truth", self.ground_truth), ("validity mask", self.valid)):
             if item is not None and item.data.shape[:2] != shape[:2]:
                 raise ValueError(f"{name} is {item.data.shape[:2]}, frames {shape[:2]}")
+        if self.valid is not None and not self.valid.data.any():
+            raise ValueError("validity mask excludes every pixel")
+
+
+class CleanRecord(NamedTuple):
+    """A pipeline's pass over one unattacked pair: its flow, the defense's
+    final masks of frame 1 and frame 2 (None without a defense) and the
+    quality EPE (None for a frame without ground truth)."""
+
+    flow: FlowField
+    masks: tuple[PixelMask, PixelMask] | None
+    quality: float | None
+
+
+class ScoredRecord(NamedTuple):
+    """A patch scored on one pair at one pose: the robustness EPE, the
+    footprint, and the defense's final masks of both attacked frames (None
+    without a defense)."""
+
+    robustness: float
+    footprint: PixelMask
+    masks: tuple[PixelMask, PixelMask] | None
 
 
 def clean_flows(
     estimator: FlowEstimator, defense: DefenseConfig | None, frames: Sequence[EvalFrame]
-) -> list[FlowField]:
-    """The pipeline's clean (unattacked) flow of each frame pair: the
-    reference of its quality, its robustness and defence-aware training."""
-    return [defended_flow(estimator, defense, f.frame1, f.frame2) for f in frames]
+) -> list[CleanRecord]:
+    """One `CleanRecord` per frame: the pipeline's clean flow, the reference
+    of its robustness and of defense-aware training, with its masks and
+    quality."""
+    records = []
+    for item in frames:
+        flow, masks = defended_flow(estimator, defense, item.frame1, item.frame2)
+        quality = None if item.ground_truth is None else epe(item.ground_truth, flow, item.valid)
+        records.append(CleanRecord(flow, masks, quality))
+    return records
 
 
 def evaluate_pipeline(
     estimator: FlowEstimator,
     defense: DefenseConfig | None,
-    patch: Patch | None,
+    patch: Patch,
     frames: Sequence[EvalFrame],
-    clean: Sequence[FlowField],
+    clean: Sequence[CleanRecord],
     seed: int = 0,
-) -> list[tuple[float | None, float | None]]:
-    """One (quality, robustness) EPE pair per frame, given the pipeline's
-    `clean_flows` of `frames`: quality of the clean flow against ground truth
-    (None for a frame without it) and, with a patch, robustness outside the
-    footprint between the clean flow and the flow of the pair attacked at a
-    pose drawn from a `seed` stream (None without a patch)."""
+) -> list[ScoredRecord]:
+    """One `ScoredRecord` per frame, given the pipeline's `clean_flows` of
+    `frames`: the pair attacked at a pose drawn from a `seed` stream, one
+    pose per frame in order, and scored against the clean flow."""
     rng = np.random.default_rng(seed)
-    scores = []
-    for item, flow_clean in zip(frames, clean, strict=True):
-        quality = None
-        if item.ground_truth is not None:
-            quality = epe(item.ground_truth, flow_clean, item.valid)
-
-        robustness = None
-        if patch is not None:
-            pose = sample_pose(rng, patch.side, (item.frame1.height, item.frame1.width))
-            attacked1, attacked2, footprint = place_patch(item.frame1, item.frame2, patch, pose)
-            flow_attacked = defended_flow(estimator, defense, attacked1, attacked2)
-            robustness = epe_excl(flow_clean, flow_attacked, footprint)
-        scores.append((quality, robustness))
-    return scores
+    records = []
+    for item, reference in zip(frames, clean, strict=True):
+        pose = sample_pose(rng, patch.side, (item.frame1.height, item.frame1.width))
+        attacked1, attacked2, footprint = place_patch(item.frame1, item.frame2, patch, pose)
+        flow, masks = defended_flow(estimator, defense, attacked1, attacked2)
+        records.append(ScoredRecord(epe_excl(reference.flow, flow, footprint), footprint, masks))
+    return records
 
 
 def mean_epe(values: Iterable[float | None]) -> float | None:

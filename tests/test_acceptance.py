@@ -131,8 +131,8 @@ def trained(dataset):
 
 
 def mean_robustness(defense, patch, dataset, clean):
-    scores = evaluate_pipeline(ESTIMATOR, defense, patch, dataset, clean, seed=1234)
-    return mean_epe(r for _, r in scores)
+    scored = evaluate_pipeline(ESTIMATOR, defense, patch, dataset, clean, seed=1234)
+    return mean_epe(record.robustness for record in scored)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +504,8 @@ class TestCriterion8:
     def test_defenses_degrade_benign_quality(self, dataset):
         quality = {}
         for name, cfg in (("none", None), ("lgs", lgs_config()), ("ilp", ilp_config())):
-            scores = evaluate_pipeline(
-                ESTIMATOR, cfg, None, dataset, clean_flows(ESTIMATOR, cfg, dataset)
-            )
-            quality[name] = mean_epe(q for q, _ in scores)
+            clean = clean_flows(ESTIMATOR, cfg, dataset)
+            quality[name] = mean_epe(record.quality for record in clean)
         announce(
             8,
             quality["lgs"] >= quality["none"] and quality["ilp"] >= quality["none"],

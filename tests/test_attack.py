@@ -409,7 +409,7 @@ class TestTraining:
         pairs = tiny_dataset()
         frames = [EvalFrame(str(i), a, b) for i, (a, b) in enumerate(pairs)]
         defense = lgs_config()
-        references = clean_flows(self.ESTIMATOR, defense, frames)
+        references = [record.flow for record in clean_flows(self.ESTIMATOR, defense, frames)]
         cfg = AttackConfig(awareness="lgs", steps=4, learning_rate=0.1, seed=5)
         computed = train_patch(self.ESTIMATOR, defense, pairs, cfg, patch_side=8)
         given = train_patch(
@@ -418,7 +418,7 @@ class TestTraining:
         assert given.losses == computed.losses
         assert np.array_equal(given.patch.param, computed.patch.param)
         # the given flows are the ones trained against
-        undefended = clean_flows(self.ESTIMATOR, None, frames)
+        undefended = [record.flow for record in clean_flows(self.ESTIMATOR, None, frames)]
         other = train_patch(
             self.ESTIMATOR, defense, pairs, cfg, patch_side=8, references=undefended
         )

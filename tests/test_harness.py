@@ -14,7 +14,7 @@ from flowpatch.attack import CLIP, COV, IFGSM, SGD, AttackConfig, Patch
 from flowpatch.attack.losses import AWARENESS_DEFENSE
 from flowpatch.cli import build_parser, main
 from flowpatch.core import FlowField, Image, PixelMask, mask_to_image, write_flo, write_ppm
-from flowpatch.defense import defend, ilp_config, lgs_config
+from flowpatch.defense import defend, ilp_config, lgs_config, pipeline
 from flowpatch.defense.pipeline import DEFENSES, NO_DEFENSE, defense_config
 from flowpatch.errors import DivergenceError, NoFramesError, PlacementError
 from flowpatch.flow import HornSchunck, HornSchunckConfig
@@ -30,12 +30,12 @@ from flowpatch.harness import (
 )
 
 
-def write_valid(path, height, width):
-    write_ppm(mask_to_image(PixelMask(np.ones((height, width)))), path)
+def write_valid(path, height, width, fill=1):
+    write_ppm(mask_to_image(PixelMask(np.full((height, width), fill))), path)
 
 
 # The ways a pair's files can be malformed; each rewrites one file of pair
-# `frame_id` under `root`.
+# `frame_id` under `root`, whose frames are 32x48.
 SPOILERS = {
     "corrupt-valid": lambda root, frame_id: (root / f"{frame_id}_valid.ppm").write_bytes(
         b"P6\nnot a ppm"
@@ -47,6 +47,9 @@ SPOILERS = {
         FlowField(np.zeros((16, 16, 2))), root / f"{frame_id}.flo"
     ),
     "valid-size": lambda root, frame_id: write_valid(root / f"{frame_id}_valid.ppm", 16, 16),
+    "valid-empty": lambda root, frame_id: write_valid(
+        root / f"{frame_id}_valid.ppm", 32, 48, fill=0
+    ),
 }
 
 
@@ -187,11 +190,12 @@ class TestCli:
         assert main(argv) == 0
         skipped = capsys.readouterr().err.splitlines()
         assert [line[:6] for line in skipped] == [f"{i:04d}: " for i in range(len(SPOILERS))]
+        left = f"{len(SPOILERS):04d}"
         if command == "defend":
-            assert {p.name[:4] for p in out.iterdir()} == {"0004"}
+            assert {p.name[:4] for p in out.iterdir()} == {left}
         if command == "evaluate":
             with open(out, newline="") as fh:
-                assert [r["frame"] for r in csv.DictReader(fh)] == ["0004"]
+                assert [r["frame"] for r in csv.DictReader(fh)] == [left]
 
     @pytest.mark.parametrize("label", [[], ["--attack-label", "lgs"]], ids=["default", "given"])
     def test_unattacked_rows_labelled_none(self, tmp_path, label):
@@ -616,6 +620,28 @@ class TestExperiment:
         monkeypatch.setattr(HornSchunck, "estimate", counted)
         assert run_experiment(cfg).hard_failures == 0
         assert calls == Counter(dict.fromkeys(clean.values(), 1))
+
+    def test_defend_calls_per_run(self, tmp_path, monkeypatch):
+        # Both frames of a pair are defended once for each defended clean
+        # record and once for each scored record of a defended defense;
+        # training records its defense on the tape instead.
+        cfg = tiny_config(
+            tmp_path / "run",
+            synthetic={"count": 2, "height": 32, "width": 48, "seed": 2},
+            defenses=("none", "lgs", "ilp"),
+            awareness=("vanilla", "lgs", "ilp"),
+        )
+        calls = Counter()
+        original = pipeline.defend
+
+        def counted(image, defense):
+            calls[defense.kind] += 1
+            return original(image, defense)
+
+        monkeypatch.setattr(pipeline, "defend", counted)
+        assert run_experiment(cfg).hard_failures == 0
+        frames, patches = 2, len(cfg.awareness)
+        assert calls == {"lgs": 2 * frames * (1 + patches), "ilp": 2 * frames * (1 + patches)}
 
     def test_single_cell_outputs(self, tmp_path):
         result = run_experiment(tiny_config(tmp_path / "run"))

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowpatch.attack import Patch, manual_patch, place_patch, sample_pose
 from flowpatch.core import FlowField, Image, PixelMask
+from flowpatch.defense import defend
+from flowpatch.defense.pipeline import defense_config
 from flowpatch.flow import HornSchunck, HornSchunckConfig
+from flowpatch.harness import ingest_dataset, synth_dataset
 from flowpatch.metrics import (
     EvalFrame,
     clean_flows,
@@ -158,28 +162,74 @@ class TestEvaluatePipeline:
     def test_no_patch_quality_only(self):
         est = HornSchunck(HornSchunckConfig(iterations=30))
         ds = self._dataset()
-        [(quality, robustness)] = evaluate_pipeline(
-            est, None, None, ds, clean_flows(est, None, ds)
-        )
-        assert robustness is None
-        assert quality is not None and quality >= 0
-        with pytest.raises(ValueError):  # one clean flow per frame
-            evaluate_pipeline(est, None, None, ds, [])
+        [record] = clean_flows(est, None, ds)
+        assert record.masks is None
+        assert record.quality is not None and record.quality >= 0
+        assert record.quality == epe(ds[0].ground_truth, record.flow)
+        patch = Patch(6, "clip", np.full((6, 6, 3), 0.3))
+        with pytest.raises(ValueError):  # one clean record per frame
+            evaluate_pipeline(est, None, patch, ds, [])
 
     def test_noop_patch_zero_robustness(self):
         # patch content identical to the frame content underneath -> f_D^A = f_D
         est = HornSchunck(HornSchunckConfig(iterations=20))
-        data = self._dataset()
-        frame = data[0]
-        from flowpatch.attack import Patch
-        from flowpatch.attack.placement import placement_geometry, sample_pose
-
-        rng = np.random.default_rng(0)
-        pose = sample_pose(rng, 6, (20, 28))
         constant = Image(np.full((20, 28, 3), 0.3))
         ds = [EvalFrame("0000", constant, constant, FlowField(np.zeros((20, 28, 2))))]
         patch = Patch(6, "clip", np.full((6, 6, 3), 0.3))
-        [(_, robustness)] = evaluate_pipeline(
-            est, None, patch, ds, clean_flows(est, None, ds), seed=0
-        )
-        assert robustness == 0.0
+        [record] = evaluate_pipeline(est, None, patch, ds, clean_flows(est, None, ds), seed=0)
+        assert record.robustness == 0.0
+
+
+class TestRecords:
+    """Each record keeps what `defend` and `place_patch` computed for it."""
+
+    ESTIMATOR = HornSchunck(HornSchunckConfig(iterations=5))
+    SEED = 11
+
+    @pytest.fixture(scope="class")
+    def frames(self, tmp_path_factory):
+        root = synth_dataset(2, 32, 48, seed=0, out_dir=tmp_path_factory.mktemp("records"))
+        return ingest_dataset(root).frames
+
+    def scored_and_placed(self, defense, frames):
+        """The clean and scored records of a checkerboard patch, which both
+        defenses flag, and the attacked frames and footprint of each frame at
+        the pose drawn from `SEED`."""
+        patch = manual_patch(12, cell=2)
+        clean = clean_flows(self.ESTIMATOR, defense, frames)
+        scored = evaluate_pipeline(self.ESTIMATOR, defense, patch, frames, clean, seed=self.SEED)
+        rng = np.random.default_rng(self.SEED)
+        placed = [
+            place_patch(f.frame1, f.frame2, patch, sample_pose(rng, patch.side, (32, 48)))
+            for f in frames
+        ]
+        return clean, scored, placed
+
+    @pytest.mark.parametrize("name", ["lgs", "ilp"])
+    def test_masks_are_the_defenses(self, frames, name):
+        defense = defense_config(name)
+        clean, scored, placed = self.scored_and_placed(defense, frames)
+        for item, reference in zip(frames, clean, strict=True):
+            for mask, frame in zip(reference.masks, (item.frame1, item.frame2), strict=True):
+                assert np.array_equal(mask.data, defend(frame, defense)[1].data)
+        flagged = 0
+        for reference, record, (attacked1, attacked2, footprint) in zip(
+            clean, scored, placed, strict=True
+        ):
+            assert np.array_equal(record.footprint.data, footprint.data)
+            defended = [defend(a, defense) for a in (attacked1, attacked2)]
+            for mask, (_, want) in zip(record.masks, defended, strict=True):
+                assert np.array_equal(mask.data, want.data)
+                flagged += want.count()
+            flow = self.ESTIMATOR.estimate(defended[0][0], defended[1][0])
+            assert record.robustness == epe_excl(reference.flow, flow, footprint)
+        assert flagged > 0
+
+    def test_no_defense_no_masks(self, frames):
+        clean, scored, placed = self.scored_and_placed(None, frames)
+        for item, reference in zip(frames, clean, strict=True):
+            assert reference.masks is None
+            assert reference.quality == epe(item.ground_truth, reference.flow)
+        for record, (_, _, footprint) in zip(scored, placed, strict=True):
+            assert record.masks is None
+            assert np.array_equal(record.footprint.data, footprint.data)
