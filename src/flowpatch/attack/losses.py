@@ -36,11 +36,8 @@ class AcsLossStage(Stage):
 
     name = "acs-loss"
 
-    def __init__(self, reference: np.ndarray, excluded: np.ndarray | None = None):
+    def __init__(self, reference: np.ndarray, excluded: np.ndarray):
         self.reference = np.asarray(reference, dtype=np.float64)
-        h, w = self.reference.shape[:2]
-        if excluded is None:
-            excluded = np.zeros((h, w))
         self.included = np.asarray(excluded) == 0
         self.count = int(self.included.sum())
         if self.count == 0:

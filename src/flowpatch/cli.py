@@ -6,9 +6,9 @@ builds its configs from its flags (and `--config`) before it reads data.
 One rule: an attack, defense or estimator flag value that its config
 rejects, a defense flag that the chosen defense does not read, a `synth`
 argument or experiment config that would be rejected, an unreadable or
-malformed `--patch` or `--config` file and a patch side that cannot fit
-the frames exit 2 with a message, nothing written.  No loadable
-frame pair, or a hard-failed grid cell, exits 1.
+malformed `--patch` or `--config` file and a patch side or defense block
+that cannot fit the frames exit 2 with a message, nothing written.  No
+loadable frame pair, or a hard-failed grid cell, exits 1.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .attack.patch import CLIP, COV
 from .core.colorize import flow_to_color
 from .core.floio import write_flo
 from .core.ppm import mask_to_image, write_ppm
-from .defense.pipeline import DEFENSES, NO_DEFENSE, UnreadFieldError, defend, defense_config
+from .defense.pipeline import (
+    DEFENSES, NO_DEFENSE, UnreadFieldError, check_block, defend, defense_config
+)
 from .errors import FormatError, NoFramesError, PlacementError
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
 from .harness.dataset import check_synth, load_dataset, synth_dataset
@@ -106,12 +108,15 @@ def _add_flags(parser, flags):
         parser.add_argument(flag, type=kind, dest=dest, default=argparse.SUPPRESS, help=help_text)
 
 
-def _load_pairs(data_dir) -> list[EvalFrame]:
+def _load_pairs(data_dir, defense=None) -> list[EvalFrame]:
     """The loadable frame pairs under `data_dir`, at least one (NoFramesError
+    otherwise), each fitting the defense's voting blocks (PlacementError
     otherwise); the pairs skipped are reported on stderr."""
     index = load_dataset(data_dir)
     for line in index.report:
         print(line, file=sys.stderr)
+    for frame in index.frames:
+        check_block(defense, (frame.frame1.height, frame.frame1.width))
     return index.frames
 
 
@@ -132,7 +137,7 @@ def cmd_flow(args, estimator) -> int:
 
 
 def cmd_defend(args, defense) -> int:
-    frames = _load_pairs(args.in_dir)
+    frames = _load_pairs(args.in_dir, defense)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for frame in frames:
@@ -145,7 +150,7 @@ def cmd_defend(args, defense) -> int:
 
 
 def cmd_attack_train(args, defense, cfg, estimator) -> int:
-    frames = _load_pairs(args.data)
+    frames = _load_pairs(args.data, defense)
     pairs = [(f.frame1, f.frame2) for f in frames]
     result = train_patch(estimator, defense, pairs, cfg, patch_side=args.patch_side)
     stem = args.out.removesuffix(".ppm")
@@ -158,7 +163,7 @@ def cmd_attack_train(args, defense, cfg, estimator) -> int:
 
 
 def cmd_evaluate(args, defense, estimator) -> int:
-    frames = _load_pairs(args.data)
+    frames = _load_pairs(args.data, defense)
     patch = load_patch(args.patch) if args.patch else None
     clean = clean_flows(estimator, defense, frames)
     quality = [record.quality for record in clean]

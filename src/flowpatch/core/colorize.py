@@ -38,17 +38,14 @@ def _make_colorwheel() -> np.ndarray:
 _WHEEL = _make_colorwheel()
 
 
-def flow_to_color(flow: FlowField, max_magnitude: float | None = None) -> Image:
-    """Encode direction as hue and magnitude/max_magnitude (clamped to 1) as
-    saturation; zero flow renders white.  max_magnitude=None uses the field max
-    (a zero field is treated as max 1)."""
+def flow_to_color(flow: FlowField) -> Image:
+    """Encode direction as hue and magnitude over the field's largest
+    magnitude as saturation; zero flow renders white (a zero field is
+    treated as largest magnitude 1)."""
     u, v = flow.u, flow.v
     rad = np.sqrt(u * u + v * v)
-    if max_magnitude is None:
-        max_magnitude = float(rad.max())
-    if max_magnitude <= 0:
-        max_magnitude = 1.0
-    sat = np.minimum(rad / max_magnitude, 1.0)
+    largest = float(rad.max())
+    sat = rad / (largest if largest > 0 else 1.0)
 
     ncols = _WHEEL.shape[0]
     angle = np.arctan2(-v, -u) / np.pi  # in [-1, 1]

@@ -50,8 +50,6 @@ def read_ppm(path) -> Image:
 
 
 def write_ppm(image: Image, path) -> None:
-    if image.channels != 3:
-        raise ValueError("PPM output requires a 3-channel image")
     quantized = np.clip(np.round(image.data * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (image.width, image.height))

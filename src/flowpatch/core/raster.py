@@ -24,16 +24,14 @@ def _frozen(a: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Image:
-    """H x W x C raster, C in {1,3}, finite real values (semantic range [0,1])."""
+    """H x W x 3 raster, finite real values (semantic range [0,1])."""
 
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         a = _frozen(self.data, np.float64)
-        if a.ndim == 2:
-            a = _frozen(a[:, :, None], np.float64)
-        if a.ndim != 3 or a.shape[2] not in (1, 3):
-            raise ValueError(f"image must be HxWxC with C in {{1,3}}, got {a.shape}")
+        if a.ndim != 3 or a.shape[2] != 3:
+            raise ValueError(f"image must be HxWx3, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("image contains non-finite values")
         object.__setattr__(self, "data", a)
@@ -45,10 +43,6 @@ class Image:
     @property
     def width(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
 
 
 @dataclass(frozen=True)
@@ -95,14 +89,3 @@ class PixelMask:
         if not np.all((a == 0) | (a == 1)):
             raise ValueError("mask values must be exactly 0 or 1")
         object.__setattr__(self, "data", _frozen(a, np.uint8))
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    def count(self) -> int:
-        return int(self.data.sum())

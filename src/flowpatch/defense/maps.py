@@ -17,11 +17,12 @@ from ..flow.horn_schunck import LuminanceStage
 
 
 class GradientMagnitudeStage(Stage):
-    """image -> HxW normalized map Gbar = (G - min G) / (max G - min G).
+    """HxWx3 image -> HxW normalized map Gbar = (G - min G) / (max G - min G).
 
     G is sqrt(Ix^2 + Iy^2) for order="first" and |Laplacian| for
-    order="second", both of the unscaled luminance (`LuminanceStage(1.0)`);
-    a constant G normalizes to all zeros.  Exact backward almost everywhere:
+    order="second", both of the unscaled luminance (`LuminanceStage(1.0)`,
+    run on this stage's `ctx`, whose `needed` is its own); a constant G
+    normalizes to all zeros.  Exact backward almost everywhere:
     it assumes the min/max locations are unique (random inputs satisfy
     that), takes the subgradient at zero magnitude as 0, and gives the
     constant case zero gradient.
@@ -33,8 +34,7 @@ class GradientMagnitudeStage(Stage):
         self.luminance = LuminanceStage(1.0)
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
-        ctx["luminance"] = {}
-        (gray,) = self.luminance.forward(ctx["luminance"], inputs)
+        (gray,) = self.luminance.forward(ctx, inputs)
         g, ctx["saved"] = stencils.derivative_magnitude(gray, self.order, "replicate")
         lo, hi = float(g.min()), float(g.max())
         ctx["degenerate"] = hi <= lo
@@ -59,4 +59,4 @@ class GradientMagnitudeStage(Stage):
             ug[ctx["argmin"]] += (weighted - total) / r
             ug[ctx["argmax"]] -= weighted / r
         ugray = stencils.derivative_magnitude_adjoint(ug, self.order, "replicate", ctx["saved"])
-        return self.luminance.backward(ctx["luminance"], (ugray,))
+        return self.luminance.backward(ctx, (ugray,))

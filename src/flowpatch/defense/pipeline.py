@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..core.raster import FlowField, Image, PixelMask
 from ..diff.stage import StageTape, TapeValue
+from ..errors import PlacementError
 from ..flow.horn_schunck import FlowEstimator
 from .inpaint import TeleaInpaintStage
 from .maps import GradientMagnitudeStage
@@ -82,6 +83,14 @@ def defense_config(name: str, **fields) -> DefenseConfig | None:
         if key not in DEFENSE_FIELDS[name]:
             raise UnreadFieldError(name, key)
     return None if name == NO_DEFENSE else DefenseConfig(name, **fields)
+
+
+def check_block(cfg: DefenseConfig | None, frame_shape: tuple[int, int]) -> None:
+    """Raise PlacementError unless the defense's voting blocks fit a frame
+    of `frame_shape`; no defense fits every frame."""
+    h, w = frame_shape
+    if cfg is not None and cfg.block > min(h, w):
+        raise PlacementError(f"defense block {cfg.block} cannot fit a {h}x{w} frame")
 
 
 def lgs_config(**overrides) -> DefenseConfig:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stage import Stage, EXACT
+from .stage import ALL, EXACT, Stage
 
 
 @dataclass
@@ -34,7 +34,9 @@ def grad_check(
     Inputs must sit strictly inside any non-smooth kink by a margin larger
     than h.  At most `max_coords` coordinates are probed per input tensor,
     chosen by a seeded generator.  Relative error uses max(1, |fd|) in the
-    denominator.  Only meaningful for gradient_kind="exact" stages.
+    denominator.  Only meaningful for gradient_kind="exact" stages.  Each
+    forward, the VJP's and every probe's, is given `ALL` for each input in
+    `ctx["needed"]`, as on a tape of sources.
     """
     if stage.gradient_kind != EXACT:
         raise ValueError(f"{stage.name}: finite differences only check exact stages")
@@ -43,13 +45,14 @@ def grad_check(
         inputs = (inputs,)
     xs = [np.array(x, dtype=np.float64) for x in inputs]
 
-    ctx: dict = {}
+    needed = (ALL,) * len(xs)
+    ctx: dict = {"needed": needed}
     outputs = stage.forward(ctx, tuple(xs))
     cotangents = tuple(rng.standard_normal(o.shape) for o in outputs)
     vjps = stage.backward(ctx, cotangents)
 
     def objective(probe_xs) -> float:
-        outs = stage.forward({}, tuple(probe_xs))
+        outs = stage.forward({"needed": needed}, tuple(probe_xs))
         return float(sum(np.sum(u * o) for u, o in zip(cotangents, outs)))
 
     max_rel = 0.0

@@ -15,15 +15,16 @@ analysis of reverse-mode AD (Griewank & Walther, "Evaluating Derivatives",
 SIAM 2008).  `source` registers a differentiated leaf and `constant` one
 that no gradient reaches.  Every value has a *support*: the pixels whose
 cotangent can reach a source.  A support is None (no pixel), `ALL` (every
-pixel) or an HxW boolean array over the value's first two axes.  `apply`
-hands a stage its inputs' supports in `ctx["needed"]` before its forward,
-so a forward may keep only what a backward at those pixels reads, and
-`Stage.support` maps them to those of its outputs by the stage's backward,
-BPDA rules included.  A forward with no active input is forward only: its
-outputs are kept, but nothing for a backward, and a direct stage call is
-such a forward.  A backward may leave the cotangent of an input pixel
-outside `ctx["needed"]` unset, and return anything there.  A tape of
-sources only is the full reverse pass.
+pixel) or an HxW boolean array over the value's first two axes.  Every
+forward is given its inputs' supports in `ctx["needed"]`: `apply` hands
+it those of the recorded inputs, a direct stage call none and `grad_check`
+`ALL` for each input.  So a forward may keep only what a backward at those
+pixels reads, and `Stage.support` maps them to those of its outputs by the
+stage's backward, BPDA rules included.  A forward with no active input is
+forward only: its outputs are kept, but nothing for a backward.  A
+backward may leave the cotangent of an input pixel outside
+`ctx["needed"]` unset, and return anything there.  A tape of sources only
+is the full reverse pass.
 
 This is deliberately not a general expression-graph autodiff: stages are the
 only differentiation unit, and all gradient math runs in float64.

@@ -10,7 +10,7 @@ class NoFramesError(ValueError):
 
 
 class PlacementError(ValueError):
-    """A patch footprint does not fit inside the target frame."""
+    """A patch footprint or a defense block does not fit inside the target frame."""
 
 
 class DivergenceError(RuntimeError):

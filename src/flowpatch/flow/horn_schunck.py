@@ -45,9 +45,8 @@ class HornSchunckConfig:
 
 
 class LuminanceStage(Stage):
-    """HxW, HxWx1 or HxWx3 image -> scaled HxW luminance (Rec.601 weights for
-    three channels); linear, exact backward in the input's shape.  Support:
-    pixel to pixel."""
+    """HxWx3 image -> scaled HxW Rec.601 luminance; linear, exact backward.
+    Support: pixel to pixel."""
 
     name = "luminance"
 
@@ -56,23 +55,11 @@ class LuminanceStage(Stage):
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         (image,) = inputs
-        ctx["shape"] = image.shape
-        if image.ndim == 2:
-            return (self.scale * image,)
-        if image.shape[2] == 1:
-            return (self.scale * image[:, :, 0],)
-        w = np.asarray(LUMA_WEIGHTS)
-        return (self.scale * (image @ w),)
+        return (self.scale * (image @ np.asarray(LUMA_WEIGHTS)),)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (u,) = cotangents
-        shape = ctx["shape"]
-        if len(shape) == 2:
-            return (self.scale * u,)
-        if shape[2] == 1:
-            return (self.scale * u[:, :, None],)
-        w = np.asarray(LUMA_WEIGHTS)
-        return (self.scale * u[:, :, None] * w,)
+        return (self.scale * u[:, :, None] * np.asarray(LUMA_WEIGHTS),)
 
     def support(self, ctx, needed):
         return needed[0]
@@ -153,14 +140,13 @@ class HornSchunckSolveStage(Stage):
     iteration writes starts on a 64-byte cache line (`aligned_array`), and
     an iteration allocates nothing.
 
-    The rows [r0, r1) that bound the pixels of `ctx["needed"]` (every row
-    without it) form the band, the flat range [r0 P, r1 P).  Iteration k
-    keeps its stacked (ubar_k, vbar_k) on the band in row k of one
-    (iterations, 2, (r1 - r0) P) block, 16 B per padded band pixel per
-    iteration, allocated once per forward; a band of every row is written
-    in place, and an empty band allocates none.  The exact backward runs
-    the adjoint updates in reverse, recomputing q_k on the band from those
-    averages.  Its neighbour-average adjoint gathers from a padded
+    The rows [r0, r1) that bound the pixels of `ctx["needed"]` form the
+    band, the flat range [r0 P, r1 P).  Iteration k keeps its stacked
+    (ubar_k, vbar_k) on the band in row k of one (iterations, 2, (r1 - r0) P)
+    block, 16 B per padded band pixel per iteration, allocated once per
+    forward; a band of every row is written in place, and an empty band
+    allocates none.  The exact backward runs the adjoint updates in reverse,
+    recomputing q_k on the band from those averages.  Its neighbour-average adjoint gathers from a padded
     cotangent whose border rows and columns are zero, in the order in which
     a scatter into a zero pad adds, then folds the border back.  It sums
     the Ix/Iy/It cotangents from the last iteration to the first, as a tape
@@ -234,7 +220,7 @@ class HornSchunckSolveStage(Stage):
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         ix, iy, it = inputs
         h, w = ix.shape
-        r0, r1 = support_rows(support_union(*ctx.get("needed", (ALL,))), h)
+        r0, r1 = support_rows(support_union(*ctx["needed"]), h)
         band = slice(r0 * (w + 2), r1 * (w + 2))
         rows = self._rows(ix, iy, it)
         averages = aligned_array((self.iterations, 2, band.stop - band.start)) if r1 > r0 else None

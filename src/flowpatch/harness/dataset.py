@@ -33,8 +33,8 @@ class DatasetIndex:
 
 def ingest_dataset(root) -> DatasetIndex:
     """Load the frame pairs under `root`, reading each file once; a pair
-    whose files are missing, do not parse or disagree in size is skipped and
-    listed in the report."""
+    whose files are missing or do not parse ("unreadable"), or that
+    `EvalFrame` rejects ("rejected"), is skipped and listed in the report."""
     root = Path(root)
     index = DatasetIndex()
     frame1_files = sorted(p for p in root.glob("*_1.ppm") if _FRAME1_RE.match(p.name))
@@ -50,17 +50,19 @@ def ingest_dataset(root) -> DatasetIndex:
         gt = root / f"{frame_id}.flo"
         valid = root / f"{frame_id}_valid.ppm"
         try:
-            index.frames.append(
-                EvalFrame(
-                    frame_id,
-                    read_ppm(frame1),
-                    read_ppm(frame2),
-                    read_flo(gt) if gt.exists() else None,
-                    image_to_mask(read_ppm(valid)) if valid.exists() else None,
-                )
+            files = (
+                read_ppm(frame1),
+                read_ppm(frame2),
+                read_flo(gt) if gt.exists() else None,
+                image_to_mask(read_ppm(valid)) if valid.exists() else None,
             )
         except Exception as exc:  # noqa: BLE001 - report and skip bad pairs
             index.report.append(f"{frame_id}: unreadable ({exc}), pair skipped")
+            continue
+        try:
+            index.frames.append(EvalFrame(frame_id, *files))
+        except ValueError as exc:
+            index.report.append(f"{frame_id}: rejected ({exc}), pair skipped")
     return index
 
 

@@ -14,9 +14,10 @@ the headline maxima.  Unknown names, overrides of a field the defense does
 not read, empty or repeated grid axes, cells whose fields coincide, a
 negative or NaN learning rate, a negative seed or `eval_seed`, `steps` or
 `workers` below 1, an invalid synthetic block, a given dataset without a
-loadable pair and a `patch_side` that does not fit the frames at the
-largest pose scale fail before anything is written; `plan_experiment`
-runs every one of these checks that needs no data.
+loadable pair, a `patch_side` that does not fit the frames at the largest
+pose scale and a defense block larger than a frame side fail before
+anything is written; `plan_experiment` runs every one of these checks
+that needs no data.
 Diverged cells are recorded as "div" and the run continues; unexpected
 errors and an unreadable saved patch mark the cell "fail" without touching
 other cells.  Identical configs (seeds included) produce byte-identical CSVs.
@@ -34,7 +35,7 @@ from pathlib import Path
 from ..attack.losses import AWARENESS_DEFENSE
 from ..attack.optimize import AttackConfig, load_patch, save_patch, train_patch
 from ..attack.placement import check_fit
-from ..defense.pipeline import DEFENSES, DefenseConfig, defense_config
+from ..defense.pipeline import DEFENSES, DefenseConfig, check_block, defense_config
 from ..errors import DivergenceError
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
 from ..metrics import clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
@@ -139,6 +140,14 @@ class ExperimentPlan:
     scenes: dict | None
 
 
+def _check_frames(cfg: ExperimentConfig, used, defenses, shape: tuple[int, int]) -> None:
+    """Raise PlacementError unless the patch side, at the largest pose
+    scale, and the voting blocks of the `used` defenses fit frames of `shape`."""
+    check_fit(cfg.patch_side, shape)
+    for name in used:
+        check_block(defenses[name], shape)
+
+
 def plan_experiment(cfg: ExperimentConfig) -> ExperimentPlan:
     """Every check that needs no data, so that a config `run_experiment`
     would reject fails here, before anything is read or written."""
@@ -176,7 +185,8 @@ def plan_experiment(cfg: ExperimentConfig) -> ExperimentPlan:
     used = tuple(dict.fromkeys([*cfg.defenses, *(AWARENESS_DEFENSE[a] for a in cfg.awareness)]))
     overrides = cfg.defense_overrides
     defenses = {n: defense_config(n, **overrides.get(n, {})) for n in [*used, *overrides]}
-    # The patch side must fit the synthetic frames at the largest pose scale.
+    # The patch side and the blocks of the defenses run must fit the
+    # synthetic frames.
     scenes = None
     if cfg.data_dir is None:
         bound = inspect.signature(synth_dataset).bind(
@@ -184,7 +194,7 @@ def plan_experiment(cfg: ExperimentConfig) -> ExperimentPlan:
         )
         scenes = bound.arguments
         check_synth(scenes["count"], scenes["height"], scenes["width"], scenes["seed"])
-        check_fit(cfg.patch_side, (scenes["height"], scenes["width"]))
+        _check_frames(cfg, used, defenses, (scenes["height"], scenes["width"]))
     return ExperimentPlan(estimator, tasks, used, defenses, scenes)
 
 
@@ -193,11 +203,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     estimator, tasks, used, defenses = plan.estimator, plan.tasks, plan.used, plan.defenses
     # A given dataset is loaded, or the synthetic scenes are written under
     # the output directory, before anything else is written.  The patch side
-    # must fit every frame at the largest pose scale.
+    # and the blocks of the defenses run must fit every frame.
     out = Path(cfg.output_dir)
     index = load_dataset(cfg.data_dir if plan.scenes is None else synth_dataset(**plan.scenes))
     for frame in index.frames:
-        check_fit(cfg.patch_side, (frame.frame1.height, frame.frame1.width))
+        _check_frames(cfg, used, defenses, (frame.frame1.height, frame.frame1.width))
     (out / "patches").mkdir(parents=True, exist_ok=True)
     config_hash = cfg.config_hash()
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
@@ -305,7 +315,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "quality_epe,robustness_epe,label",
         [[quality[d], format_metric(s[0]), d] for d, s in scatter if s is not None],
     )
+    # A run with nothing to report leaves no report.txt, not even an
+    # earlier run's.
     if report:
         (out / "report.txt").write_text("\n".join(report) + "\n")
+    else:
+        (out / "report.txt").unlink(missing_ok=True)
     return ExperimentResult(out, hard_failures, report)
 

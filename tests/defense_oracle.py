@@ -17,7 +17,7 @@ from flowpatch.flow import LuminanceStage
 
 
 class MagnitudeMapStage(Stage):
-    """image -> HxW derivative magnitude of the luminance, not normalised."""
+    """HxWx3 image -> HxW derivative magnitude of the luminance, not normalised."""
 
     def __init__(self, order: str):
         self.order = stencils.check_order(order)
@@ -25,15 +25,14 @@ class MagnitudeMapStage(Stage):
         self.luminance = LuminanceStage(1.0)
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
-        ctx["luminance"] = {}
-        (gray,) = self.luminance.forward(ctx["luminance"], inputs)
+        (gray,) = self.luminance.forward(ctx, inputs)
         g, ctx["saved"] = stencils.derivative_magnitude(gray, self.order, "replicate")
         return (g,)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (u,) = cotangents
         ugray = stencils.derivative_magnitude_adjoint(u, self.order, "replicate", ctx["saved"])
-        return self.luminance.backward(ctx["luminance"], (ugray,))
+        return self.luminance.backward(ctx, (ugray,))
 
 
 class NormalizeMapStage(Stage):

@@ -49,7 +49,7 @@ from flowpatch.defense import (
     ilp_config,
     lgs_config,
 )
-from flowpatch.diff import CovMaterializeStage, StageTape, grad_check
+from flowpatch.diff import ALL, CovMaterializeStage, StageTape, grad_check
 from flowpatch.flow import (
     FrameDerivativesStage,
     HornSchunck,
@@ -148,7 +148,7 @@ class TestCriterion1:
 
         reports.append(grad_check(GradientMagnitudeStage("first"), rng.uniform(0.1, 0.9, (8, 8, 3))))
         reports.append(grad_check(GradientMagnitudeStage("second"), rng.uniform(0.1, 0.9, (8, 8, 3))))
-        reports.append(grad_check(AcsLossStage(rng.standard_normal((8, 8, 2))), rng.standard_normal((8, 8, 2))))
+        reports.append(grad_check(AcsLossStage(rng.standard_normal((8, 8, 2)), np.zeros((8, 8))), rng.standard_normal((8, 8, 2))))
         validity = circular_validity(8)
         reports.append(grad_check(PatchPenaltyStage("first", validity), rng.uniform(0, 1, (8, 8, 3))))
         reports.append(grad_check(PatchPenaltyStage("second", validity), rng.uniform(0, 1, (8, 8, 3))))
@@ -243,12 +243,12 @@ class TestCriterion2:
         u = rng.standard_normal((4, 4))
 
         vote = BlockVoteStage(2, 1, 0.2)
-        ctx = {}
+        ctx = {"needed": (ALL,)}
         vote.forward(ctx, (rng.uniform(0, 1, (4, 4)),))
         vote_ok = np.array_equal(vote.backward(ctx, (u,))[0], u)
 
         reeval = IlpReevaluateStage(15.0, 0.5)
-        ctx = {}
+        ctx = {"needed": (ALL,) * 2}
         reeval.forward(ctx, (rng.integers(0, 2, (4, 4)).astype(float), rng.uniform(0, 1, (4, 4))))
         mask_cot, map_cot = reeval.backward(ctx, (u,))
         reeval_ok = np.array_equal(mask_cot, u) and np.all(map_cot == 0)
@@ -260,7 +260,7 @@ class TestCriterion2:
         )
         image = rng.uniform(0, 1, (4, 4, 3))
         uc = rng.standard_normal((4, 4, 3))
-        ctx = {}
+        ctx = {"needed": (ALL,) * 3}
         smooth.forward(ctx, (pre / 2.0, np.ones((4, 4)), image))
         gbar_cot, mask_cot, _ = smooth.backward(ctx, (uc,))
         saturated = (pre < 0) | (pre > 1)
@@ -275,7 +275,7 @@ class TestCriterion2:
         telea = TeleaInpaintStage(2)
         mask = np.zeros((4, 4))
         mask[1:3, 1:3] = 1
-        ctx = {}
+        ctx = {"needed": (ALL,) * 2}
         telea.forward(ctx, (rng.uniform(0, 1, (4, 4, 3)), mask))
         uc = rng.standard_normal((4, 4, 3))
         img_cot, _ = telea.backward(ctx, (uc,))

@@ -158,7 +158,7 @@ class TestPlacement:
             for c in range(side)
             if (r - center) ** 2 + (c - center) ** 2 < (side / 2.0) ** 2
         )
-        assert mask.count() == count
+        assert mask.data.sum() == count
 
     def test_pixels_outside_mask_bit_identical(self):
         rng = np.random.default_rng(2)

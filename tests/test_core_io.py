@@ -74,7 +74,7 @@ class TestPpm:
         p = tmp_path / "z.ppm"
         p.write_bytes(b"P6\n2 2\n255\n" + b"\0" * 12)
         img = read_ppm(p)
-        assert img.height == 2 and img.width == 2 and img.channels == 3
+        assert img.data.shape == (2, 2, 3)
         assert np.all(img.data == 0)
 
     def test_byte_255_maps_to_one(self, tmp_path):
@@ -131,8 +131,8 @@ class TestFlowColor:
 
     def test_antipodal_directions_differ(self):
         m = 2.0
-        right = flow_to_color(FlowField(np.full((1, 1, 2), (m, 0.0))), m)
-        left = flow_to_color(FlowField(np.full((1, 1, 2), (-m, 0.0))), m)
+        right = flow_to_color(FlowField(np.full((1, 1, 2), (m, 0.0))))
+        left = flow_to_color(FlowField(np.full((1, 1, 2), (-m, 0.0))))
         assert not np.allclose(right.data, left.data)
 
     def test_output_in_unit_range(self):
@@ -146,6 +146,11 @@ class TestTypes:
     def test_image_rejects_bad_channels(self):
         with pytest.raises(ValueError):
             Image(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 1)], ids=["HxW", "HxWx1"])
+    def test_image_rejects_grayscale(self, shape):
+        with pytest.raises(ValueError, match="HxWx3"):
+            Image(np.zeros(shape))
 
     def test_image_rejects_nan(self):
         with pytest.raises(ValueError):

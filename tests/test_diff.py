@@ -3,7 +3,7 @@ import pytest
 from defense_oracle import ClipStage
 from hs_oracle import neighbor_average, neighbor_average_adjoint
 
-from flowpatch.diff import CovMaterializeStage, Stage, StageTape, grad_check
+from flowpatch.diff import ALL, CovMaterializeStage, Stage, StageTape, grad_check
 from flowpatch.diff.stencils import (
     diff_x,
     diff_x_adjoint,
@@ -227,6 +227,26 @@ class TestGradCheck:
         report = grad_check(Broken(), np.full((2, 2), 0.3))
         assert not report.passed
 
+    def test_every_forward_is_given_every_pixel(self):
+        seen = []
+
+        class Product(Stage):
+            def forward(self, ctx, inputs):
+                seen.append(ctx["needed"])
+                ctx["inputs"] = inputs
+                return (inputs[0] * inputs[1],)
+
+            def backward(self, ctx, cotangents):
+                a, b = ctx["inputs"]
+                return (cotangents[0] * b, cotangents[0] * a)
+
+        rng = np.random.default_rng(3)
+        report = grad_check(Product(), (rng.standard_normal((2, 2)), rng.standard_normal((2, 2))))
+        assert report.passed, report
+        # The VJP's forward, then two probes per coordinate of each input.
+        assert len(seen) == 1 + 2 * report.n_coords
+        assert all(needed == (ALL, ALL) for needed in seen)
+
 
 class TestLinearJacobian:
     def test_reverse_equals_transpose_on_4x4(self):
@@ -237,7 +257,7 @@ class TestLinearJacobian:
         rng = np.random.default_rng(9)
         for _ in range(5):
             u = rng.standard_normal(shape)
-            ctx = {}
+            ctx = {"needed": (ALL,)}
             stage.forward(ctx, (rng.standard_normal(shape),))
             (vjp,) = stage.backward(ctx, (u,))
             assert np.allclose(vjp.reshape(-1), J.T @ u.reshape(-1), atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from hs_oracle import JacobiIterationStage, oracle_flow_on_tape, oracle_solve_on_tape
 
 from flowpatch.core import Image
-from flowpatch.diff import StageTape, grad_check
+from flowpatch.diff import ALL, StageTape, grad_check
 from flowpatch.flow import (
     FrameDerivativesStage,
     HornSchunck,
@@ -85,15 +85,14 @@ class TestStageGradients:
         rng = np.random.default_rng(1)
         assert grad_check(LuminanceStage(), rng.uniform(0, 1, (5, 5, 3))).passed
 
-    @pytest.mark.parametrize("shape", [(4, 5), (4, 5, 1), (4, 5, 3)])
-    def test_luminance_backward_has_input_shape(self, shape):
+    def test_luminance_backward_has_input_shape(self):
         rng = np.random.default_rng(10)
-        image = rng.uniform(0, 1, shape)
+        image = rng.uniform(0, 1, (4, 5, 3))
         stage = LuminanceStage()
-        ctx = {}
+        ctx = {"needed": (ALL,)}
         stage.forward(ctx, (image,))
         (back,) = stage.backward(ctx, (rng.standard_normal((4, 5)),))
-        assert back.shape == shape
+        assert back.shape == image.shape
         report = grad_check(stage, image)
         assert report.passed, report
 
@@ -220,7 +219,7 @@ class TestSolveMemory:
         ix, iy, it = (rng.uniform(-30, 30, shape) for _ in range(3))
         cot = rng.standard_normal(shape + (2,))
         stage = HornSchunckSolveStage(15.0, iterations)
-        ctx = {}
+        ctx = {"needed": (ALL,) * 3}
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -348,7 +347,7 @@ class TestSolverBackward:
                     point[names[field][i][j]] = values[field][i, j]
 
         stage = JacobiIterationStage(alpha)
-        ctx = {}
+        ctx = {"needed": (ALL,) * 5}
         stage.forward(
             ctx, (values["u"], values["v"], values["ix"], values["iy"], values["it"])
         )

@@ -34,22 +34,21 @@ def write_valid(path, height, width, fill=1):
     write_ppm(mask_to_image(PixelMask(np.full((height, width), fill))), path)
 
 
-# The ways a pair's files can be malformed; each rewrites one file of pair
+# The ways a pair's files can be malformed, each with the word its report
+# line gives it: "unreadable" for a file that does not parse, "rejected" for
+# files that parse but do not make a pair.  Each rewrites one file of pair
 # `frame_id` under `root`, whose frames are 32x48.
 SPOILERS = {
-    "corrupt-valid": lambda root, frame_id: (root / f"{frame_id}_valid.ppm").write_bytes(
-        b"P6\nnot a ppm"
-    ),
-    "frame2-size": lambda root, frame_id: write_ppm(
-        Image(np.full((16, 16, 3), 0.5)), root / f"{frame_id}_2.ppm"
-    ),
-    "flo-size": lambda root, frame_id: write_flo(
-        FlowField(np.zeros((16, 16, 2))), root / f"{frame_id}.flo"
-    ),
-    "valid-size": lambda root, frame_id: write_valid(root / f"{frame_id}_valid.ppm", 16, 16),
-    "valid-empty": lambda root, frame_id: write_valid(
-        root / f"{frame_id}_valid.ppm", 32, 48, fill=0
-    ),
+    "corrupt-valid": ("unreadable", lambda root, frame_id: (
+        root / f"{frame_id}_valid.ppm").write_bytes(b"P6\nnot a ppm")),
+    "frame2-size": ("rejected", lambda root, frame_id: write_ppm(
+        Image(np.full((16, 16, 3), 0.5)), root / f"{frame_id}_2.ppm")),
+    "flo-size": ("rejected", lambda root, frame_id: write_flo(
+        FlowField(np.zeros((16, 16, 2))), root / f"{frame_id}.flo")),
+    "valid-size": ("rejected", lambda root, frame_id: write_valid(
+        root / f"{frame_id}_valid.ppm", 16, 16)),
+    "valid-empty": ("rejected", lambda root, frame_id: write_valid(
+        root / f"{frame_id}_valid.ppm", 32, 48, fill=0)),
 }
 
 
@@ -134,12 +133,14 @@ class TestIngest:
     def test_malformed_pair_skipped_with_one_report_line(self, tmp_path, kind):
         synth_dataset(3, 32, 48, seed=0, out_dir=tmp_path)
         write_valid(tmp_path / "0000_valid.ppm", 32, 48)
-        SPOILERS[kind](tmp_path, "0001")
+        word, spoil = SPOILERS[kind]
+        spoil(tmp_path, "0001")
         index = ingest_dataset(tmp_path)
         assert [f.frame_id for f in index.frames] == ["0000", "0002"]
-        assert index.frames[0].valid.count() == 32 * 48
+        assert index.frames[0].valid.data.all()
         assert len(index.report) == 1
-        assert index.report[0].startswith("0001: ")
+        assert index.report[0].startswith(f"0001: {word} (")
+        assert index.report[0].endswith("), pair skipped")
 
     def test_each_file_parsed_once(self, tmp_path, monkeypatch):
         synth_dataset(2, 32, 48, seed=0, out_dir=tmp_path)
@@ -179,7 +180,7 @@ class TestCli:
     def test_commands_run_on_the_pairs_left(self, tmp_path, capsys, command):
         data = tmp_path / "data"
         synth_dataset(len(SPOILERS) + 1, 32, 48, seed=0, out_dir=data)
-        for i, spoil in enumerate(SPOILERS.values()):
+        for i, (_, spoil) in enumerate(SPOILERS.values()):
             spoil(data, f"{i:04d}")
         out = tmp_path / "out"
         argv = {
@@ -189,7 +190,9 @@ class TestCli:
         }[command]
         assert main(argv) == 0
         skipped = capsys.readouterr().err.splitlines()
-        assert [line[:6] for line in skipped] == [f"{i:04d}: " for i in range(len(SPOILERS))]
+        assert [line.split(" (")[0] for line in skipped] == [
+            f"{i:04d}: {word}" for i, (word, _) in enumerate(SPOILERS.values())
+        ]
         left = f"{len(SPOILERS):04d}"
         if command == "defend":
             assert {p.name[:4] for p in out.iterdir()} == {left}
@@ -362,6 +365,16 @@ class TestCli:
              "alpha_penalty must be finite, got nan"),
             (["experiment", "--config", "{inputs}/nan-penalty.json"],
              "alpha_penalty must be finite, got nan"),
+            (["defend", "--in", "{data}", "--defense", "lgs", "--k", "40", "--o", "8"],
+             "defense block 40 cannot fit a 32x48 frame"),
+            (["evaluate", "--data", "{data}", "--defense", "lgs", "--k", "40", "--o", "8"],
+             "defense block 40 cannot fit a 32x48 frame"),
+            (["attack-train", "--data", "{data}", "--awareness", "ilp", "--k", "40", "--o", "8"],
+             "defense block 40 cannot fit a 32x48 frame"),
+            (["experiment", "--config", "{inputs}/large-block.json"],
+             "defense block 40 cannot fit a 32x48 frame"),
+            (["experiment", "--config", "{inputs}/data-large-block.json"],
+             "defense block 40 cannot fit a 32x48 frame"),
         ],
         ids=[
             "missing-patch", "side-too-large", "negative-side", "text-npy", "4x4-npy", "4x6-ppm",
@@ -370,7 +383,9 @@ class TestCli:
             "experiment-zero-steps", "experiment-zero-workers", "experiment-no-defenses",
             "experiment-config-zero-workers", "experiment-small-scenes", "synth-negative-seed",
             "synth-zero-count", "nan-alpha", "inf-alpha", "nan-b-lgs", "inf-s-ilp",
-            "nan-alpha-penalty", "experiment-nan-alpha-penalty",
+            "nan-alpha-penalty", "experiment-nan-alpha-penalty", "defend-large-block",
+            "evaluate-large-block", "attack-train-large-block", "experiment-large-block",
+            "experiment-data-large-block",
         ],
     )
     def test_input_error_exits_2_with_a_message(self, tmp_path, capsys, argv, message):
@@ -387,6 +402,11 @@ class TestCli:
         (inputs / "small-scenes.json").write_text('{"synthetic": {"count": 1, "height": 16, '
                                                    '"width": 48, "seed": 2}}')
         (inputs / "nan-penalty.json").write_text('{"alpha_penalty": NaN}')
+        large_block = {"defense_overrides": {"lgs": {"block": 40}}}
+        (inputs / "large-block.json").write_text(json.dumps(
+            {"synthetic": {"count": 1, "height": 32, "width": 48, "seed": 2}, **large_block}))
+        (inputs / "data-large-block.json").write_text(json.dumps(
+            {"data_dir": str(data), **large_block}))
         given = sorted(tmp_path.rglob("*"))
         out = tmp_path / "out.ppm"
         with pytest.raises(SystemExit) as exit_info:
@@ -514,6 +534,10 @@ class TestExperiment:
             ({"defense_overrides": {"ilp": {"s_ilp": float("nan")}}}, ValueError, "s_ilp.*nan"),
             ({"alpha_penalty": float("nan")}, ValueError, "alpha_penalty must be finite, got nan"),
             ({"alpha_penalty": float("-inf")}, ValueError, "alpha_penalty.*-inf"),
+            ({"defense_overrides": {"lgs": {"block": 40}}}, PlacementError,
+             "defense block 40 cannot fit a 32x48 frame"),
+            ({"data_dir": "{data}", "defense_overrides": {"lgs": {"block": 40}}}, PlacementError,
+             "defense block 40 cannot fit a 32x48 frame"),
         ],
         ids=[
             "defense",
@@ -555,9 +579,14 @@ class TestExperiment:
             "s-ilp-nan",
             "alpha-penalty-nan",
             "alpha-penalty-inf",
+            "block-40",
+            "data-block-40",
         ],
     )
     def test_unknown_names_rejected_before_writing(self, tmp_path, overrides, error, name):
+        if overrides.get("data_dir") == "{data}":
+            data = synth_dataset(out_dir=tmp_path / "data", **SYNTHETIC)
+            overrides = {**overrides, "data_dir": str(data)}
         cfg = tiny_config(tmp_path / "run", **overrides)
         with pytest.raises(error, match=name):
             run_experiment(cfg)
@@ -569,7 +598,7 @@ class TestExperiment:
         data.mkdir()
         if spoil:
             synth_dataset(len(SPOILERS), 32, 48, seed=0, out_dir=data)
-            for i, spoil_pair in enumerate(SPOILERS.values()):
+            for i, (_, spoil_pair) in enumerate(SPOILERS.values()):
                 spoil_pair(data, f"{i:04d}")
         cfg = tiny_config(tmp_path / "run", data_dir=str(data))
         with pytest.raises(NoFramesError, match="no frame pairs found"):
@@ -582,6 +611,17 @@ class TestExperiment:
         with pytest.raises(PlacementError, match="patch side 30 cannot fit a 32x48"):
             run_experiment(cfg)
         assert not (tmp_path / "run").exists()
+
+    def test_clean_rerun_leaves_no_stale_report(self, tmp_path):
+        data = synth_dataset(out_dir=tmp_path / "data", **{**SYNTHETIC, "count": 2})
+        SPOILERS["valid-empty"][1](data, "0001")
+        cfg = tiny_config(tmp_path / "run", data_dir=str(data))
+        skipped = "0001: rejected (validity mask excludes every pixel), pair skipped"
+        assert run_experiment(cfg).report == [skipped]
+        assert (tmp_path / "run" / "report.txt").read_text() == skipped + "\n"
+        (data / "0001_valid.ppm").unlink()
+        assert run_experiment(cfg).report == []
+        assert not (tmp_path / "run" / "report.txt").exists()
 
     def test_data_dir_run_makes_output_dir(self, tmp_path):
         data = synth_dataset(out_dir=tmp_path / "data", **SYNTHETIC)

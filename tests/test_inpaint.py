@@ -4,6 +4,7 @@ from telea_oracle import _FAR, _eikonal, telea_oracle
 
 from flowpatch.defense import TeleaInpaintStage, defend, ilp_config, telea_inpaint_array
 from flowpatch.defense.inpaint import _INSIDE, _KNOWN, _PAD, _march
+from flowpatch.diff import ALL
 from flowpatch.harness import ingest_dataset, synth_dataset
 
 
@@ -124,7 +125,7 @@ class TestTelea:
         img = rng.uniform(0, 1, (4, 4, 3))
         mask = np.zeros((4, 4))
         mask[1:3, 1:3] = 1
-        ctx = {}
+        ctx = {"needed": (ALL,) * 2}
         stage.forward(ctx, (img, mask))
         u = rng.standard_normal((4, 4, 3))
         img_cot, mask_cot = stage.backward(ctx, (u,))

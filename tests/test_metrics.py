@@ -123,12 +123,11 @@ class TestEvalFrame:
     @pytest.mark.parametrize(
         "frame2, ground_truth, valid, name",
         [
-            ((8, 12, 1), None, None, "frame2"),
             ((8, 10, 3), None, None, "frame2"),
             ((8, 12, 3), (8, 10), None, "ground truth"),
             ((8, 12, 3), None, (12, 8), "validity mask"),
         ],
-        ids=["frame2-channels", "frame2-size", "ground-truth", "valid"],
+        ids=["frame2-size", "ground-truth", "valid"],
     )
     def test_mismatched_shapes_rejected(self, frame2, ground_truth, valid, name):
         frame1 = Image(np.zeros((8, 12, 3)))
@@ -220,7 +219,7 @@ class TestRecords:
             defended = [defend(a, defense) for a in (attacked1, attacked2)]
             for mask, (_, want) in zip(record.masks, defended, strict=True):
                 assert np.array_equal(mask.data, want.data)
-                flagged += want.count()
+                flagged += want.data.sum()
             flow = self.ESTIMATOR.estimate(defended[0][0], defended[1][0])
             assert record.robustness == epe_excl(reference.flow, flow, footprint)
         assert flagged > 0

@@ -165,7 +165,7 @@ class TestStageRules:
         active = region(slice(2, 9), slice(2, 9))
         (out,) = check_rule(TeleaInpaintStage(3), [image, mask], [active, ALL])
         assert np.array_equal(out, active & (mask == 0))
-        ctx = {}
+        ctx = {"needed": (ALL,) * 2}
         TeleaInpaintStage(3).forward(ctx, (image, mask))
         assert TeleaInpaintStage(3).support(ctx, (None, ALL)) is None
         assert TeleaInpaintStage(3).support(ctx, (mask == 1, ALL)) is None

@@ -10,9 +10,10 @@ older commit.  The flags and the entry file are those of `bench_common.py`.
 
 For each size the inputs are the frame derivatives of the first pair of
 `synth_dataset(1, h, w, seed=7, ...)`, the scene the benchmark's workloads
-use, solved with 200 iterations.  Forward, backward and forward-only
-(`solve_s`: no input in `ctx["needed"]`, so nothing is kept for a backward)
-times are the best of `--repeats` calls; the tape memory is what the
+use, solved with 200 iterations.  Every forward is given `ctx["needed"]`.
+The forward and backward times give it `ALL` for each input, the
+forward-only time (`solve_s`) no input, so nothing is kept for a backward.
+Times are the best of `--repeats` calls; the tape memory is what the
 forward's context holds (tracemalloc, output flow included) and the
 backward's the peak above that.  The `band_` columns time the forward and
 measure its tape with `ctx["needed"]` set before the forward to a band of
@@ -104,9 +105,9 @@ def train_step(h: int, w: int, repeats: int) -> tuple[float, float]:
     return seconds, peak
 
 
-def tape_bytes(stage, inputs, cot, needed=None) -> tuple[int, int]:
+def tape_bytes(stage, inputs, cot, needed) -> tuple[int, int]:
     """What one forward's context holds, and the backward's peak above it."""
-    ctx = {} if needed is None else {"needed": needed}
+    ctx = {"needed": needed}
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -122,14 +123,16 @@ def tape_bytes(stage, inputs, cot, needed=None) -> tuple[int, int]:
 
 
 def bench_size(h: int, w: int, repeats: int) -> dict:
+    from flowpatch.diff import ALL
     from flowpatch.flow import HornSchunckSolveStage
 
     inputs = derivatives(h, w)
     cot = np.random.default_rng(SCENE_SEED).standard_normal((h, w, 2))
     stage = HornSchunckSolveStage(ALPHA, ITERATIONS)
+    every_pixel = (ALL,) * 3
     forward_s = backward_s = float("inf")
     for _ in range(repeats):
-        ctx = {}
+        ctx = {"needed": every_pixel}
         start = time.perf_counter()
         stage.forward(ctx, inputs)
         middle = time.perf_counter()
@@ -142,7 +145,7 @@ def bench_size(h: int, w: int, repeats: int) -> dict:
     needed = (band, band, band)
     band_forward_s = best_of(lambda: stage.forward({"needed": needed}, inputs), repeats)
     solve_s = best_of(lambda: stage.forward({"needed": (None,) * 3}, inputs), repeats)
-    held, backward_peak = tape_bytes(stage, inputs, cot)
+    held, backward_peak = tape_bytes(stage, inputs, cot, every_pixel)
     band_held, _ = tape_bytes(stage, inputs, cot, needed)
     step_s, step_peak = train_step(h, w, repeats)
     return {
