@@ -103,14 +103,30 @@ class FrameDerivativesStage(Stage):
 # past a page, so without this every vector store would straddle two lines.
 CACHE_LINE = 64
 
+# The sweeps' scalar operands as numpy scalars: a ufunc call took longer with
+# a Python float operand in a standalone probe, with the same bits.
+QUARTER, ZERO = np.float64(0.25), np.float64(0.0)
 
-def aligned_array(shape: tuple[int, ...], fill: float | None = None) -> np.ndarray:
-    """A C-contiguous float64 array of `shape` whose data starts on a
-    `CACHE_LINE` boundary, set to `fill` unless it is None."""
-    size = math.prod(shape)
-    buffer = np.empty(size + CACHE_LINE // 8)
-    start = -buffer.__array_interface__["data"][0] % CACHE_LINE // 8
-    out = buffer[start:start + size].reshape(shape)
+
+def aligned_array(
+    shape: tuple[int, ...], fill: float | None = None, lead: int | None = None
+) -> np.ndarray:
+    """A float64 array of `shape`, set to `fill` unless it is None.
+
+    With `lead` None it is C-contiguous and starts on a `CACHE_LINE`
+    boundary.  Otherwise each row, a run of the last axis, starts a whole
+    number of cache lines after the one before, so that element `lead` of
+    every row starts on a line: the rows are contiguous and the array is a
+    view of a buffer whose row pitch is the last axis rounded up to a whole
+    number of lines.  Splitting the last axis of such a view still gives a
+    view."""
+    line = CACHE_LINE // 8
+    *outer, length = shape
+    rows = math.prod(outer)
+    pitch = length if lead is None else -(-length // line) * line
+    buffer = np.empty(rows * pitch + line)
+    start = -(buffer.__array_interface__["data"][0] // 8 + (lead or 0)) % line
+    out = buffer[start:start + rows * pitch].reshape(rows, pitch)[:, :length].reshape(shape)
     if fill is not None:
         out.fill(fill)
     return out
@@ -136,9 +152,19 @@ class HornSchunckSolveStage(Stage):
     +1: every neighbour read is one contiguous pass.  Ix, Iy and It become
     H*P rows with zero border columns, where den = alpha^2.  The border
     columns of a pass hold finite values that no interior pixel reads, and
-    the iteration's four border copies overwrite them.  Every array an
-    iteration writes starts on a 64-byte cache line (`aligned_array`), and
-    an iteration allocates nothing.
+    the iteration's four border copies overwrite them.
+
+    Once an iteration has its averages (ubar, vbar), the old iterate is
+    dead, so the iterate is its own scratch: q goes into u with v as the
+    scratch, then v = vbar - Iy q and u = ubar - Ix q are written in place.
+    A forward sweep then touches eight arrays of H*P values: the stacked
+    state and averages, Ix, Iy, It and den.  Every range of H*P values, or
+    of the band's, that a sweep stores into starts on a 64-byte cache line
+    (`aligned_array`): the interior range [P, P + H*P) of each state row,
+    each averages row, each scratch array and each row of the backward's
+    sums on the band.  The row pitch P is not widened, so only the start of
+    each range is aligned, not each image row in it.  An iteration
+    allocates nothing.
 
     The rows [r0, r1) that bound the pixels of `ctx["needed"]` form the
     band, the flat range [r0 P, r1 P).  Iteration k keeps its stacked
@@ -146,12 +172,18 @@ class HornSchunckSolveStage(Stage):
     block, 16 B per padded band pixel per iteration, allocated once per
     forward; a band of every row is written in place, and an empty band
     allocates none.  The exact backward runs the adjoint updates in reverse,
-    recomputing q_k on the band from those averages.  Its neighbour-average adjoint gathers from a padded
-    cotangent whose border rows and columns are zero, in the order in which
-    a scatter into a zero pad adds, then folds the border back.  It sums
-    the Ix/Iy/It cotangents from the last iteration to the first, as a tape
-    of one record per iteration would, so both give bit-identical
-    gradients, and returns the interior columns of the three sums.
+    recomputing q_k on the band from those averages.  Its neighbour-average
+    adjoint gathers from a padded cotangent whose border rows and columns
+    are zero, in the order in which a scatter into a zero pad adds, then
+    folds the border back.  The interior of that padded cotangent is dead
+    until the gather's input is written, so it is the scratch for Iy gv,
+    and s = Ix gu + Iy gv becomes r = s / den in place once the band has
+    read s.  Outside the band a backward sweep then touches eight such
+    arrays too: Ix, Iy, den, s and the stacked adjoint state and its pad.
+    The backward sums the Ix/Iy/It cotangents from the last iteration to
+    the first, as a tape of one record per iteration would, so both give
+    bit-identical gradients, and returns the interior columns of the three
+    sums.
 
     The adjoint state (gu, gv) needs every pixel, but the residual q, the
     den cotangent and the three sums feed only the returned cotangents, so
@@ -188,13 +220,12 @@ class HornSchunckSolveStage(Stage):
         p = w + 2
         n = h * p
         den = self._denominator(ix, iy)
-        state = aligned_array((2, n + 2 * p), 0.0)
+        state = aligned_array((2, n + 2 * p), 0.0, lead=p)
         grid = state.reshape(2, h + 2, p)
         u, v = state[:, p:p + n]
         up, down = state[:, :n], state[:, 2 * p:]
         left, right = state[:, p - 1:p - 1 + n], state[:, p + 1:p + 1 + n]
-        bar = aligned_array((2, n))
-        q, t = aligned_array((n,)), aligned_array((n,))
+        bar = aligned_array((2, n), lead=0)
         in_place = averages is not None and averages.shape[-1] == n
         for k in range(self.iterations):
             grid[:, 0, 1:-1] = grid[:, 1, 1:-1]
@@ -206,15 +237,15 @@ class HornSchunckSolveStage(Stage):
             np.add(down, up, out=bar)
             bar += right
             bar += left
-            bar *= 0.25
+            bar *= QUARTER
             if averages is not None and not in_place:
                 averages[k] = bar[:, band]
             ubar, vbar = bar
-            _residual(q, t, ix, iy, it, den, ubar, vbar)
-            np.multiply(ix, q, out=t)
-            np.subtract(ubar, t, out=u)
-            np.multiply(iy, q, out=t)
-            np.subtract(vbar, t, out=v)
+            _residual(u, v, ix, iy, it, den, ubar, vbar)
+            np.multiply(iy, u, out=v)
+            np.subtract(vbar, v, out=v)
+            np.multiply(ix, u, out=u)
+            np.subtract(ubar, u, out=u)
         return np.stack(tuple(grid[:, 1:-1, 1:-1]), axis=-1)
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
@@ -223,7 +254,9 @@ class HornSchunckSolveStage(Stage):
         r0, r1 = support_rows(support_union(*ctx["needed"]), h)
         band = slice(r0 * (w + 2), r1 * (w + 2))
         rows = self._rows(ix, iy, it)
-        averages = aligned_array((self.iterations, 2, band.stop - band.start)) if r1 > r0 else None
+        averages = None
+        if r1 > r0:
+            averages = aligned_array((self.iterations, 2, band.stop - band.start), lead=0)
         flow = self._run(ix.shape, *rows, averages, band)
         ctx.update(shape=ix.shape, rows=rows, averages=averages, band=band)
         return (flow,)
@@ -239,35 +272,35 @@ class HornSchunckSolveStage(Stage):
         den = self._denominator(ix, iy)
         bix, biy, bit, bden = ix[band], iy[band], it[band], den[band]
         ix2, iy2 = 2.0 * bix, 2.0 * biy
-        grad = aligned_array((2, n), 0.0)
+        grad = aligned_array((2, n), 0.0, lead=0)
         grad_grid = grad.reshape(2, h, p)
         grad_grid[:, :, 1:-1] = np.moveaxis(g, -1, 0)
         gu, gv = grad
-        padded = aligned_array((2, n + 2 * p), 0.0)
+        padded = aligned_array((2, n + 2 * p), 0.0, lead=p)
         inner = padded[:, p:p + n]
         inner_grid = inner.reshape(2, h, p)
         up, down = padded[:, :n], padded[:, 2 * p:]
         left, right = padded[:, p - 1:p - 1 + n], padded[:, p + 1:p + 1 + n]
         # -0 is the exact additive identity: the first iteration's terms
         # enter the sums unchanged, zero signs included.
-        sums = aligned_array((3, n), -0.0)
+        sums = aligned_array((3, n), -0.0, lead=band.start)
         totals = sums[:, band]
-        s, r, t = (aligned_array((n,)) for _ in range(3))
-        q, g_den, term = (aligned_array((band.stop - band.start,)) for _ in range(3))
-        # The band's scratch is the band of `t`, which is idle during its work.
-        bt, bgrad = t[band], (gu[band], gv[band])
+        s = aligned_array((n,))
+        q, g_den, term, bt = (aligned_array((band.stop - band.start,)) for _ in range(4))
+        bgrad = (gu[band], gv[band])
         for bar in reversed(ctx["averages"]):
             # With s = Ix gu + Iy gv, the chain rule's g_q = -s,
             # g_num = g_q / den = -r and g_den = -q g_q / den = q s / den.
             # Negation is exact, so every term below is its term bit for bit.
+            # r = s / den replaces s in place once g_den has read s.
             np.multiply(ix, gu, out=s)
-            np.multiply(iy, gv, out=t)
-            s += t
-            np.divide(s, den, out=r)
-            br = r[band]
+            np.multiply(iy, gv, out=inner[0])
+            s += inner[0]
             _residual(q, bt, bix, biy, bit, bden, *bar)
             np.multiply(q, s[band], out=g_den)
             g_den /= bden
+            s /= den
+            br = s[band]
             # g_Ix = -q gu + (ubar g_num + 2 Ix g_den), and g_Iy likewise.
             for total, cot, avg, i2 in zip(totals, bgrad, bar, (ix2, iy2)):
                 np.multiply(i2, g_den, out=term)
@@ -281,12 +314,12 @@ class HornSchunckSolveStage(Stage):
             # border columns zeroed, gathered from the zero-bordered pad in
             # the order ((up + down) + left) + right in which the zero-pad
             # scatter adds, then the border folds.
-            np.multiply(ix, r, out=t)
-            np.subtract(gu, t, out=inner[0])
-            np.multiply(iy, r, out=t)
-            np.subtract(gv, t, out=inner[1])
-            inner_grid[:, :, 0] = 0.0
-            inner_grid[:, :, -1] = 0.0
+            np.multiply(ix, s, out=inner[0])
+            np.subtract(gu, inner[0], out=inner[0])
+            np.multiply(iy, s, out=inner[1])
+            np.subtract(gv, inner[1], out=inner[1])
+            inner_grid[:, :, 0] = ZERO
+            inner_grid[:, :, -1] = ZERO
             np.add(up, down, out=grad)
             grad += left
             grad += right
@@ -298,8 +331,8 @@ class HornSchunckSolveStage(Stage):
             grad_grid[:, :, -2] += inner_grid[:, :, -2]
             # The scatter starts each pixel at +0, so where all its terms are
             # -0 it holds +0; adding +0 gives the gather the same zero sign.
-            grad += 0.0
-            grad *= 0.25
+            grad += ZERO
+            grad *= QUARTER
         return tuple(sums.reshape(3, h, p)[:, :, 1:-1])
 
 

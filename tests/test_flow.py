@@ -144,8 +144,9 @@ class TestFusedSolveMatchesOracle:
         return results
 
     # H*(W+2), the length of a flat padded row block, is a multiple of 8
-    # for (16, 16), (8, 6) and (4, 14), so all of its rows start on a cache
-    # line, and it is not for the others.
+    # for (16, 16), (8, 6) and (4, 14), so the stacked rows of the state
+    # and the averages are contiguous, and it is not for the others, whose
+    # rows are padded to a whole number of cache lines.
     @pytest.mark.parametrize(
         "shape", [(16, 16), (13, 21), (1, 7), (7, 1), (1, 1), (2, 3), (8, 6), (4, 14)]
     )
@@ -209,6 +210,40 @@ class TestAlignedArray:
         a = aligned_array((3, 17), -0.0)
         assert (a == 0).all() and np.signbit(a).all()
 
+    @pytest.mark.parametrize("lead", [0, 8, 16, 130, 258])
+    def test_lead_element_of_every_row_starts_on_a_cache_line(self, lead):
+        shape = (3, 2, 301)
+        for fill in (None, 0.0):
+            a = aligned_array(shape, fill, lead=lead)
+            assert a.shape == shape and a.dtype == np.float64
+            assert a.strides[-2] % CACHE_LINE == 0
+            for row in np.ndindex(shape[:-1]):
+                assert a[row][lead:].__array_interface__["data"][0] % CACHE_LINE == 0
+            if fill is not None:
+                assert same_bits(a, np.zeros(shape))
+
+    def test_negative_zero_fill_with_a_lead_keeps_its_sign(self):
+        a = aligned_array((3, 17), -0.0, lead=5)
+        assert (a == 0).all() and np.signbit(a).all()
+
+    def test_writing_one_row_leaves_the_others(self):
+        a = aligned_array((3, 13), 0.0, lead=5)
+        a[1] = np.arange(13.0)
+        assert same_bits(a[0], np.zeros(13)) and same_bits(a[2], np.zeros(13))
+        assert same_bits(a[1], np.arange(13.0))
+
+    def test_grid_reshape_shares_memory_with_its_buffer(self):
+        # The solve's u/v state: a write through the padded grid must reach
+        # the flat rows, not a copy.
+        h, w = 5, 7
+        p = w + 2
+        state = aligned_array((2, (h + 2) * p), 0.0, lead=p)
+        assert not state.flags.c_contiguous
+        grid = state.reshape(2, h + 2, p)
+        assert np.shares_memory(grid, state)
+        grid[1, 3, 4] = 1.0
+        assert state[1, 3 * p + 4] == 1.0 and np.count_nonzero(state) == 1
+
 
 class TestSolveMemory:
     """What the fused stage holds: 16 B/px per iteration, nothing more."""
@@ -235,6 +270,34 @@ class TestSolveMemory:
         mib = 2**20
         assert held <= iterations * 16 * ix.size + mib, held / mib
         assert extra <= 2 * mib, extra / mib
+
+    @pytest.mark.parametrize("shape", [(64, 128), (128, 256)])
+    def test_sweep_working_set(self, shape):
+        # In arrays of H*(W+2) float64: a forward-only solve holds the three
+        # input rows, den, the stacked state and averages and the output
+        # flow, about 10; a backward on every row den, the stacked adjoint
+        # state and its padded copy, the three sums, s, 2 Ix, 2 Iy and four
+        # scratch arrays, about 15.
+        rng = np.random.default_rng(13)
+        inputs = tuple(rng.uniform(-30, 30, shape) for _ in range(3))
+        cot = rng.standard_normal(shape + (2,))
+        stage = HornSchunckSolveStage(15.0, 3)
+        ctx = {"needed": (ALL,) * 3}
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stage.forward({"needed": (None,) * 3}, inputs)
+            forward_peak = tracemalloc.get_traced_memory()[1] - start
+            stage.forward(ctx, inputs)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            stage.backward(ctx, (cot,))
+            backward_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        unit = shape[0] * (shape[1] + 2) * 8
+        assert forward_peak <= 10.5 * unit, forward_peak / unit
+        assert backward_peak <= 15.5 * unit, backward_peak / unit
 
 
 class TestSolverBackward:

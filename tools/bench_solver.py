@@ -24,9 +24,12 @@ calls (patch side 24, I-FGSM, `clip`) on the same pair with its reference
 flow given, so it times placement, the solve on a tape, the loss and the
 backward that training runs, through APIs every version of the tree has;
 `train_step_peak_mb` is the tracemalloc peak of one such call.  Before
-timing anything the script checks that the stage's flow and
-both frame gradients equal the per-iteration chain of `tests/hs_oracle.py`
-bit for bit, and exits non-zero if they do not.
+timing anything the script checks three paths against the per-iteration
+chain of `tests/hs_oracle.py` bit for bit, and exits non-zero if one
+differs: the flow and both frame gradients on a tape of two source frames,
+the flow of the forward-only `estimate`, and the flow and patch gradient on
+a tape whose frames are constants and whose only source is a placed patch,
+so that the solve's backward runs on the patch's band of rows.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ BAND_ROWS = 28
 
 def check_oracle() -> None:
     """Exit unless the fused stage reproduces the oracle chain bit for bit."""
+    from flowpatch.attack.patch import PatchPose
+    from flowpatch.attack.placement import PlacePatchStage, placement_geometry
+    from flowpatch.core import Image
     from flowpatch.diff import StageTape
     from flowpatch.flow import HornSchunck, HornSchunckConfig
     from hs_oracle import oracle_flow_on_tape
@@ -56,20 +62,50 @@ def check_oracle() -> None:
     rng = np.random.default_rng(10)
     frames = [rng.uniform(0, 1, (13, 21, 3)) for _ in range(2)]
     cot = rng.standard_normal((13, 21, 2))
+    # A side-6 patch in the middle of a 24x32 pair covers rows 9 to 14;
+    # widened by one row each way for Iy, its band leaves 16 of the 24 rows
+    # out of the backward's sums.
+    side, shape = 6, (24, 32)
+    scene_frames = [rng.uniform(0, 1, shape + (3,)) for _ in range(2)]
+    scene_cot = rng.standard_normal(shape + (2,))
+    patch = rng.uniform(0, 1, (side, side, 3))
+    geometry = placement_geometry(PatchPose((11.5, 15.5), 0.0, 1.0), side, shape)
     est = HornSchunck(HornSchunckConfig(alpha=ALPHA, iterations=ITERATIONS))
-    results = []
-    for forward in (
-        est.forward_on_tape,
-        lambda tape, a, b: oracle_flow_on_tape(tape, a, b, ALPHA, ITERATIONS),
-    ):
+
+    def sources(forward):
         tape = StageTape()
         v1, v2 = tape.source(frames[0]), tape.source(frames[1])
         flow = forward(tape, v1, v2)
         tape.backward(flow, cot)
-        results.append([flow.array, tape.grad(v1), tape.grad(v2)])
-    for name, got, want in zip(("flow", "frame-1 gradient", "frame-2 gradient"), *results):
-        if got.tobytes() != want.tobytes():
-            raise SystemExit(f"13x21: the solve stage's {name} differs from tests/hs_oracle.py")
+        return [flow.array, tape.grad(v1), tape.grad(v2)]
+
+    def placed(forward):
+        tape = StageTape()
+        values = tape.source(patch)
+        a, b = tape.apply(
+            PlacePatchStage(geometry, side),
+            tape.constant(scene_frames[0]), tape.constant(scene_frames[1]), values,
+        )
+        flow = forward(tape, a, b)
+        tape.backward(flow, scene_cot)
+        return [flow.array, tape.grad(values)]
+
+    def oracle(tape, a, b):
+        return oracle_flow_on_tape(tape, a, b, ALPHA, ITERATIONS)
+
+    want = sources(oracle)
+    checks = (
+        ("13x21 sources", ("flow", "frame-1 gradient", "frame-2 gradient"),
+         sources(est.forward_on_tape), want),
+        ("13x21 estimate", ("flow",),
+         [est.estimate(Image(frames[0]), Image(frames[1])).data], want),
+        ("24x32 placed patch", ("flow", "patch gradient"),
+         placed(est.forward_on_tape), placed(oracle)),
+    )
+    for label, names, got, expected in checks:
+        for name, a, b in zip(names, got, expected):
+            if a.tobytes() != b.tobytes():
+                raise SystemExit(f"{label}: the solve stage's {name} differs from tests/hs_oracle.py")
 
 
 def derivatives(h: int, w: int):
