@@ -23,7 +23,7 @@ from ..core.raster import FlowField, Image
 from ..defense.pipeline import DERIVATIVE_ORDER, DefenseConfig, defend_on_tape, defended_flow
 from ..diff.elementwise import AddWeightedStage, CovMaterializeStage
 from ..diff.stage import StageTape
-from ..errors import DivergenceError, FormatError
+from ..errors import DivergenceError, FormatError, check_int
 from ..flow.horn_schunck import FlowEstimator
 from .losses import AWARENESS_DEFENSE, AcsLossStage, PatchPenaltyStage, VANILLA
 from .patch import CLIP, COV, Patch, random_patch
@@ -54,10 +54,12 @@ class AttackConfig:
             raise ValueError(f"unknown box constraint {self.box!r}")
         if not 0 <= self.learning_rate < float("inf"):  # NaN too
             raise ValueError(f"learning rate must be >= 0 and finite, got {self.learning_rate!r}")
+        check_int("steps", self.steps)
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not np.isfinite(self.alpha_penalty):
             raise ValueError(f"alpha_penalty must be finite, got {self.alpha_penalty!r}")
+        check_int("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 

@@ -5,10 +5,12 @@ Subcommands: synth, flow, defend, attack-train, evaluate, experiment.
 builds its configs from its flags (and `--config`) before it reads data.
 One rule: an attack, defense or estimator flag value that its config
 rejects, a defense flag that the chosen defense does not read, a `synth`
-argument or experiment config that would be rejected, an unreadable or
-malformed `--patch` or `--config` file and a patch side or defense block
-that cannot fit the frames exit 2 with a message, nothing written.  No
-loadable frame pair, or a hard-failed grid cell, exits 1.
+argument or experiment config that would be rejected (an integer field
+that holds a float or a bool included), an unreadable or malformed
+`--patch` or `--config` file and a patch side or defense block that cannot
+fit the frames exit 2 with a message, nothing written.  No loadable frame
+pair, an `attack-train` run that diverges (the message names the step; no
+patch is written) or a hard-failed grid cell exits 1.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core.ppm import mask_to_image, write_ppm
 from .defense.pipeline import (
     DEFENSES, NO_DEFENSE, UnreadFieldError, check_block, defend, defense_config
 )
-from .errors import FormatError, NoFramesError, PlacementError
+from .errors import DivergenceError, FormatError, NoFramesError, PlacementError
 from .flow.horn_schunck import HornSchunck, HornSchunckConfig
 from .harness.dataset import check_synth, load_dataset, synth_dataset
 from .harness.experiment import ExperimentConfig, plan_experiment, run_experiment
@@ -280,7 +282,7 @@ def main(argv=None) -> int:
         return args.func(args, **configs)
     except (OSError, FormatError, PlacementError) as exc:
         parser.error(str(exc))
-    except NoFramesError as exc:
+    except (NoFramesError, DivergenceError) as exc:
         print(exc, file=sys.stderr)
         return 1
 

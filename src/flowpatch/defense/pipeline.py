@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..core.raster import FlowField, Image, PixelMask
 from ..diff.stage import StageTape, TapeValue
-from ..errors import PlacementError
+from ..errors import PlacementError, check_int
 from ..flow.horn_schunck import FlowEstimator
 from .inpaint import TeleaInpaintStage
 from .maps import GradientMagnitudeStage
@@ -53,6 +53,8 @@ class DefenseConfig:
     def __post_init__(self):
         if self.kind not in (LGS, ILP):
             raise ValueError(f"unknown defense kind {self.kind!r}")
+        for name in ("block", "overlap", "r_telea"):
+            check_int(name, getattr(self, name))
         if not 0 < self.overlap < self.block:
             raise ValueError("block overlap must satisfy 0 < O < K")
         if not 0.0 <= self.threshold <= 1.0:

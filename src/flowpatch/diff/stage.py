@@ -13,18 +13,18 @@ Stages carry `gradient_kind`:
 What is differentiated is decided when a value is recorded, the activity
 analysis of reverse-mode AD (Griewank & Walther, "Evaluating Derivatives",
 SIAM 2008).  `source` registers a differentiated leaf and `constant` one
-that no gradient reaches.  Every value has a *support*: the pixels whose
-cotangent can reach a source.  A support is None (no pixel), `ALL` (every
-pixel) or an HxW boolean array over the value's first two axes.  Every
-forward is given its inputs' supports in `ctx["needed"]`: `apply` hands
-it those of the recorded inputs, a direct stage call none and `grad_check`
-`ALL` for each input.  So a forward may keep only what a backward at those
-pixels reads, and `Stage.support` maps them to those of its outputs by the
-stage's backward, BPDA rules included.  A forward with no active input is
-forward only: its outputs are kept, but nothing for a backward.  A
-backward may leave the cotangent of an input pixel outside
-`ctx["needed"]` unset, and return anything there.  A tape of sources only
-is the full reverse pass.
+that no gradient reaches.  A value carries its array and its *support*:
+the pixels whose cotangent can reach a source.  A support is None (no
+pixel), `ALL` (every pixel) or an HxW boolean array over the value's first
+two axes.  `apply` gives every forward its inputs' supports in
+`ctx["needed"]`; a direct stage call is `apply` on constants, and
+`grad_check` gives `ALL` for each input.  So a forward may keep only what a
+backward at those pixels reads, and `Stage.support` maps them to those of
+its outputs by the stage's backward, BPDA rules included.  A forward with
+no active input is forward only: the tape keeps no record of it, so a tape
+of constants holds nothing.  A backward may leave the cotangent of an input
+pixel outside `ctx["needed"]` unset, and return anything there.  A tape of
+sources only is the full reverse pass.
 
 This is deliberately not a general expression-graph autodiff: stages are the
 only differentiation unit, and all gradient math runs in float64.
@@ -32,7 +32,7 @@ only differentiation unit, and all gradient math runs in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,30 +98,27 @@ class Stage:
         return ALL
 
     def __call__(self, *inputs: np.ndarray):
-        """Run forward only, as on a tape of constants; unwraps single outputs."""
-        arrays = tuple(np.asarray(a, dtype=np.float64) for a in inputs)
-        out = self.forward({"needed": (None,) * len(arrays)}, arrays)
-        return out[0] if len(out) == 1 else out
+        """`StageTape.apply` on constants: forward only; unwraps single outputs."""
+        tape = StageTape()
+        out = tape.apply(self, *map(tape.constant, inputs))
+        return out.array if isinstance(out, TapeValue) else tuple(v.array for v in out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TapeValue:
-    """Handle to one array slot on a tape."""
+    """An array and its support.  Equal only to itself, and tied to no tape:
+    a value of one tape may be an input on another."""
 
-    tape: "StageTape" = field(repr=False)
-    slot: int
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.tape._values[self.slot]
+    array: np.ndarray
+    support: object
 
 
 @dataclass
 class _Record:
     stage: Stage
     ctx: dict
-    input_slots: tuple[int, ...]
-    output_slots: tuple[int, ...]
+    inputs: tuple[TapeValue, ...]
+    outputs: tuple[TapeValue, ...]
 
 
 class StageTape:
@@ -132,58 +129,48 @@ class StageTape:
     """
 
     def __init__(self):
-        self._values: list[np.ndarray] = []
-        self._support: list = []
         self._records: list[_Record] = []
-        self._grads: dict[int, np.ndarray] | None = None
-
-    def _append(self, array: np.ndarray, support) -> TapeValue:
-        self._values.append(np.asarray(array, dtype=np.float64))
-        self._support.append(support)
-        return TapeValue(self, len(self._values) - 1)
+        self._grads: dict[TapeValue, np.ndarray] | None = None
 
     def source(self, array: np.ndarray) -> TapeValue:
         """Register a differentiated leaf input value."""
-        return self._append(array, ALL)
+        return TapeValue(np.asarray(array, dtype=np.float64), ALL)
 
     def constant(self, array: np.ndarray) -> TapeValue:
         """Register a leaf input value that no gradient reaches."""
-        return self._append(array, None)
+        return TapeValue(np.asarray(array, dtype=np.float64), None)
 
     def apply(self, stage: Stage, *inputs: TapeValue):
-        needed = tuple(self._support[v.slot] for v in inputs)
+        needed = tuple(v.support for v in inputs)
         ctx: dict = {"needed": needed}
         outputs = stage.forward(ctx, tuple(v.array for v in inputs))
         active = any(s is not None for s in needed)
         rule = stage.support(ctx, needed) if active else None
         supports = rule if isinstance(rule, tuple) else (rule,) * len(outputs)
-        values = tuple(self._append(out, s) for out, s in zip(outputs, supports))
+        values = tuple(
+            TapeValue(np.asarray(out, dtype=np.float64), s) for out, s in zip(outputs, supports)
+        )
         if active:
-            self._records.append(
-                _Record(stage, ctx, tuple(v.slot for v in inputs), tuple(v.slot for v in values))
-            )
+            self._records.append(_Record(stage, ctx, inputs, values))
         self._grads = None
         return values[0] if len(values) == 1 else values
 
     def backward(self, value: TapeValue, cotangent: np.ndarray | float = 1.0) -> None:
         """Reverse pass seeded with d(objective)/d(value) = cotangent."""
-        grads: dict[int, np.ndarray] = {}
         seed = np.broadcast_to(np.asarray(cotangent, dtype=np.float64), value.array.shape)
-        grads[value.slot] = np.array(seed)
+        grads = {value: np.array(seed)}
         for rec in reversed(self._records):
-            cots = tuple(
-                grads.get(s, np.zeros_like(self._values[s])) for s in rec.output_slots
-            )
+            cots = tuple(grads.get(v, np.zeros_like(v.array)) for v in rec.outputs)
             if all(np.all(c == 0) for c in cots):
                 continue
             in_cots = rec.stage.backward(rec.ctx, cots)
-            for slot, g, need in zip(rec.input_slots, in_cots, rec.ctx["needed"]):
-                if need is None:
+            for v, g in zip(rec.inputs, in_cots):
+                if v.support is None:
                     continue
-                if slot in grads:
-                    grads[slot] = grads[slot] + g
+                if v in grads:
+                    grads[v] = grads[v] + g
                 else:
-                    grads[slot] = np.asarray(g, dtype=np.float64)
+                    grads[v] = np.asarray(g, dtype=np.float64)
         self._grads = grads
 
     def grad(self, value: TapeValue) -> np.ndarray:
@@ -192,7 +179,7 @@ class StageTape:
         computed in part or not at all."""
         if self._grads is None:
             raise RuntimeError("backward() has not been run on this tape")
-        support = self._support[value.slot]
+        support = value.support
         if support is None or (support is not ALL and not support.all()):
             raise ValueError("the reverse pass does not differentiate every pixel of this value")
-        return self._grads.get(value.slot, np.zeros_like(value.array))
+        return self._grads.get(value, np.zeros_like(value.array))

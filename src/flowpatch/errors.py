@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
+
+import numbers
+
+
+def check_int(name: str, value) -> None:
+    """TypeError, naming `name`, unless `value` is an integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 class FormatError(ValueError):

@@ -28,6 +28,7 @@ from ..diff import stencils
 from ..diff.stage import (
     ALL, Arrays, Stage, StageTape, TapeValue, support_rows, support_union
 )
+from ..errors import check_int
 
 LUMA_SCALE = 255.0
 
@@ -40,6 +41,7 @@ class HornSchunckConfig:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
+        check_int("iterations", self.iterations)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 

@@ -19,7 +19,7 @@ import numpy as np
 from ..core.floio import read_flo, write_flo
 from ..core.ppm import image_to_mask, read_ppm, write_ppm
 from ..core.raster import FlowField, Image
-from ..errors import NoFramesError
+from ..errors import NoFramesError, check_int
 from ..metrics import EvalFrame
 
 _FRAME1_RE = re.compile(r"^(\d+)_1\.ppm$")
@@ -126,7 +126,10 @@ def _render(height, width, base, slope_x, slope_y, blobs, tints, shift_bg, shift
 
 
 def check_synth(count: int, height: int, width: int, seed: int) -> None:
-    """ValueError unless `synth_dataset` accepts these arguments."""
+    """Raise TypeError for an argument that is not an integer and ValueError
+    for one out of range: the arguments `synth_dataset` rejects."""
+    for name, value in (("count", count), ("height", height), ("width", width), ("seed", seed)):
+        check_int(name, value)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if height < 24 or width < 24:

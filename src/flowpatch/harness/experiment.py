@@ -13,11 +13,13 @@ seed_mean.csv's order, so one pass over the groups gives the seed means and
 the headline maxima.  Unknown names, overrides of a field the defense does
 not read, empty or repeated grid axes, cells whose fields coincide, a
 negative or NaN learning rate, a negative seed or `eval_seed`, `steps` or
-`workers` below 1, an invalid synthetic block, a given dataset without a
-loadable pair, a `patch_side` that does not fit the frames at the largest
-pose scale and a defense block larger than a frame side fail before
-anything is written; `plan_experiment` runs every one of these checks
-that needs no data.
+`workers` below 1, an integer field (`steps`, a seed, `eval_seed`,
+`workers`, `patch_side`, the estimator's `iterations`, a defense's `block`,
+`overlap` or `r_telea`, a synthetic argument) that holds a float or a bool,
+an invalid synthetic block, a given dataset without a loadable pair, a
+`patch_side` that does not fit the frames at the largest pose scale and a
+defense block larger than a frame side fail before anything is written;
+`plan_experiment` runs every one of these checks that needs no data.
 Diverged cells are recorded as "div" and the run continues; unexpected
 errors and an unreadable saved patch mark the cell "fail" without touching
 other cells.  Identical configs (seeds included) produce byte-identical CSVs.
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +37,7 @@ from ..attack.losses import AWARENESS_DEFENSE
 from ..attack.optimize import AttackConfig, load_patch, save_patch, train_patch
 from ..attack.placement import check_fit
 from ..defense.pipeline import DEFENSES, DefenseConfig, check_block, defense_config
-from ..errors import DivergenceError
+from ..errors import DivergenceError, check_int
 from ..flow.horn_schunck import HornSchunck, HornSchunckConfig
 from ..metrics import clean_flows, evaluate_pipeline, format_metric, mean_epe, write_csv
 from .dataset import check_synth, load_dataset, synth_dataset
@@ -163,12 +164,15 @@ def plan_experiment(cfg: ExperimentConfig) -> ExperimentPlan:
     ):
         if not values or len(set(values)) != len(values):
             raise ValueError(f"{axis} must be non-empty without repeats, got {values!r}")
+    for name in ("eval_seed", "workers", "patch_side"):
+        check_int(name, getattr(cfg, name))
     if cfg.eval_seed < 0:
         raise ValueError(f"eval_seed must be >= 0, got {cfg.eval_seed!r}")
     if cfg.workers < 1:
         raise ValueError(f"workers must be >= 1, got {cfg.workers!r}")
     # An unknown awareness, optimizer or box, a negative or NaN learning
-    # rate, a negative seed or `steps` below 1 fails in its AttackConfig.
+    # rate, a seed that is not an integer >= 0 or `steps` that is not an
+    # integer >= 1 fails in its AttackConfig.
     tasks = [
         (
             (awareness, *name),
@@ -189,11 +193,8 @@ def plan_experiment(cfg: ExperimentConfig) -> ExperimentPlan:
     # synthetic frames.
     scenes = None
     if cfg.data_dir is None:
-        bound = inspect.signature(synth_dataset).bind(
-            out_dir=Path(cfg.output_dir) / "dataset", **cfg.synthetic
-        )
-        scenes = bound.arguments
-        check_synth(scenes["count"], scenes["height"], scenes["width"], scenes["seed"])
+        check_synth(**cfg.synthetic)
+        scenes = {**cfg.synthetic, "out_dir": Path(cfg.output_dir) / "dataset"}
         _check_frames(cfg, used, defenses, (scenes["height"], scenes["width"]))
     return ExperimentPlan(estimator, tasks, used, defenses, scenes)
 

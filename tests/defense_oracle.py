@@ -1,19 +1,40 @@
-"""Stage-per-operation oracle for `defend_on_tape`.
+"""Oracles for the defences: the block vote by enumeration, and a
+stage-per-operation chain for `defend_on_tape`.
 
 The defences recorded one operation per stage: the raw derivative-magnitude
 map, its min-max normalisation, the block vote, ILP's re-evaluation and
 Telea, or LGS's removal split into the factor b*Gbar*M, the clip to [0, 1]
 and the darkening I*(1 - clip).  The fused map and removal stages must
 reproduce this chain's images, masks and tape gradients bit for bit.
+`brute_force_vote` marks a pixel by visiting every block that covers it.
 """
 
 import numpy as np
 
-from flowpatch.defense import BlockVoteStage, IlpReevaluateStage, TeleaInpaintStage
+from flowpatch.defense import BlockVoteStage, IlpReevaluateStage, TeleaInpaintStage, block_starts
 from flowpatch.defense.pipeline import DERIVATIVE_ORDER, LGS
 from flowpatch.diff import stencils
 from flowpatch.diff.stage import Arrays, Stage
 from flowpatch.flow import LuminanceStage
+
+
+def brute_force_vote(gbar, block, overlap, threshold):
+    """Independent oracle: per pixel, enumerate every covering block position
+    and mark the pixel if any enclosing block has mean strictly above t."""
+    h, w = gbar.shape
+    stride = block - overlap
+    rows = block_starts(h, block, stride)
+    cols = block_starts(w, block, stride)
+    mask = np.zeros((h, w))
+    for i in range(h):
+        for j in range(w):
+            for r in rows:
+                for c in cols:
+                    if not (r <= i < r + block and c <= j < c + block):
+                        continue
+                    if gbar[r : r + block, c : c + block].sum() / (block * block) > threshold:
+                        mask[i, j] = 1.0
+    return mask
 
 
 class MagnitudeMapStage(Stage):

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from defense_oracle import ClipStage
+from defense_oracle import ClipStage, brute_force_vote
 from hs_oracle import JacobiIterationStage
 
 from flowpatch.attack import (
@@ -44,7 +44,6 @@ from flowpatch.defense import (
     IlpReevaluateStage,
     LgsSmoothStage,
     TeleaInpaintStage,
-    block_starts,
     defend,
     ilp_config,
     lgs_config,
@@ -295,23 +294,6 @@ class TestCriterion2:
 # ---------------------------------------------------------------------------
 # 3. block-vote oracle equivalence
 # ---------------------------------------------------------------------------
-
-
-def brute_force_vote(gbar, block, overlap, threshold):
-    h, w = gbar.shape
-    stride = block - overlap
-    rows = block_starts(h, block, stride)
-    cols = block_starts(w, block, stride)
-    mask = np.zeros((h, w))
-    for i in range(h):
-        for j in range(w):
-            for r in rows:
-                for c in cols:
-                    if not (r <= i < r + block and c <= j < c + block):
-                        continue
-                    if gbar[r : r + block, c : c + block].sum() / (block * block) > threshold:
-                        mask[i, j] = 1.0
-    return mask
 
 
 class TestCriterion3:

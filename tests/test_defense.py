@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from defense_oracle import MagnitudeMapStage, NormalizeMapStage, oracle_defend_on_tape
+from defense_oracle import (
+    MagnitudeMapStage, NormalizeMapStage, brute_force_vote, oracle_defend_on_tape
+)
 from hypothesis import given, settings, strategies as st
 
 from flowpatch.attack import AcsLossStage, PlacePatchStage, placement_geometry, sample_pose
@@ -11,7 +13,6 @@ from flowpatch.defense import (
     GradientMagnitudeStage,
     IlpReevaluateStage,
     LgsSmoothStage,
-    block_starts,
     defend,
     defend_on_tape,
     ilp_config,
@@ -24,27 +25,6 @@ from flowpatch.flow import HornSchunck, HornSchunckConfig
 def same_bytes(a, b) -> bool:
     """Equal shape, dtype and bytes: signed zeros count."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def brute_force_vote(gbar, block, overlap, threshold):
-    """Independent oracle: per pixel, enumerate every covering block position
-    and mark the pixel if any enclosing block has mean strictly above t."""
-    h, w = gbar.shape
-    stride = block - overlap
-    rows = block_starts(h, block, stride)
-    cols = block_starts(w, block, stride)
-    mask = np.zeros((h, w))
-    for i in range(h):
-        for j in range(w):
-            for r in rows:
-                for c in cols:
-                    encloses = r <= i < r + block and c <= j < c + block
-                    if not encloses:
-                        continue
-                    mean = gbar[r : r + block, c : c + block].sum() / (block * block)
-                    if mean > threshold:
-                        mask[i, j] = 1.0
-    return mask
 
 
 class TestGradientMagnitude:

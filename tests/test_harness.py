@@ -244,6 +244,17 @@ class TestCli:
         assert [r[0] for r in rows[1:]] == ["0", "1"]
         assert b"\r" not in log.read_bytes()
 
+    # The penalty overflows to an infinite loss at step 0.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_attack_train_divergence_exits_1_without_a_patch(self, tmp_path, capsys):
+        data = synth_dataset(1, 32, 48, seed=0, out_dir=tmp_path / "data")
+        argv = ["attack-train", "--data", str(data), "--awareness", "lgs", "--alpha-penalty",
+                "1e308", "--steps", "2", "--patch-side", "10", "--iters", "5"]
+        argv += ["--out", str(tmp_path / "p.ppm"), "--log", str(tmp_path / "log.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("optimization diverged at step 0: loss inf")
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
     def test_defend_without_pairs_fails(self, tmp_path, capsys):
         code = main(
             ["defend", "--in", str(tmp_path), "--defense", "lgs", "--out", str(tmp_path / "out")]
@@ -375,6 +386,8 @@ class TestCli:
              "defense block 40 cannot fit a 32x48 frame"),
             (["experiment", "--config", "{inputs}/data-large-block.json"],
              "defense block 40 cannot fit a 32x48 frame"),
+            (["experiment", "--config", "{inputs}/float-steps.json"],
+             "steps must be an integer, got 1.5"),
         ],
         ids=[
             "missing-patch", "side-too-large", "negative-side", "text-npy", "4x4-npy", "4x6-ppm",
@@ -385,7 +398,7 @@ class TestCli:
             "synth-zero-count", "nan-alpha", "inf-alpha", "nan-b-lgs", "inf-s-ilp",
             "nan-alpha-penalty", "experiment-nan-alpha-penalty", "defend-large-block",
             "evaluate-large-block", "attack-train-large-block", "experiment-large-block",
-            "experiment-data-large-block",
+            "experiment-data-large-block", "experiment-float-steps",
         ],
     )
     def test_input_error_exits_2_with_a_message(self, tmp_path, capsys, argv, message):
@@ -402,6 +415,7 @@ class TestCli:
         (inputs / "small-scenes.json").write_text('{"synthetic": {"count": 1, "height": 16, '
                                                    '"width": 48, "seed": 2}}')
         (inputs / "nan-penalty.json").write_text('{"alpha_penalty": NaN}')
+        (inputs / "float-steps.json").write_text('{"steps": 1.5}')
         large_block = {"defense_overrides": {"lgs": {"block": 40}}}
         (inputs / "large-block.json").write_text(json.dumps(
             {"synthetic": {"count": 1, "height": 32, "width": 48, "seed": 2}, **large_block}))
@@ -538,6 +552,20 @@ class TestExperiment:
              "defense block 40 cannot fit a 32x48 frame"),
             ({"data_dir": "{data}", "defense_overrides": {"lgs": {"block": 40}}}, PlacementError,
              "defense block 40 cannot fit a 32x48 frame"),
+            ({"steps": 1.5}, TypeError, "steps must be an integer, got 1.5"),
+            ({"patch_side": 10.5}, TypeError, "patch_side must be an integer, got 10.5"),
+            ({"seeds": (0.5,)}, TypeError, "seed must be an integer, got 0.5"),
+            ({"seeds": (True,)}, TypeError, "seed must be an integer, got True"),
+            ({"eval_seed": 3.5}, TypeError, "eval_seed must be an integer, got 3.5"),
+            ({"workers": 1.5}, TypeError, "workers must be an integer, got 1.5"),
+            ({"estimator": {"alpha": 15.0, "iterations": 5.5}}, TypeError,
+             "iterations must be an integer, got 5.5"),
+            ({"synthetic": {**SYNTHETIC, "height": 32.5}}, TypeError,
+             "height must be an integer, got 32.5"),
+            ({"defense_overrides": {"lgs": {"block": 16.5}}}, TypeError,
+             "block must be an integer, got 16.5"),
+            ({"defense_overrides": {"ilp": {"r_telea": 2.5}}}, TypeError,
+             "r_telea must be an integer, got 2.5"),
         ],
         ids=[
             "defense",
@@ -581,6 +609,16 @@ class TestExperiment:
             "alpha-penalty-inf",
             "block-40",
             "data-block-40",
+            "steps-float",
+            "patch-side-float",
+            "seed-float",
+            "seed-bool",
+            "eval-seed-float",
+            "workers-float",
+            "iterations-float",
+            "synthetic-height-float",
+            "block-float",
+            "r-telea-float",
         ],
     )
     def test_unknown_names_rejected_before_writing(self, tmp_path, overrides, error, name):
@@ -604,6 +642,20 @@ class TestExperiment:
         with pytest.raises(NoFramesError, match="no frame pairs found"):
             run_experiment(cfg)
         assert not (tmp_path / "run").exists()
+
+    def test_runs_with_synth_dataset_behind_a_plain_wrapper(self, tmp_path, monkeypatch):
+        # A tracer that times synth_dataset binds it as (*args, **kwargs).
+        synth = experiment.synth_dataset
+
+        def wrapped(*args, **kwargs):
+            return synth(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "synth_dataset", wrapped)
+        result = run_experiment(tiny_config(tmp_path / "run", steps=1))
+        assert result.hard_failures == 0
+        assert sorted(p.name for p in (tmp_path / "run" / "dataset").iterdir()) == [
+            "0000.flo", "0000_1.ppm", "0000_2.ppm"
+        ]
 
     def test_patch_side_too_large_for_given_data_rejected_before_writing(self, tmp_path):
         data = synth_dataset(out_dir=tmp_path / "data", **SYNTHETIC)

@@ -207,13 +207,31 @@ class TestPrunedBackward:
         patch = tape.source(rng.uniform(0, 1, (9, 9, 3)))
         frames = [tape.source(rng.uniform(0, 1, (H, W, 3))) for _ in range(2)]
         placed = tape.apply(PlacePatchStage(geometry, 9), *frames, patch)
-        assert all(tape._support[v.slot].all() for v in placed)
+        assert all(v.support.all() for v in placed)
         flow = HornSchunck(HornSchunckConfig(iterations=5)).forward_on_tape(tape, *placed)
         tape.backward(flow, rng.standard_normal(flow.array.shape))
         covered = geometry.mask != 0
         for frame, value in zip(frames, placed):
             assert np.array_equal(tape.grad(frame)[~covered], tape.grad(value)[~covered])
             assert np.all(tape.grad(frame)[covered] == 0)
+
+    def test_source_of_another_tape_is_differentiated(self):
+        rng = np.random.default_rng(13)
+        geometry = placement_geometry(PatchPose((6.0, 8.0), 7.0, 1.0), 9, (H, W))
+        patch = rng.uniform(0, 1, (9, 9, 3))
+        frames = [rng.uniform(0, 1, (H, W, 3)) for _ in range(2)]
+        cotangent = rng.standard_normal((H, W, 2))
+
+        def patch_gradient(tape, value):
+            placed = tape.apply(PlacePatchStage(geometry, 9), *map(tape.constant, frames), value)
+            flow = HornSchunck(HornSchunckConfig(iterations=5)).forward_on_tape(tape, *placed)
+            tape.backward(flow, cotangent)
+            return tape.grad(value)
+
+        full = FullTape()
+        elsewhere = StageTape().source(patch)
+        assert np.array_equal(patch_gradient(StageTape(), elsewhere),
+                              patch_gradient(full, full.source(patch)))
 
     def test_records_without_an_active_input_are_skipped(self):
         calls = []
@@ -237,7 +255,7 @@ class TestPrunedBackward:
 
         tape = StageTape()
         gray = tape.apply(Ruled(), tape.constant(np.ones((4, 5, 3))))
-        assert tape._support[gray.slot] is None
+        assert gray.support is None
         assert tape._records == []
 
 
