@@ -20,10 +20,12 @@ import numpy as np
 
 from ..core.ppm import read_ppm, write_ppm
 from ..core.raster import FlowField, Image
-from ..defense.pipeline import DERIVATIVE_ORDER, DefenseConfig, defend_on_tape, defended_flow
+from ..defense.pipeline import (
+    DERIVATIVE_ORDER, DefenseConfig, defend_pair_on_tape, defended_flow
+)
 from ..diff.elementwise import AddWeightedStage, CovMaterializeStage
 from ..diff.stage import StageTape
-from ..errors import DivergenceError, FormatError, check_int
+from ..errors import DivergenceError, FormatError, check_int, check_real
 from ..flow.horn_schunck import FlowEstimator
 from .losses import AWARENESS_DEFENSE, AcsLossStage, PatchPenaltyStage, VANILLA
 from .patch import CLIP, COV, Patch, random_patch
@@ -52,6 +54,8 @@ class AttackConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.box not in (CLIP, COV):
             raise ValueError(f"unknown box constraint {self.box!r}")
+        for name in ("learning_rate", "alpha_penalty"):
+            check_real(name, getattr(self, name))
         if not 0 <= self.learning_rate < float("inf"):  # NaN too
             raise ValueError(f"learning rate must be >= 0 and finite, got {self.learning_rate!r}")
         check_int("steps", self.steps)
@@ -136,8 +140,7 @@ def _loss_and_gradient(
         values,
     )
     if defense is not None:
-        attacked1, _ = defend_on_tape(tape, attacked1, defense)
-        attacked2, _ = defend_on_tape(tape, attacked2, defense)
+        (attacked1, _), (attacked2, _) = defend_pair_on_tape(tape, attacked1, attacked2, defense)
     flow = estimator.forward_on_tape(tape, attacked1, attacked2)
     loss = tape.apply(AcsLossStage(reference, geometry.mask), flow)
     order = DERIVATIVE_ORDER.get(AWARENESS_DEFENSE[cfg.awareness])

@@ -8,6 +8,8 @@ from .pipeline import (
     ILP,
     defend,
     defend_on_tape,
+    defend_pair,
+    defend_pair_on_tape,
     defended_flow,
     lgs_config,
     ilp_config,
@@ -26,6 +28,8 @@ __all__ = [
     "ILP",
     "defend",
     "defend_on_tape",
+    "defend_pair",
+    "defend_pair_on_tape",
     "defended_flow",
     "lgs_config",
     "ilp_config",

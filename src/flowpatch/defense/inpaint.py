@@ -242,9 +242,14 @@ def telea_inpaint_array(image: np.ndarray, mask: np.ndarray, radius: int) -> np.
 
 
 class TeleaInpaintStage(Stage):
-    """(image, mask) -> inpainted image; BPDA backward zeroes inpainted pixels
-    and gives the mask a zero cotangent.  Support: the image's pixels where
-    the mask is 0; the mask adds none."""
+    """(image, mask, *images) -> each image inpainted where the mask is
+    nonzero.  Images after the first share its mask and are inpainted in the
+    same pass, with their channels beside the first's: the march, the arrival
+    times and the weights depend on the mask only, and each channel fills on
+    its own, so each output is bit for bit its single-image pass.  BPDA
+    backward: each image's cotangent is zeroed at inpainted pixels, and the
+    mask's is zero.  Support: each image's pixels where the mask is 0; the
+    mask adds none."""
 
     name = "telea-inpaint"
     gradient_kind = BPDA
@@ -253,15 +258,20 @@ class TeleaInpaintStage(Stage):
         self.radius = int(radius)
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
-        image, mask = inputs
+        image, mask, *others = inputs
         ctx["mask"] = mask
-        return (telea_inpaint_array(image, mask, self.radius),)
+        images = (image, *others)
+        stacked = np.concatenate(images, axis=2) if others else image
+        filled = telea_inpaint_array(stacked, mask, self.radius)
+        bounds = np.cumsum([x.shape[2] for x in images])[:-1]
+        return tuple(map(np.ascontiguousarray, np.split(filled, bounds, axis=2)))
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
-        (u,) = cotangents
         keep = (ctx["mask"] == 0)[:, :, None]
-        return (np.where(keep, u, 0.0), np.zeros_like(ctx["mask"], dtype=np.float64))
+        images = tuple(np.where(keep, u, 0.0) for u in cotangents)
+        return (images[0], np.zeros_like(ctx["mask"], dtype=np.float64), *images[1:])
 
     def support(self, ctx, needed):
-        return support_where(needed[0], ctx["mask"] == 0)
-
+        keep = ctx["mask"] == 0
+        supports = tuple(support_where(s, keep) for s in needed[:1] + needed[2:])
+        return supports if len(supports) > 1 else supports[0]

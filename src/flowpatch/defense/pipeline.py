@@ -3,17 +3,21 @@
 Each step is one stage.  LGS: normalized first-order map -> block vote ->
 multiplicative darkening of voted pixels.  ILP: normalized second-order map
 -> block vote -> pixel-wise reevaluation -> fast-marching inpainting of
-surviving pixels.  A defended pipeline defends each frame, then estimates
-flow on the pair.
+surviving pixels.  A defended pipeline defends both frames of a pair, then
+estimates flow on the pair.  Maps, votes and reevaluations run per frame;
+when ILP's two final masks are equal, one Telea pass inpaints both frames,
+since the march and its weights depend on the mask only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.raster import FlowField, Image, PixelMask
 from ..diff.stage import StageTape, TapeValue
-from ..errors import PlacementError, check_int
+from ..errors import PlacementError, check_int, check_real
 from ..flow.horn_schunck import FlowEstimator
 from .inpaint import TeleaInpaintStage
 from .maps import GradientMagnitudeStage
@@ -55,6 +59,8 @@ class DefenseConfig:
             raise ValueError(f"unknown defense kind {self.kind!r}")
         for name in ("block", "overlap", "r_telea"):
             check_int(name, getattr(self, name))
+        for name in ("threshold", "b_lgs", "s_ilp", "t_ilp"):
+            check_real(name, getattr(self, name))
         if not 0 < self.overlap < self.block:
             raise ValueError("block overlap must satisfy 0 < O < K")
         if not 0.0 <= self.threshold <= 1.0:
@@ -108,13 +114,38 @@ def defend_on_tape(tape: StageTape, image: TapeValue, cfg: DefenseConfig):
 
     Returns (defended image value, final mask value).
     """
-    gbar = tape.apply(GradientMagnitudeStage(DERIVATIVE_ORDER[cfg.kind]), image)
-    mask = tape.apply(BlockVoteStage(cfg.block, cfg.overlap, cfg.threshold), gbar)
+    gbar, mask = _mask_on_tape(tape, image, cfg)
     if cfg.kind == LGS:
         return tape.apply(LgsSmoothStage(cfg.b_lgs), gbar, mask, image), mask
-    final_mask = tape.apply(IlpReevaluateStage(cfg.s_ilp, cfg.t_ilp), mask, gbar)
-    defended = tape.apply(TeleaInpaintStage(cfg.r_telea), image, final_mask)
-    return defended, final_mask
+    return tape.apply(TeleaInpaintStage(cfg.r_telea), image, mask), mask
+
+
+def _mask_on_tape(tape: StageTape, image: TapeValue, cfg: DefenseConfig):
+    """Record the defense's map and final mask of one image; returns both."""
+    gbar = tape.apply(GradientMagnitudeStage(DERIVATIVE_ORDER[cfg.kind]), image)
+    mask = tape.apply(BlockVoteStage(cfg.block, cfg.overlap, cfg.threshold), gbar)
+    if cfg.kind == ILP:
+        mask = tape.apply(IlpReevaluateStage(cfg.s_ilp, cfg.t_ilp), mask, gbar)
+    return gbar, mask
+
+
+def defend_pair_on_tape(
+    tape: StageTape, image1: TapeValue, image2: TapeValue, cfg: DefenseConfig
+):
+    """Record the defense of both frames of a pair on a tape: each frame's
+    `defend_on_tape`, except that ILP inpaints both frames in one Telea pass
+    when their final masks are equal.  Returns ((defended, mask) of frame 1,
+    (defended, mask) of frame 2)."""
+    if cfg.kind == LGS:
+        return defend_on_tape(tape, image1, cfg), defend_on_tape(tape, image2, cfg)
+    (_, mask1), (_, mask2) = _mask_on_tape(tape, image1, cfg), _mask_on_tape(tape, image2, cfg)
+    inpaint = TeleaInpaintStage(cfg.r_telea)
+    if np.array_equal(mask1.array, mask2.array):
+        defended1, defended2 = tape.apply(inpaint, image1, mask1, image2)
+    else:
+        defended1 = tape.apply(inpaint, image1, mask1)
+        defended2 = tape.apply(inpaint, image2, mask2)
+    return (defended1, mask1), (defended2, mask2)
 
 
 def defend(image: Image, cfg: DefenseConfig) -> tuple[Image, PixelMask]:
@@ -124,6 +155,15 @@ def defend(image: Image, cfg: DefenseConfig) -> tuple[Image, PixelMask]:
     return Image(defended.array), PixelMask(mask.array)
 
 
+def defend_pair(
+    frame1: Image, frame2: Image, cfg: DefenseConfig
+) -> tuple[tuple[Image, PixelMask], tuple[Image, PixelMask]]:
+    """`defend` of both frames of a pair, by `defend_pair_on_tape`."""
+    tape = StageTape()
+    pair = defend_pair_on_tape(tape, tape.constant(frame1.data), tape.constant(frame2.data), cfg)
+    return tuple((Image(defended.array), PixelMask(mask.array)) for defended, mask in pair)
+
+
 def defended_flow(
     estimator: FlowEstimator,
     defense: DefenseConfig | None,
@@ -131,9 +171,10 @@ def defended_flow(
     frame2: Image,
 ) -> tuple[FlowField, tuple[PixelMask, PixelMask] | None]:
     """Flow of a pair through the pipeline, all outside any tape: both frames
-    defended (when there is a defense), then the estimator.  Returns the flow
-    and the two frames' final masks from `defend`, None without a defense."""
+    defended by `defend_pair` (when there is a defense), then the estimator.
+    Returns the flow and the two frames' final masks, None without a
+    defense."""
     if defense is None:
         return estimator.estimate(frame1, frame2), None
-    (frame1, mask1), (frame2, mask2) = defend(frame1, defense), defend(frame2, defense)
+    (frame1, mask1), (frame2, mask2) = defend_pair(frame1, frame2, defense)
     return estimator.estimate(frame1, frame2), (mask1, mask2)

@@ -69,12 +69,16 @@ def support_where(support, keep: np.ndarray):
     return out if out.any() else None
 
 
-def support_rows(support, height: int) -> tuple[int, int]:
-    """The rows [r0, r1) that bound `support` on an image of `height` rows."""
+def support_box(support, shape: tuple[int, int]) -> tuple[int, int, int, int]:
+    """The rows [r0, r1) and columns [c0, c1) that bound `support` on an
+    image of `shape`, as (r0, r1, c0, c1); all zero when it has no pixel."""
+    h, w = shape
     if support is ALL:
-        return 0, height
-    rows = np.flatnonzero(support.any(axis=1)) if support is not None else ()
-    return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
+        return 0, h, 0, w
+    if support is None or not support.any():
+        return 0, 0, 0, 0
+    rows, cols = np.flatnonzero(support.any(axis=1)), np.flatnonzero(support.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
 class Stage:

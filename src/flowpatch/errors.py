@@ -1,4 +1,4 @@
-"""Exception types and the integer check shared across the package."""
+"""Exception types and the integer and real-number checks shared across the package."""
 
 import numbers
 
@@ -7,6 +7,13 @@ def check_int(name: str, value) -> None:
     """TypeError, naming `name`, unless `value` is an integer; a bool is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """TypeError, naming `name`, unless `value` is a real number; a bool is
+    not, and an integer is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 class FormatError(ValueError):

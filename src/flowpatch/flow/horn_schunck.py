@@ -26,9 +26,9 @@ import numpy as np
 from ..core.raster import FlowField, Image, LUMA_WEIGHTS
 from ..diff import stencils
 from ..diff.stage import (
-    ALL, Arrays, Stage, StageTape, TapeValue, support_rows, support_union
+    ALL, Arrays, Stage, StageTape, TapeValue, support_box, support_union
 )
-from ..errors import check_int
+from ..errors import check_int, check_real
 
 LUMA_SCALE = 255.0
 
@@ -39,6 +39,7 @@ class HornSchunckConfig:
     iterations: int = 200
 
     def __post_init__(self):
+        check_real("alpha", self.alpha)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
         check_int("iterations", self.iterations)
@@ -144,6 +145,50 @@ def _residual(q, t, ix, iy, it, den, ubar, vbar):
     q /= den
 
 
+class _Box:
+    """The bounding box of a support on the flat padded rows of an HxW
+    solve: rows [r0, r1) and interior columns [c0, c1).  A box that spans
+    every interior column is whole padded rows, the flat range
+    [r0 P, r1 P), which a `reader` returns in place.  Any other box is read
+    into a compact buffer of its (r1 - r0) (c1 - c0) values, row after row."""
+
+    def __init__(self, support, shape: tuple[int, int]):
+        h, w = shape
+        p = w + 2
+        r0, r1, c0, c1 = support_box(support, shape)
+        self.grid = (h, p)
+        self.whole = (c0, c1) == (0, w)
+        self.rows = slice(r0, r1)
+        self.cols = slice(None) if self.whole else slice(c0 + 1, c1 + 1)
+        self.flat = slice(r0 * p, r1 * p)
+        self.shape = (r1 - r0, p if self.whole else c1 - c0)
+        self.size = math.prod(self.shape)
+
+    def window(self, x: np.ndarray) -> np.ndarray:
+        """The box of the flat rows `x` as a (..., rows, columns) view."""
+        return x.reshape(x.shape[:-1] + self.grid)[..., self.rows, self.cols]
+
+    def split(self, x: np.ndarray) -> np.ndarray:
+        """`x`, whose last axis holds the box's values, as (..., rows, columns)."""
+        return x.reshape(x.shape[:-1] + self.shape)
+
+    def reader(self, x: np.ndarray):
+        """A function that returns the box of the flat rows `x` as they are
+        at the call: a view of whole padded rows, else one aligned compact
+        buffer into which each call copies them."""
+        if self.whole:
+            view = x[..., self.flat]
+            return lambda: view
+        out = aligned_array(x.shape[:-1] + (self.size,), lead=0)
+        src, dst = self.window(x), self.split(out)
+
+        def read():
+            np.copyto(dst, src)
+            return out
+
+        return read
+
+
 class HornSchunckSolveStage(Stage):
     """(Ix, Iy, It) -> HxWx2 flow after `iterations` updates from zero flow.
 
@@ -161,35 +206,41 @@ class HornSchunckSolveStage(Stage):
     scratch, then v = vbar - Iy q and u = ubar - Ix q are written in place.
     A forward sweep then touches eight arrays of H*P values: the stacked
     state and averages, Ix, Iy, It and den.  Every range of H*P values, or
-    of the band's, that a sweep stores into starts on a 64-byte cache line
+    of the box's, that a sweep stores into starts on a 64-byte cache line
     (`aligned_array`): the interior range [P, P + H*P) of each state row,
     each averages row, each scratch array and each row of the backward's
-    sums on the band.  The row pitch P is not widened, so only the start of
+    sums on the box.  The row pitch P is not widened, so only the start of
     each range is aligned, not each image row in it.  An iteration
     allocates nothing.
 
-    The rows [r0, r1) that bound the pixels of `ctx["needed"]` form the
-    band, the flat range [r0 P, r1 P).  Iteration k keeps its stacked
-    (ubar_k, vbar_k) on the band in row k of one (iterations, 2, (r1 - r0) P)
-    block, 16 B per padded band pixel per iteration, allocated once per
-    forward; a band of every row is written in place, and an empty band
-    allocates none.  The exact backward runs the adjoint updates in reverse,
-    recomputing q_k on the band from those averages.  Its neighbour-average
-    adjoint gathers from a padded cotangent whose border rows and columns
-    are zero, in the order in which a scatter into a zero pad adds, then
-    folds the border back.  The interior of that padded cotangent is dead
-    until the gather's input is written, so it is the scratch for Iy gv,
-    and s = Ix gu + Iy gv becomes r = s / den in place once the band has
-    read s.  Outside the band a backward sweep then touches eight such
-    arrays too: Ix, Iy, den, s and the stacked adjoint state and its pad.
-    The backward sums the Ix/Iy/It cotangents from the last iteration to
-    the first, as a tape of one record per iteration would, so both give
-    bit-identical gradients, and returns the interior columns of the three
-    sums.
+    The rows [r0, r1) and columns [c0, c1) that bound the pixels of
+    `ctx["needed"]` form the box (`_Box`).  Iteration k keeps its stacked
+    (ubar_k, vbar_k) on the box in row k of one (iterations, 2, box size)
+    block, 16 B per box pixel per iteration, allocated once per forward; an
+    empty box allocates none.  A box that spans every interior column is
+    whole padded rows, the flat range [r0 P, r1 P): the backward reads its
+    values in place, and a box of every pixel is written in place.  Any other
+    box is compact: its block holds (r1 - r0) (c1 - c0) values per row, and
+    the backward reads each box value it needs, from Ix, Iy, It and den once
+    and from s, r and the adjoint state once per iteration, into compact
+    cache-line-aligned buffers.
+
+    The exact backward runs the adjoint updates in reverse, recomputing q_k
+    on the box from those averages.  Its neighbour-average adjoint gathers
+    from a padded cotangent whose border rows and columns are zero, in the
+    order in which a scatter into a zero pad adds, then folds the border
+    back.  The interior of that padded cotangent is dead until the gather's
+    input is written, so it is the scratch for Iy gv, and s = Ix gu + Iy gv
+    becomes r = s / den in place once the box has read s.  Outside the box
+    a backward sweep then touches eight such arrays too: Ix, Iy, den, s and
+    the stacked adjoint state and its pad.  The backward sums the Ix/Iy/It
+    cotangents from the last iteration to the first, as a tape of one record
+    per iteration would, so both give bit-identical gradients, and returns
+    the interior columns of the three sums.
 
     The adjoint state (gu, gv) needs every pixel, but the residual q, the
     den cotangent and the three sums feed only the returned cotangents, so
-    that work runs on the band only, with the same operations in the same
+    that work runs on the box only, with the same operations in the same
     order; outside it the cotangents are zero.  Support: the default, every
     pixel, since each flow pixel depends on the whole image.
     """
@@ -214,9 +265,9 @@ class HornSchunckSolveStage(Stage):
             rows.append(row.reshape(-1))
         return tuple(rows)
 
-    def _run(self, shape, ix, iy, it, averages, band) -> np.ndarray:
+    def _run(self, shape, ix, iy, it, averages, box) -> np.ndarray:
         """The HxW flow from the `_rows` of the inputs.  Iteration k's
-        stacked (ubar, vbar) on the flat range `band` are written to
+        stacked (ubar, vbar) on the `_Box` `box` are written to
         `averages[k]` unless `averages` is None."""
         h, w = shape
         p = w + 2
@@ -228,7 +279,11 @@ class HornSchunckSolveStage(Stage):
         up, down = state[:, :n], state[:, 2 * p:]
         left, right = state[:, p - 1:p - 1 + n], state[:, p + 1:p + 1 + n]
         bar = aligned_array((2, n), lead=0)
+        # A box of every pixel is written in place; any other is copied
+        # from `bar` into its row of `kept`.
         in_place = averages is not None and averages.shape[-1] == n
+        kept = None if averages is None or in_place else box.split(averages)
+        fresh = box.window(bar)
         for k in range(self.iterations):
             grid[:, 0, 1:-1] = grid[:, 1, 1:-1]
             grid[:, -1, 1:-1] = grid[:, -2, 1:-1]
@@ -240,8 +295,8 @@ class HornSchunckSolveStage(Stage):
             bar += right
             bar += left
             bar *= QUARTER
-            if averages is not None and not in_place:
-                averages[k] = bar[:, band]
+            if kept is not None:
+                np.copyto(kept[k], fresh)
             ubar, vbar = bar
             _residual(u, v, ix, iy, it, den, ubar, vbar)
             np.multiply(iy, u, out=v)
@@ -252,15 +307,13 @@ class HornSchunckSolveStage(Stage):
 
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         ix, iy, it = inputs
-        h, w = ix.shape
-        r0, r1 = support_rows(support_union(*ctx["needed"]), h)
-        band = slice(r0 * (w + 2), r1 * (w + 2))
+        box = _Box(support_union(*ctx["needed"]), ix.shape)
         rows = self._rows(ix, iy, it)
         averages = None
-        if r1 > r0:
-            averages = aligned_array((self.iterations, 2, band.stop - band.start), lead=0)
-        flow = self._run(ix.shape, *rows, averages, band)
-        ctx.update(shape=ix.shape, rows=rows, averages=averages, band=band)
+        if box.size:
+            averages = aligned_array((self.iterations, 2, box.size), lead=0)
+        flow = self._run(ix.shape, *rows, averages, box)
+        ctx.update(shape=ix.shape, rows=rows, averages=averages, box=box)
         return (flow,)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
@@ -269,10 +322,10 @@ class HornSchunckSolveStage(Stage):
         h, w = ctx["shape"]
         p = w + 2
         n = h * p
-        # The Ix/Iy/It cotangents are summed on the forward's band.
-        band = ctx["band"]
+        # The Ix/Iy/It cotangents are summed on the forward's box.
+        box = ctx["box"]
         den = self._denominator(ix, iy)
-        bix, biy, bit, bden = ix[band], iy[band], it[band], den[band]
+        bix, biy, bit, bden = (box.reader(x)() for x in (ix, iy, it, den))
         ix2, iy2 = 2.0 * bix, 2.0 * biy
         grad = aligned_array((2, n), 0.0, lead=0)
         grad_grid = grad.reshape(2, h, p)
@@ -284,12 +337,13 @@ class HornSchunckSolveStage(Stage):
         up, down = padded[:, :n], padded[:, 2 * p:]
         left, right = padded[:, p - 1:p - 1 + n], padded[:, p + 1:p + 1 + n]
         # -0 is the exact additive identity: the first iteration's terms
-        # enter the sums unchanged, zero signs included.
-        sums = aligned_array((3, n), -0.0, lead=band.start)
-        totals = sums[:, band]
+        # enter the sums unchanged, zero signs included.  A compact box's
+        # totals start as a copy of the sums' box, and go back at the end.
+        sums = aligned_array((3, n), -0.0, lead=box.flat.start)
+        totals = box.reader(sums)()
         s = aligned_array((n,))
-        q, g_den, term, bt = (aligned_array((band.stop - band.start,)) for _ in range(4))
-        bgrad = (gu[band], gv[band])
+        q, g_den, term, bt = (aligned_array((box.size,)) for _ in range(4))
+        read_s, read_grad = box.reader(s), box.reader(grad)
         for bar in reversed(ctx["averages"]):
             # With s = Ix gu + Iy gv, the chain rule's g_q = -s,
             # g_num = g_q / den = -r and g_den = -q g_q / den = q s / den.
@@ -299,12 +353,12 @@ class HornSchunckSolveStage(Stage):
             np.multiply(iy, gv, out=inner[0])
             s += inner[0]
             _residual(q, bt, bix, biy, bit, bden, *bar)
-            np.multiply(q, s[band], out=g_den)
+            np.multiply(q, read_s(), out=g_den)
             g_den /= bden
             s /= den
-            br = s[band]
+            br = read_s()
             # g_Ix = -q gu + (ubar g_num + 2 Ix g_den), and g_Iy likewise.
-            for total, cot, avg, i2 in zip(totals, bgrad, bar, (ix2, iy2)):
+            for total, cot, avg, i2 in zip(totals, read_grad(), bar, (ix2, iy2)):
                 np.multiply(i2, g_den, out=term)
                 np.multiply(avg, br, out=bt)
                 term -= bt
@@ -335,6 +389,8 @@ class HornSchunckSolveStage(Stage):
             # -0 it holds +0; adding +0 gives the gather the same zero sign.
             grad += ZERO
             grad *= QUARTER
+        if not box.whole:
+            box.window(sums)[...] = box.split(totals)
         return tuple(sums.reshape(3, h, p)[:, :, 1:-1])
 
 

@@ -16,6 +16,9 @@ negative or NaN learning rate, a negative seed or `eval_seed`, `steps` or
 `workers` below 1, an integer field (`steps`, a seed, `eval_seed`,
 `workers`, `patch_side`, the estimator's `iterations`, a defense's `block`,
 `overlap` or `r_telea`, a synthetic argument) that holds a float or a bool,
+a real field (the estimator's `alpha`, a learning rate, `alpha_penalty`, a
+defense's `threshold`, `b_lgs`, `s_ilp` or `t_ilp`) that holds a bool or no
+number,
 an invalid synthetic block, a given dataset without a loadable pair, a
 `patch_side` that does not fit the frames at the largest pose scale and a
 defense block larger than a frame side fail before anything is written;

@@ -15,10 +15,13 @@ from flowpatch.defense import (
     LgsSmoothStage,
     defend,
     defend_on_tape,
+    defend_pair_on_tape,
+    defended_flow,
     ilp_config,
     lgs_config,
 )
-from flowpatch.diff import ALL, StageTape, grad_check
+from flowpatch.diff import ALL, Stage, StageTape, grad_check
+from flowpatch.defense import inpaint
 from flowpatch.flow import HornSchunck, HornSchunckConfig
 
 
@@ -320,3 +323,86 @@ class TestDefendPipelines:
             DefenseConfig(kind="other")
         with pytest.raises(ValueError):
             DefenseConfig(kind="ilp", threshold=1.5)
+
+
+class TestDefendPair:
+    """`defend_pair_on_tape` against each frame's `defend_on_tape`: images,
+    masks and gradients bit for bit, and one Telea pass when ILP's two final
+    masks are equal."""
+
+    # As in TestDefendMatchesOracleChain: at t = 0.15 ILP votes no block.
+    THRESHOLD = {"lgs": 0.15, "ilp": 0.05}
+
+    @staticmethod
+    def frames(pair):
+        # A smooth scene with a noise square, which both defenses flag; the
+        # unequal pair moves the square.
+        rng = np.random.default_rng(31)
+        y, x = np.mgrid[0:24, 0:32]
+        scene = np.repeat((0.5 + 0.2 * np.sin(x / 6.0) * np.cos(y / 5.0))[:, :, None], 3, axis=2)
+        noise = rng.uniform(0, 1, (8, 8, 3))
+        frame1, frame2 = scene.copy(), scene.copy()
+        frame1[4:12, 6:14] = noise
+        if pair == "equal":
+            frame2[4:12, 6:14] = noise
+        else:
+            frame2[12:20, 18:26] = noise
+        return frame1, frame2
+
+    @pytest.mark.parametrize("pair", ["equal", "unequal"])
+    @pytest.mark.parametrize("kind", ["lgs", "ilp"])
+    def test_pair_is_each_frames_defense(self, kind, pair):
+        frames = self.frames(pair)
+        cotangents = np.random.default_rng(32).standard_normal((2, 24, 32, 3))
+        cfg = DefenseConfig(kind, threshold=self.THRESHOLD[kind])
+        results = []
+        for together in (True, False):
+            tape = StageTape()
+            sources = [tape.source(f) for f in frames]
+            if together:
+                out = defend_pair_on_tape(tape, *sources, cfg)
+            else:
+                out = [defend_on_tape(tape, v, cfg) for v in sources]
+            # The sum of each defended frame against its cotangent.
+            total = tape.apply(PairDotStage(cotangents), out[0][0], out[1][0])
+            tape.backward(total, 1.0)
+            results.append([a for d, m in out for a in (d.array, m.array)]
+                           + [tape.grad(v) for v in sources])
+        together, apart = results
+        assert 0 < together[1].mean() < 1 and 0 < together[3].mean() < 1
+        assert np.array_equal(together[1], together[3]) == (pair == "equal")
+        for a, b in zip(together, apart):
+            assert same_bytes(a, b)
+
+    @pytest.mark.parametrize("pair, passes", [("equal", 1), ("unequal", 2)])
+    def test_defended_flow_inpaints_equal_masks_once(self, monkeypatch, pair, passes):
+        calls = []
+        original = inpaint.telea_inpaint_array
+
+        def counted(image, mask, radius):
+            calls.append(image.shape)
+            return original(image, mask, radius)
+
+        monkeypatch.setattr(inpaint, "telea_inpaint_array", counted)
+        frames = [Image(f) for f in self.frames(pair)]
+        _, (mask1, mask2) = defended_flow(
+            HornSchunck(HornSchunckConfig(iterations=3)),
+            ilp_config(threshold=self.THRESHOLD["ilp"]), *frames)
+        assert np.array_equal(mask1.data, mask2.data) == (pair == "equal")
+        assert calls == ([(24, 32, 6)] if passes == 1 else [(24, 32, 3)] * 2)
+
+
+class PairDotStage(Stage):
+    """(a, b) -> sum(ca a) + sum(cb b) for fixed cotangents (ca, cb)."""
+
+    name = "pair-dot"
+
+    def __init__(self, cotangents):
+        self.cotangents = cotangents
+
+    def forward(self, ctx, inputs):
+        return (np.array(sum(float(np.sum(c * x)) for c, x in zip(self.cotangents, inputs))),)
+
+    def backward(self, ctx, cotangents):
+        (g,) = cotangents
+        return tuple(g * c for c in self.cotangents)

@@ -388,6 +388,8 @@ class TestCli:
              "defense block 40 cannot fit a 32x48 frame"),
             (["experiment", "--config", "{inputs}/float-steps.json"],
              "steps must be an integer, got 1.5"),
+            (["experiment", "--config", "{inputs}/bool-penalty.json"],
+             "alpha_penalty must be a real number, got True"),
         ],
         ids=[
             "missing-patch", "side-too-large", "negative-side", "text-npy", "4x4-npy", "4x6-ppm",
@@ -399,6 +401,7 @@ class TestCli:
             "nan-alpha-penalty", "experiment-nan-alpha-penalty", "defend-large-block",
             "evaluate-large-block", "attack-train-large-block", "experiment-large-block",
             "experiment-data-large-block", "experiment-float-steps",
+            "experiment-bool-alpha-penalty",
         ],
     )
     def test_input_error_exits_2_with_a_message(self, tmp_path, capsys, argv, message):
@@ -416,6 +419,7 @@ class TestCli:
                                                    '"width": 48, "seed": 2}}')
         (inputs / "nan-penalty.json").write_text('{"alpha_penalty": NaN}')
         (inputs / "float-steps.json").write_text('{"steps": 1.5}')
+        (inputs / "bool-penalty.json").write_text('{"alpha_penalty": true}')
         large_block = {"defense_overrides": {"lgs": {"block": 40}}}
         (inputs / "large-block.json").write_text(json.dumps(
             {"synthetic": {"count": 1, "height": 32, "width": 48, "seed": 2}, **large_block}))
@@ -566,6 +570,19 @@ class TestExperiment:
              "block must be an integer, got 16.5"),
             ({"defense_overrides": {"ilp": {"r_telea": 2.5}}}, TypeError,
              "r_telea must be an integer, got 2.5"),
+            ({"estimator": {"alpha": True}}, TypeError, "alpha must be a real number, got True"),
+            ({"attack_grid": (GridCell("ifgsm", True, "clip"),)}, TypeError,
+             "learning_rate must be a real number, got True"),
+            ({"alpha_penalty": False}, TypeError,
+             "alpha_penalty must be a real number, got False"),
+            ({"defense_overrides": {"lgs": {"threshold": True}}}, TypeError,
+             "threshold must be a real number, got True"),
+            ({"defense_overrides": {"lgs": {"b_lgs": True}}}, TypeError,
+             "b_lgs must be a real number, got True"),
+            ({"defense_overrides": {"ilp": {"s_ilp": True}}}, TypeError,
+             "s_ilp must be a real number, got True"),
+            ({"defense_overrides": {"ilp": {"t_ilp": False}}}, TypeError,
+             "t_ilp must be a real number, got False"),
         ],
         ids=[
             "defense",
@@ -619,6 +636,13 @@ class TestExperiment:
             "synthetic-height-float",
             "block-float",
             "r-telea-float",
+            "alpha-bool",
+            "learning-rate-bool",
+            "alpha-penalty-bool",
+            "threshold-bool",
+            "b-lgs-bool",
+            "s-ilp-bool",
+            "t-ilp-bool",
         ],
     )
     def test_unknown_names_rejected_before_writing(self, tmp_path, overrides, error, name):
@@ -714,9 +738,9 @@ class TestExperiment:
         assert calls == Counter(dict.fromkeys(clean.values(), 1))
 
     def test_defend_calls_per_run(self, tmp_path, monkeypatch):
-        # Both frames of a pair are defended once for each defended clean
-        # record and once for each scored record of a defended defense;
-        # training records its defense on the tape instead.
+        # A pair is defended, both frames at once, once for each defended
+        # clean record and once for each scored record of a defended
+        # defense; training records its defense on the tape instead.
         cfg = tiny_config(
             tmp_path / "run",
             synthetic={"count": 2, "height": 32, "width": 48, "seed": 2},
@@ -724,16 +748,16 @@ class TestExperiment:
             awareness=("vanilla", "lgs", "ilp"),
         )
         calls = Counter()
-        original = pipeline.defend
+        original = pipeline.defend_pair
 
-        def counted(image, defense):
+        def counted(frame1, frame2, defense):
             calls[defense.kind] += 1
-            return original(image, defense)
+            return original(frame1, frame2, defense)
 
-        monkeypatch.setattr(pipeline, "defend", counted)
+        monkeypatch.setattr(pipeline, "defend_pair", counted)
         assert run_experiment(cfg).hard_failures == 0
-        frames, patches = 2, len(cfg.awareness)
-        assert calls == {"lgs": 2 * frames * (1 + patches), "ilp": 2 * frames * (1 + patches)}
+        pairs, patches = 2, len(cfg.awareness)
+        assert calls == {"lgs": pairs * (1 + patches), "ilp": pairs * (1 + patches)}
 
     def test_single_cell_outputs(self, tmp_path):
         result = run_experiment(tiny_config(tmp_path / "run"))

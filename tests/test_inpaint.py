@@ -259,3 +259,52 @@ class TestTeleaOracle:
         assert len(np.unique(T[order])) < len(order) // 4
         for r in (1, radius):
             assert bit_identical(telea_inpaint_array(image, mask, r), telea_oracle(image, mask, r))
+
+
+class TestSharedPass:
+    """`TeleaInpaintStage` on (image1, mask, image2): both images inpainted
+    in one pass, each bit for bit its own single-image pass."""
+
+    @staticmethod
+    def masks(rng, shape):
+        h, w = shape
+        touching = np.zeros(shape)
+        touching[0:3, w - 4:] = 1
+        touching[h - 2:, 0:5] = 1
+        touching[rng.uniform(size=shape) < 0.2] = 1
+        return {"border": touching, "random": (rng.uniform(size=shape) < 0.4).astype(float),
+                "empty": np.zeros(shape)}
+
+    @pytest.mark.parametrize("kind", ["border", "random", "empty"])
+    @pytest.mark.parametrize("radius", [1, 5])
+    def test_each_image_is_its_single_pass(self, kind, radius):
+        rng = np.random.default_rng(21)
+        shape = (13, 19)
+        mask = self.masks(rng, shape)[kind]
+        image1, image2 = rng.uniform(0, 1, (2,) + shape + (3,))
+        stage = TeleaInpaintStage(radius)
+        out1, out2 = stage(image1, mask, image2)
+        for got, image in ((out1, image1), (out2, image2)):
+            assert bit_identical(got, stage(image, mask))
+            assert got.flags.c_contiguous
+
+    def test_bpda_backward_and_support_per_image(self):
+        rng = np.random.default_rng(22)
+        shape = (13, 19)
+        mask = self.masks(rng, shape)["border"]
+        keep = mask == 0
+        images = rng.uniform(0, 1, (2,) + shape + (3,))
+        stage = TeleaInpaintStage(3)
+        ctx = {"needed": (ALL,) * 3}
+        stage.forward(ctx, (images[0], mask, images[1]))
+        cots = rng.standard_normal((2,) + shape + (3,))
+        cot1, mask_cot, cot2 = stage.backward(ctx, tuple(cots))
+        for got, u in ((cot1, cots[0]), (cot2, cots[1])):
+            assert np.array_equal(got[keep], u[keep]) and np.all(got[~keep] == 0)
+        assert mask_cot.shape == shape and np.all(mask_cot == 0)
+        active = np.zeros(shape, dtype=bool)
+        active[2:9, 3:12] = True
+        first, second = stage.support(ctx, (active, ALL, None))
+        assert np.array_equal(first, active & keep) and second is None
+        first, second = stage.support(ctx, (None, None, ALL))
+        assert first is None and np.array_equal(second, keep)

@@ -15,7 +15,7 @@ from flowpatch.attack.placement import PlacePatchStage, placement_geometry
 from flowpatch.defense.inpaint import TeleaInpaintStage
 from flowpatch.defense.pipeline import defense_config
 from flowpatch.diff import ALL, CovMaterializeStage, Stage, StageTape
-from flowpatch.diff.stage import support_rows, support_union, support_where
+from flowpatch.diff.stage import support_box, support_union, support_where
 from flowpatch.flow import (
     FrameDerivativesStage, HornSchunck, HornSchunckConfig, HornSchunckSolveStage, LuminanceStage
 )
@@ -79,9 +79,11 @@ class TestSupportAlgebra:
         assert support_where(None, a) is None
         assert support_where(ALL, a) is a
         assert support_where(a, ~a) is None
-        assert support_rows(a, H) == (3, 6)
-        assert support_rows(ALL, H) == (0, H)
-        assert support_rows(None, H) == (0, 0)
+        assert support_box(a, (H, W)) == (3, 6, 2, 8)
+        assert support_box(a | region(9, 0), (H, W)) == (3, 10, 0, 8)
+        assert support_box(ALL, (H, W)) == (0, H, 0, W)
+        assert support_box(None, (H, W)) == (0, 0, 0, 0)
+        assert support_box(region(slice(0, 0), 0), (H, W)) == (0, 0, 0, 0)
 
 
 class TestStageRules:
@@ -117,23 +119,64 @@ class TestStageRules:
         supports = check_rule(HornSchunckSolveStage(15.0, 12), inputs, [band, None, band])
         assert supports == (ALL,)
 
+    @pytest.mark.parametrize("where", [(slice(3, 8), slice(0, 4)), (slice(3, 8), slice(W - 4, W)),
+                                       (slice(3, 8), slice(0, W)), (6, 9)],
+                             ids=["column-0", "last-column", "every-column", "pixel"])
+    def test_solver_box_matches_full_backward(self, where):
+        rng = np.random.default_rng(15)
+        inputs = [rng.standard_normal((H, W)) * 20 for _ in range(3)]
+        box = region(*where)
+        supports = check_rule(HornSchunckSolveStage(15.0, 12), inputs, [box, None, box])
+        assert supports == (ALL,)
+
     def test_solver_returns_zeros_outside_the_band(self):
+        # The averages and the Ix/Iy/It cotangents cover the bounding box of
+        # the needed pixels, rows 4-6 and columns 3-7, and nothing else.
         rng = np.random.default_rng(4)
         inputs = tuple(rng.standard_normal((H, W)) * 20 for _ in range(3))
         stage = HornSchunckSolveStage(15.0, 12)
-        ctx = {"needed": (region(5, 3), None, None)}
+        ctx = {"needed": (region(5, slice(3, 8)), None, region(slice(4, 7), 5))}
         (flow,) = stage.forward(ctx, inputs)
-        assert ctx["averages"].shape == (12, 2, W + 2)
+        assert ctx["averages"].shape == (12, 2, 3 * 5)
+        box = region(slice(4, 7), slice(3, 8))
         for cot in stage.backward(ctx, (rng.standard_normal(flow.shape),)):
-            assert np.all(cot[:5] == 0) and np.all(cot[6:] == 0)
-            assert np.all(cot[5] != 0)
+            assert np.all(cot[~box] == 0) and np.all(cot[box] != 0)
+
+    @pytest.mark.parametrize("awareness", ["lgs", "all-source"])
+    def test_every_pixel_keeps_its_averages_in_place(self, scene_pair, monkeypatch, awareness):
+        # An LGS-aware step couples every pixel to the patch, and a tape of
+        # sources needs every pixel: the box is every padded row, and the
+        # solve writes each iteration's averages into their block directly.
+        frame1, frame2 = scene_pair
+        kept = []
+        forward = HornSchunckSolveStage.forward
+
+        def spy(stage, ctx, inputs):
+            out = forward(stage, ctx, inputs)
+            kept.append(ctx)
+            return out
+
+        monkeypatch.setattr(HornSchunckSolveStage, "forward", spy)
+        if awareness == "all-source":
+            monkeypatch.setattr(optimize, "StageTape", FullTape)
+        patch = random_patch(SIDE, "clip", np.random.default_rng(9))
+        _loss_and_gradient(
+            HornSchunck(HornSchunckConfig(iterations=5)), defense_config("lgs"),
+            AttackConfig(awareness="lgs"), patch, frame1, frame2,
+            np.zeros((40, 64, 2)), placement_geometry(POSES[1], SIDE, (40, 64)),
+        )
+        (ctx,) = kept
+        assert ctx["box"].whole and ctx["averages"].shape == (5, 2, 40 * 66)
 
     def test_solver_forward_holds_only_the_band(self):
-        h, w, iterations, rows = 64, 128, 200, slice(30, 40)
+        # The averages of the 10x10 box, 16 B per box pixel and iteration
+        # with each stacked row of 100 values padded to whole cache lines
+        # (104 values), and the three input rows; the flow is not kept.
+        h, w, iterations = 64, 128, 200
         rng = np.random.default_rng(14)
         inputs = tuple(rng.standard_normal((h, w)) * 20 for _ in range(3))
-        band = region(rows, slice(50, 60), (h, w))
-        ctx = {"needed": (band, None, band)}
+        box = region(slice(30, 40), slice(50, 60), (h, w))
+        ctx = {"needed": (box, None, box)}
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -141,7 +184,8 @@ class TestStageRules:
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        assert held <= iterations * 16 * 10 * (w + 2) + 2**20, held
+        averages, rows = iterations * 2 * 104 * 8, 3 * h * (w + 2) * 8
+        assert held <= averages + rows + 2**12, held - averages - rows
 
     @pytest.mark.parametrize("active", [(False, False, True), (True, False, False),
                                         (True, True, True)], ids=["patch", "frame", "all"])
@@ -274,7 +318,7 @@ class FullTape(StageTape):
 
 SIDE = 14
 # The footprint of radius 7 at the top rows, in the middle and at the
-# bottom rows of the 40x64 frame; with the row dilation of Iy the band
+# bottom rows of the 40x64 frame; with the row dilation of Iy the box
 # reaches row 0 and row 39.
 POSES = [PatchPose((7.0, 20.0), 0.0, 1.0), PatchPose((19.3, 31.7), 8.0, 0.97),
          PatchPose((32.0, 50.0), -6.0, 1.0)]

@@ -29,7 +29,7 @@ chain of `tests/hs_oracle.py` bit for bit, and exits non-zero if one
 differs: the flow and both frame gradients on a tape of two source frames,
 the flow of the forward-only `estimate`, and the flow and patch gradient on
 a tape whose frames are constants and whose only source is a placed patch,
-so that the solve's backward runs on the patch's band of rows.
+so that the solve's backward runs on the patch's box of rows and columns.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ def check_oracle() -> None:
     rng = np.random.default_rng(10)
     frames = [rng.uniform(0, 1, (13, 21, 3)) for _ in range(2)]
     cot = rng.standard_normal((13, 21, 2))
-    # A side-6 patch in the middle of a 24x32 pair covers rows 9 to 14;
-    # widened by one row each way for Iy, its band leaves 16 of the 24 rows
-    # out of the backward's sums.
+    # A side-6 patch in the middle of a 24x32 pair covers rows 9 to 14 and
+    # columns 13 to 18; widened by one row each way for Iy and one column
+    # each way for Ix, its 8x8 box leaves 16 of the 24 rows and 24 of the 32
+    # columns out of the backward's sums.
     side, shape = 6, (24, 32)
     scene_frames = [rng.uniform(0, 1, shape + (3,)) for _ in range(2)]
     scene_cot = rng.standard_normal(shape + (2,))
