@@ -160,7 +160,9 @@ class StageTape:
         return values[0] if len(values) == 1 else values
 
     def backward(self, value: TapeValue, cotangent: np.ndarray | float = 1.0) -> None:
-        """Reverse pass seeded with d(objective)/d(value) = cotangent."""
+        """Reverse pass seeded with d(objective)/d(value) = cotangent.  It
+        runs once per tape: a stage's backward may consume what its forward
+        kept."""
         seed = np.broadcast_to(np.asarray(cotangent, dtype=np.float64), value.array.shape)
         grads = {value: np.array(seed)}
         for rec in reversed(self._records):

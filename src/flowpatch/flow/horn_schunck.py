@@ -145,6 +145,36 @@ def _residual(q, t, ix, iy, it, den, ubar, vbar):
     q /= den
 
 
+def _stepper(state, p, ix, iy, it, den):
+    """A function that runs one iteration in place on the stacked padded
+    u/v `state` of row pitch `p` and writes its stacked (ubar, vbar) into
+    the (2, H*P) array it is given; the forward and the backward's
+    recomputation share it."""
+    n = ix.size
+    grid = state.reshape(2, -1, p)
+    u, v = state[:, p:p + n]
+    up, down = state[:, :n], state[:, 2 * p:]
+    left, right = state[:, p - 1:p - 1 + n], state[:, p + 1:p + 1 + n]
+
+    def step(bar):
+        grid[:, 0, 1:-1] = grid[:, 1, 1:-1]
+        grid[:, -1, 1:-1] = grid[:, -2, 1:-1]
+        grid[:, 1:-1, 0] = grid[:, 1:-1, 1]
+        grid[:, 1:-1, -1] = grid[:, 1:-1, -2]
+        np.add(down, up, out=bar)
+        bar += right
+        bar += left
+        bar *= QUARTER
+        ubar, vbar = bar
+        _residual(u, v, ix, iy, it, den, ubar, vbar)
+        np.multiply(iy, u, out=v)
+        np.subtract(vbar, v, out=v)
+        np.multiply(ix, u, out=u)
+        np.subtract(ubar, u, out=u)
+
+    return step
+
+
 class _Box:
     """The bounding box of a support on the flat padded rows of an HxW
     solve: rows [r0, r1) and interior columns [c0, c1).  A box that spans
@@ -219,11 +249,27 @@ class HornSchunckSolveStage(Stage):
     block, 16 B per box pixel per iteration, allocated once per forward; an
     empty box allocates none.  A box that spans every interior column is
     whole padded rows, the flat range [r0 P, r1 P): the backward reads its
-    values in place, and a box of every pixel is written in place.  Any other
-    box is compact: its block holds (r1 - r0) (c1 - c0) values per row, and
-    the backward reads each box value it needs, from Ix, Iy, It and den once
-    and from s, r and the adjoint state once per iteration, into compact
-    cache-line-aligned buffers.
+    values in place.  Any other box is compact: its block holds
+    (r1 - r0) (c1 - c0) values per row, and the backward reads each box
+    value it needs, from Ix, Iy, It and den once and from s, r and the
+    adjoint state once per iteration, into compact cache-line-aligned
+    buffers.
+
+    A box of every pixel, as under LGS awareness or on a tape of sources,
+    is checkpointed instead (Griewank & Walther, "Revolve", ACM TOMS 2000).
+    The iterations run in segments of span = ceil(sqrt(iterations)), the
+    last possibly shorter.  The forward saves the stacked padded state at the
+    start of each segment but the first, in one (segments - 1, 2, (H+2) P)
+    block, and writes each iteration's averages in place into row k % span
+    of one (span, 2, H P) block, which ends holding the last segment's.  The
+    backward recomputes each earlier segment's averages into that block,
+    running in place on the segment's saved state, which no later segment
+    reads; the first segment starts from zero flow in the zeroed state of
+    the second.  The recomputation runs the forward's ufuncs in the same
+    order (`_stepper`), so every gradient is bit for bit that of a stored
+    block, for one more forward sweep per iteration outside the last
+    segment, and it allocates no state.  A backward consumes its context,
+    so it runs once per forward.
 
     The exact backward runs the adjoint updates in reverse, recomputing q_k
     on the box from those averages.  Its neighbour-average adjoint gathers
@@ -265,56 +311,61 @@ class HornSchunckSolveStage(Stage):
             rows.append(row.reshape(-1))
         return tuple(rows)
 
-    def _run(self, shape, ix, iy, it, averages, box) -> np.ndarray:
-        """The HxW flow from the `_rows` of the inputs.  Iteration k's
-        stacked (ubar, vbar) on the `_Box` `box` are written to
-        `averages[k]` unless `averages` is None."""
-        h, w = shape
-        p = w + 2
-        n = h * p
-        den = self._denominator(ix, iy)
-        state = aligned_array((2, n + 2 * p), 0.0, lead=p)
-        grid = state.reshape(2, h + 2, p)
-        u, v = state[:, p:p + n]
-        up, down = state[:, :n], state[:, 2 * p:]
-        left, right = state[:, p - 1:p - 1 + n], state[:, p + 1:p + 1 + n]
-        bar = aligned_array((2, n), lead=0)
-        # A box of every pixel is written in place; any other is copied
-        # from `bar` into its row of `kept`.
-        in_place = averages is not None and averages.shape[-1] == n
-        kept = None if averages is None or in_place else box.split(averages)
-        fresh = box.window(bar)
-        for k in range(self.iterations):
-            grid[:, 0, 1:-1] = grid[:, 1, 1:-1]
-            grid[:, -1, 1:-1] = grid[:, -2, 1:-1]
-            grid[:, 1:-1, 0] = grid[:, 1:-1, 1]
-            grid[:, 1:-1, -1] = grid[:, 1:-1, -2]
-            if in_place:
-                bar = averages[k]
-            np.add(down, up, out=bar)
-            bar += right
-            bar += left
-            bar *= QUARTER
-            if kept is not None:
-                np.copyto(kept[k], fresh)
-            ubar, vbar = bar
-            _residual(u, v, ix, iy, it, den, ubar, vbar)
-            np.multiply(iy, u, out=v)
-            np.subtract(vbar, v, out=v)
-            np.multiply(ix, u, out=u)
-            np.subtract(ubar, u, out=u)
-        return np.stack(tuple(grid[:, 1:-1, 1:-1]), axis=-1)
-
     def forward(self, ctx, inputs: Arrays) -> Arrays:
         ix, iy, it = inputs
+        h, w = ix.shape
+        p = w + 2
+        n = h * p
         box = _Box(support_union(*ctx["needed"]), ix.shape)
         rows = self._rows(ix, iy, it)
-        averages = None
-        if box.size:
+        state = aligned_array((2, n + 2 * p), 0.0, lead=p)
+        step = _stepper(state, p, *rows, self._denominator(*rows[:2]))
+        bar = aligned_array((2, n), lead=0)
+        averages = saved = kept = None
+        if box.size == n:
+            # Iteration k writes its averages in place into row k % span of
+            # one segment's block, and each segment but the first starts by
+            # saving the state.
+            span = math.isqrt(self.iterations - 1) + 1
+            segments = -(-self.iterations // span)
+            saved = aligned_array((segments - 1, 2, n + 2 * p), lead=p)
+            averages = aligned_array((span, 2, n), lead=0)
+        elif box.size:
             averages = aligned_array((self.iterations, 2, box.size), lead=0)
-        flow = self._run(ix.shape, *rows, averages, box)
-        ctx.update(shape=ix.shape, rows=rows, averages=averages, box=box)
+            kept, fresh = box.split(averages), box.window(bar)
+        for k in range(self.iterations):
+            if saved is not None:
+                segment, i = divmod(k, span)
+                if segment and not i:
+                    np.copyto(saved[segment - 1], state)
+                bar = averages[i]
+            step(bar)
+            if kept is not None:
+                np.copyto(kept[k], fresh)
+        flow = np.stack(tuple(state.reshape(2, h + 2, p)[:, 1:-1, 1:-1]), axis=-1)
+        ctx.update(shape=ix.shape, rows=rows, averages=averages, saved=saved, box=box)
         return (flow,)
+
+    def _reversed_averages(self, ctx, den):
+        """Each iteration's stacked averages on the box, the last first.  A
+        box of every pixel recomputes each segment but the last from its
+        saved state, in place, into the one segment block."""
+        averages, saved = ctx.pop("averages"), ctx.pop("saved")
+        if saved is None:
+            yield from reversed(averages)
+            return
+        span = len(averages)
+        yield from reversed(averages[:self.iterations - len(saved) * span])
+        for segment in reversed(range(len(saved))):
+            # Segment j starts from saved[j - 1], and the first from zero
+            # flow in saved[0], whose segment is done.
+            state = saved[max(segment - 1, 0)]
+            if not segment:
+                state.fill(0.0)
+            step = _stepper(state, ctx["shape"][1] + 2, *ctx["rows"], den)
+            for bar in averages:
+                step(bar)
+            yield from reversed(averages)
 
     def backward(self, ctx, cotangents: Arrays) -> Arrays:
         (g,) = cotangents
@@ -344,7 +395,7 @@ class HornSchunckSolveStage(Stage):
         s = aligned_array((n,))
         q, g_den, term, bt = (aligned_array((box.size,)) for _ in range(4))
         read_s, read_grad = box.reader(s), box.reader(grad)
-        for bar in reversed(ctx["averages"]):
+        for bar in self._reversed_averages(ctx, den):
             # With s = Ix gu + Iy gv, the chain rule's g_q = -s,
             # g_num = g_q / den = -r and g_den = -q g_q / den = q s / den.
             # Negation is exact, so every term below is its term bit for bit.

@@ -26,6 +26,7 @@ from flowpatch.defense import lgs_config
 from flowpatch.diff import AddWeightedStage, Stage, grad_check
 from flowpatch.errors import DivergenceError, FormatError, PlacementError
 from flowpatch.flow import HornSchunck, HornSchunckConfig
+from flowpatch.harness import ingest_dataset, synth_dataset
 from flowpatch.metrics import EvalFrame, clean_flows
 
 
@@ -462,6 +463,21 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         return peak / block
+
+    def test_lgs_aware_step_keeps_saved_states_not_every_average(self, tmp_path):
+        # The LGS map couples every pixel to the patch, so the solve's box is
+        # every pixel; it keeps 13 saved states and 15 iterations' averages
+        # (about 3.8 MB here) in place of 200 iterations' (26.6 MB).
+        frame = ingest_dataset(synth_dataset(1, 64, 128, 7, tmp_path)).frames[0]
+        estimator = HornSchunck(HornSchunckConfig(alpha=15.0, iterations=200))
+        cfg = AttackConfig(awareness="lgs", steps=1, seed=0)
+        tracemalloc.start()
+        try:
+            train_patch(estimator, lgs_config(), [(frame.frame1, frame.frame2)], cfg, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, peak / 1e6
 
     def test_one_tape_alive_at_a_time(self):
         # A step's tape holds the solve's block of averages, on the

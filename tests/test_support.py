@@ -143,17 +143,20 @@ class TestStageRules:
             assert np.all(cot[~box] == 0) and np.all(cot[box] != 0)
 
     @pytest.mark.parametrize("awareness", ["lgs", "all-source"])
-    def test_every_pixel_keeps_its_averages_in_place(self, scene_pair, monkeypatch, awareness):
+    def test_every_pixel_keeps_saved_states_and_one_segment(
+        self, scene_pair, monkeypatch, awareness
+    ):
         # An LGS-aware step couples every pixel to the patch, and a tape of
-        # sources needs every pixel: the box is every padded row, and the
-        # solve writes each iteration's averages into their block directly.
+        # sources needs every pixel: the box is every padded row.  The solve
+        # runs 5 iterations as segments of 3 and 2, and keeps the padded
+        # state at the start of the second and one segment's averages.
         frame1, frame2 = scene_pair
         kept = []
         forward = HornSchunckSolveStage.forward
 
         def spy(stage, ctx, inputs):
             out = forward(stage, ctx, inputs)
-            kept.append(ctx)
+            kept.append(dict(ctx))
             return out
 
         monkeypatch.setattr(HornSchunckSolveStage, "forward", spy)
@@ -166,7 +169,9 @@ class TestStageRules:
             np.zeros((40, 64, 2)), placement_geometry(POSES[1], SIDE, (40, 64)),
         )
         (ctx,) = kept
-        assert ctx["box"].whole and ctx["averages"].shape == (5, 2, 40 * 66)
+        assert ctx["box"].whole and ctx["box"].size == 40 * 66
+        assert ctx["saved"].shape == (1, 2, 42 * 66)
+        assert ctx["averages"].shape == (3, 2, 40 * 66)
 
     def test_solver_forward_holds_only_the_band(self):
         # The averages of the 10x10 box, 16 B per box pixel and iteration

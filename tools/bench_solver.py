@@ -11,23 +11,29 @@ older commit.  The flags and the entry file are those of `bench_common.py`.
 For each size the inputs are the frame derivatives of the first pair of
 `synth_dataset(1, h, w, seed=7, ...)`, the scene the benchmark's workloads
 use, solved with 200 iterations.  Every forward is given `ctx["needed"]`.
-The forward and backward times give it `ALL` for each input, the
-forward-only time (`solve_s`) no input, so nothing is kept for a backward.
+The forward and backward times give it `ALL` for each input, so the
+solve keeps saved states and its backward recomputes the averages of every
+segment but the last; the forward-only time (`solve_s`) gives no input, so
+nothing is kept for a backward.
 Times are the best of `--repeats` calls; the tape memory is what the
-forward's context holds (tracemalloc, output flow included) and the
-backward's the peak above that.  The `band_` columns time the forward and
-measure its tape with `ctx["needed"]` set before the forward to a band of
-`BAND_ROWS` middle rows in Ix, Iy and It, the rows a training step on a
-side-24 patch needs.
+forward's context holds (tracemalloc; the output flow is dropped at once)
+and the backward's the peak above that.  The `band_` columns time the
+forward and measure its tape with `ctx["needed"]` set before the forward to
+a band of `BAND_ROWS` middle rows in Ix, Iy and It, the rows a training
+step on a side-24 patch needs.
 `train_step_s` is the best of `--repeats` one-step vanilla `train_patch`
 calls (patch side 24, I-FGSM, `clip`) on the same pair with its reference
 flow given, so it times placement, the solve on a tape, the loss and the
 backward that training runs, through APIs every version of the tree has;
-`train_step_peak_mb` is the tracemalloc peak of one such call.  Before
-timing anything the script checks three paths against the per-iteration
-chain of `tests/hs_oracle.py` bit for bit, and exits non-zero if one
-differs: the flow and both frame gradients on a tape of two source frames,
-the flow of the forward-only `estimate`, and the flow and patch gradient on
+`train_step_peak_mb` is the tracemalloc peak of one such call.
+`lgs_step_s` and `lgs_step_peak_mb` are the same for one LGS-aware step
+under LGS with the LGS-defended reference flow given; the LGS map couples
+every pixel to the patch, so its solve runs the checkpointed backward.
+Before timing anything the script checks four paths against the
+per-iteration chain of `tests/hs_oracle.py` bit for bit, and exits non-zero
+if one differs: the flow and both frame gradients on a tape of two source
+frames, at 200 iterations and at 17, whose last segment is short, the flow
+of the forward-only `estimate`, and the flow and patch gradient on
 a tape whose frames are constants and whose only source is a placed patch,
 so that the solve's backward runs on the patch's box of rows and columns.
 """
@@ -72,6 +78,9 @@ def check_oracle() -> None:
     patch = rng.uniform(0, 1, (side, side, 3))
     geometry = placement_geometry(PatchPose((11.5, 15.5), 0.0, 1.0), side, shape)
     est = HornSchunck(HornSchunckConfig(alpha=ALPHA, iterations=ITERATIONS))
+    # On a tape of sources the solve runs in segments of ceil(sqrt(K))
+    # iterations: 17 makes segments of 5, 5, 5 and a short last one of 2.
+    short = HornSchunck(HornSchunckConfig(alpha=ALPHA, iterations=17))
 
     def sources(forward):
         tape = StageTape()
@@ -91,13 +100,15 @@ def check_oracle() -> None:
         tape.backward(flow, scene_cot)
         return [flow.array, tape.grad(values)]
 
-    def oracle(tape, a, b):
-        return oracle_flow_on_tape(tape, a, b, ALPHA, ITERATIONS)
+    def oracle(tape, a, b, iterations=ITERATIONS):
+        return oracle_flow_on_tape(tape, a, b, ALPHA, iterations)
 
     want = sources(oracle)
+    gradients = ("flow", "frame-1 gradient", "frame-2 gradient")
     checks = (
-        ("13x21 sources", ("flow", "frame-1 gradient", "frame-2 gradient"),
-         sources(est.forward_on_tape), want),
+        ("13x21 sources", gradients, sources(est.forward_on_tape), want),
+        ("13x21 sources, 17 iterations", gradients, sources(short.forward_on_tape),
+         sources(lambda tape, a, b: oracle(tape, a, b, 17))),
         ("13x21 estimate", ("flow",),
          [est.estimate(Image(frames[0]), Image(frames[1])).data], want),
         ("24x32 placed patch", ("flow", "patch gradient"),
@@ -117,20 +128,22 @@ def derivatives(h: int, w: int):
     return FrameDerivativesStage()(g1, g2)
 
 
-def train_step(h: int, w: int, repeats: int) -> tuple[float, float]:
-    """Best time and tracemalloc peak of one vanilla training step with the
-    reference flow given."""
+def train_step(h: int, w: int, repeats: int, lgs: bool = False) -> tuple[float, float]:
+    """Best time and tracemalloc peak of one training step with the
+    reference flow given: vanilla, or LGS-aware under LGS."""
     from flowpatch.attack import AttackConfig, train_patch
+    from flowpatch.defense import defended_flow, lgs_config
     from flowpatch.flow import HornSchunck, HornSchunckConfig
 
     pair = scene(h, w)
     estimator = HornSchunck(HornSchunckConfig(alpha=ALPHA, iterations=ITERATIONS))
     dataset = [(pair.frame1, pair.frame2)]
-    references = [estimator.estimate(pair.frame1, pair.frame2)]
-    cfg = AttackConfig(steps=1, seed=SCENE_SEED)
+    defense = lgs_config() if lgs else None
+    references = [defended_flow(estimator, defense, pair.frame1, pair.frame2)[0]]
+    cfg = AttackConfig(awareness="lgs" if lgs else "vanilla", steps=1, seed=SCENE_SEED)
 
     def step():
-        train_patch(estimator, None, dataset, cfg, PATCH_SIDE, references)
+        train_patch(estimator, defense, dataset, cfg, PATCH_SIDE, references)
 
     seconds = best_of(step, repeats)
     tracemalloc.start()
@@ -185,6 +198,7 @@ def bench_size(h: int, w: int, repeats: int) -> dict:
     held, backward_peak = tape_bytes(stage, inputs, cot, every_pixel)
     band_held, _ = tape_bytes(stage, inputs, cot, needed)
     step_s, step_peak = train_step(h, w, repeats)
+    lgs_step_s, lgs_step_peak = train_step(h, w, repeats, lgs=True)
     return {
         "size": f"{h}x{w}",
         "forward_s": round(forward_s, 5),
@@ -196,6 +210,8 @@ def bench_size(h: int, w: int, repeats: int) -> dict:
         "band_tape_mb": round(band_held / 1e6, 3),
         "train_step_s": round(step_s, 5),
         "train_step_peak_mb": round(step_peak / 1e6, 3),
+        "lgs_step_s": round(lgs_step_s, 5),
+        "lgs_step_peak_mb": round(lgs_step_peak / 1e6, 3),
     }
 
 
@@ -211,7 +227,8 @@ def main(argv=None) -> None:
         "solve_s: the forward with no input in ctx['needed']. "
         f"band_*: the forward with ctx['needed'] set to {BAND_ROWS} middle rows. "
         f"train_step_*: one vanilla train_patch step, patch side {PATCH_SIDE}, "
-        "reference flow given: best time and tracemalloc peak",
+        "reference flow given: best time and tracemalloc peak. "
+        "lgs_step_*: the same for one LGS-aware step under LGS",
         [bench_size(h, w, args.repeats) for h, w in SIZES],
     )
 
